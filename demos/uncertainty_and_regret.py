@@ -15,16 +15,17 @@ analysis into table lookups.
 
 import random
 
-import numpy as np
-
 from pathevac import (
+    CostModel,
     Plan,
     ScenarioDescriptor,
+    Side,
     build_lookup_tables,
     build_scenario_opt_cache,
     compute_rji,
     enumerate_global_candidates,
     enumerate_partition_candidates,
+    eval_side,
     max_regret_of_plan,
     realize_scenario,
     regret_of_plan,
@@ -78,17 +79,24 @@ assert regret_of_plan(inst, plan, ws, cache=cache) == value
 
 # --- the lookup tables behind the fast path ------------------------------------------
 
-tables = build_lookup_tables(inst)
+# The worst-case regret of a part separates into six O(n^2) tables of
+# side times and scenario optima; e.g. A[l, t] is the worst regret of sink
+# t's left side over the candidates that raise a run starting at l.
+tables = build_lookup_tables(inst, cache)
+print(f"\nleft-side time of each sink from vertex 0, all lower bounds: "
+      f"{[int(v) for v in tables.lminus[0]]}")
 t_sink = 6
-row = tables.lrow(0, t_sink)
-print(f"\nleft-side times of sink {t_sink} as the upper-bound run grows: "
-      f"{[int(v) for v in row]}")
-assert row[0] == tables.lminus(0, t_sink)  # empty run = all lower bounds
-assert np.all(np.diff(row) >= 0)  # more pessimism never finishes earlier
+worst_left = max(
+    eval_side(inst, realize_scenario(inst, ScenarioDescriptor(0, m)), 0, t_sink,
+              t_sink, Side.LEFT, CostModel.SIMPLIFIED).time - cache.get((0, m))
+    for m in range(t_sink + 1)
+)
+print(f"A[0, {t_sink}] = {int(tables.A[0, t_sink])}")
+assert tables.A[0, t_sink] == worst_left
 
 # --- minimal worst-case regret of every subpath ---------------------------------------
 
-rji = compute_rji(inst, cache, tables)
+rji = compute_rji(inst, cache)
 print(f"\nR[j, i] holds the best single-sink worst-case regret of each "
       f"subpath; R[0, {n}] = {rji.regret(0, n)} "
       f"(best sink {rji.sink_of(0, n)})")

@@ -14,7 +14,7 @@ candidate-scenario generator, a vectorized scenario-optimum cache, and a CLI
 (generate / solve / verify / bench).
 """
 
-from .biheap import BiHeap, biheap_max, biheap_update
+from .biheap import BiHeap
 from .evac import (
     EvacSideResult,
     Side,

@@ -35,7 +35,7 @@ from typing import Optional
 
 from .evac import ceil_div
 
-__all__ = ["BiHeap", "biheap_max", "biheap_update"]
+__all__ = ["BiHeap"]
 
 
 class _Leaf:
@@ -443,53 +443,6 @@ class BiHeap:
         cost = cls.max_key + ceil_div(leaf.lo + self.wbar, self.c) + self.lbar
         return (cost, cls.max_slot)
 
-    def max_excluding(self, handle: int) -> Optional[tuple[int, int]]:
-        """MAX over live pairs other than `handle` (c == 1 fast path only)."""
-        if self.c != 1:
-            raise ValueError("max_excluding is only available with c == 1")
-        heap = self._heap
-        put_back = None
-        ans = None
-        while heap:
-            key, slot = heap[0]
-            if not self._alive[slot]:
-                heapq.heappop(heap)
-                self.counters["heap_pops"] += 1
-                continue
-            if slot == handle:
-                put_back = heapq.heappop(heap)
-                continue
-            ans = (-key + self.wbar + self.lbar, slot)
-            break
-        if put_back is not None:
-            heapq.heappush(heap, put_back)
-        return ans
-
     def max_cost(self) -> Optional[int]:
         entry = self.max_entry()
         return None if entry is None else entry[0]
-
-
-def biheap_max(h: BiHeap) -> Optional[tuple[int, int]]:
-    """MAX of a Bi-Heap: (cost, handle) or None when empty."""
-    return h.max_entry()
-
-
-def biheap_update(h: BiHeap, op: tuple) -> Optional[int]:
-    """Apply one update op; returns the new handle for inserts, else None.
-
-    Ops: ("insert", W, L), ("delete", handle), ("addw", w), ("addl", l).
-    """
-    kind = op[0]
-    if kind == "insert":
-        return h.insert(op[1], op[2])
-    if kind == "delete":
-        h.delete(op[1])
-        return None
-    if kind == "addw":
-        h.add_w(op[1])
-        return None
-    if kind == "addl":
-        h.add_l(op[1])
-        return None
-    raise ValueError(f"unknown op: {op!r}")

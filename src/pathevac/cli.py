@@ -32,6 +32,7 @@ from .model import (
     Scenario,
     load_instance,
     load_plan,
+    require_int,
     save_instance,
     save_plan,
     scenario_within_bounds,
@@ -78,7 +79,7 @@ def _scenario_from_args(inst: PathInstance, args) -> Optional[Scenario]:
         try:
             with open(args.scenario, "r", encoding="utf-8") as f:
                 obj = json.load(f)
-            s = Scenario(tuple(int(v) for v in obj["w"]))
+            s = Scenario(tuple(require_int(v, "w") for v in obj["w"]))
         except (OSError, ValueError, KeyError, TypeError) as exc:
             print(f"cannot read scenario {args.scenario}: {exc}", file=sys.stderr)
             return None

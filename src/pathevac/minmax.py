@@ -152,7 +152,8 @@ def solve_minmax_regret_dp(
         rv = int(R[lo, e])
         worst = rv if worst is None else max(worst, rv)
         lo = e + 1
-    assert worst == value, (worst, value)
+    if worst != value:
+        raise RuntimeError(f"plan's worst part regret {worst} != DP value {value}")
 
     counters = {
         "j_increments_per_row": increments,
@@ -235,7 +236,6 @@ def solve_minmax_regret_bs(
                     v = e - o
                     if v > acc[idx]:
                         acc[idx] = v
-        assert acc is not None
         v = min(acc)
         res = (v, l + acc.index(v))
         rlr_memo[(l, r)] = res
@@ -271,7 +271,6 @@ def solve_minmax_regret_bs(
                 v = max(gv, hv)
                 if best is None or v < best[0]:
                     best = (v, ge + (rend,), gs + (hy,))
-            assert best is not None
             res = best
         solve_memo[key] = res
         return res

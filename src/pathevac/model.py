@@ -247,15 +247,26 @@ def instance_to_obj(inst: PathInstance) -> dict:
     }
 
 
+def require_int(value, name: str) -> int:
+    """``value`` if it is an ``int`` (a ``bool`` is not); else ValueError.
+
+    Integer fields of the file formats go through this, so a float, string
+    or boolean is rejected instead of being truncated or coerced.
+    """
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def instance_from_obj(obj: dict) -> PathInstance:
     try:
         vertices = obj["vertices"]
-        coords = tuple(int(v["x"]) for v in vertices)
-        wminus = tuple(int(v["w_min"]) for v in vertices)
-        wplus = tuple(int(v["w_max"]) for v in vertices)
-        capacity = int(obj["capacity"])
-        tau = int(obj["tau"])
-    except (KeyError, TypeError) as exc:
+        coords = tuple(require_int(v["x"], "x") for v in vertices)
+        wminus = tuple(require_int(v["w_min"], "w_min") for v in vertices)
+        wplus = tuple(require_int(v["w_max"], "w_max") for v in vertices)
+        capacity = require_int(obj["capacity"], "capacity")
+        tau = require_int(obj["tau"], "tau")
+    except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInstanceError(f"malformed instance object: {exc}") from exc
     return PathInstance(coords, wminus, wplus, capacity, tau)
 
@@ -286,15 +297,16 @@ def plan_to_obj(plan: Plan, objective: int, objective_kind: str) -> dict:
 
 def plan_from_obj(obj: dict) -> tuple[Plan, int, str]:
     parts = obj["parts"]
-    boundaries = tuple(int(p["r"]) for p in parts)
-    sinks = tuple(int(p["sink"]) for p in parts)
+    boundaries = tuple(require_int(p["r"], "r") for p in parts)
+    sinks = tuple(require_int(p["sink"], "sink") for p in parts)
     plan = Plan(boundaries, sinks)
     expect_l = 0
-    for p in parts:
-        if int(p["l"]) != expect_l:
+    for p, r in zip(parts, boundaries):
+        if require_int(p["l"], "l") != expect_l:
             raise ValueError("plan parts are not consecutive")
-        expect_l = int(p["r"]) + 1
-    return plan, int(obj["objective"]), str(obj["objective_kind"])
+        expect_l = r + 1
+    objective = require_int(obj["objective"], "objective")
+    return plan, objective, str(obj["objective_kind"])
 
 
 def save_plan(plan: Plan, objective: int, objective_kind: str, path: str) -> None:

@@ -179,10 +179,11 @@ def brute_minmax_regret(
                         max(col[ci] for col in cols) - opt[ci]
                         for ci, _ in structured[bounds]
                     )
-                    assert smax == worst, (
-                        f"structured candidate max {smax} != corner max {worst} "
-                        f"for plan {bounds}/{sinks}"
-                    )
+                    if smax != worst:
+                        raise AssertionError(
+                            f"structured candidate max {smax} != corner max {worst} "
+                            f"for plan {bounds}/{sinks}"
+                        )
             if best_val is None or worst < best_val:
                 best_val = worst
                 best_plan = Plan(bounds, sinks)

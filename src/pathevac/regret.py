@@ -12,11 +12,14 @@ Main pieces:
   batch engine or by the per-scenario dynamic program.
 * :func:`regret_of_plan` / :func:`max_regret_of_plan` — regret of a plan
   under one scenario, and its worst case over all candidate scenarios.
-* :class:`EvacLookupTables` / :func:`build_lookup_tables` — one-sided
-  evacuation times of extreme scenarios, with O(length) whole-row
-  evaluation and O(1) all-lower-bound queries.
+* :class:`EvacLookupTables` / :func:`build_lookup_tables` — six O(n^2)
+  tables into which the worst-case regret of every part and sink
+  separates, built from the cache's values and its batch engine's side
+  times.
 * :func:`compute_rji` — the matrix R[j, i] of minimal worst-case regrets of
-  single-sink subpaths [j, i], with the minimizing sink per cell.
+  single-sink subpaths [j, i], with the minimizing sink per cell: the
+  regret of part [l, r] with sink t is max(A[l, t], rminus[t, r] - D[l, t]),
+  and also max'ed with B[t, r] and lminus[l, t] - C[t, r] when t < r.
 * Binary dump/load helpers for both the cache and the matrix.
 
 All quantities are exact int64 integers.
@@ -30,8 +33,9 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from ._batch import NEG, ScenarioBatchEngine, _SparseMax
-from .evac import Side, eval_plan, eval_side
+from ._batch import NEG, ScenarioBatchEngine
+from .evac import eval_plan
+from .evac import eval_side  # noqa: F401  (unused; perfbench/layers.py traces regret.eval_side)
 from .model import (
     CostModel,
     PathInstance,
@@ -247,208 +251,86 @@ def max_regret_of_plan(
         reg = time - cache.get(d)
         if best is None or reg > best:
             best, witness = reg, d
-    assert best is not None and witness is not None
     return best, witness
 
 
 # ---------------------------------------------------------------------------
-# One-sided extreme-scenario lookup tables
+# Per-sink regret components of every part
 # ---------------------------------------------------------------------------
 
 
+@dataclass
 class EvacLookupTables:
-    """One-sided evacuation times of extreme scenarios (simplified model).
+    """Components of the worst-case regret of every part and sink.
 
-    For a sink t inside a part, the worst candidate scenarios assign upper
-    weight bounds to a run touching one end of the part.  Two row families
-    cover them:
+    Six (n+1) x (n+1) int64 tables.  With ``v`` the scenario-optimum cache
+    values and ``theta_l`` / ``theta_r`` the batch engine's side times:
 
-    * ``Ltab(l, m, t)``: left side [l, t-1] of sink t with upper bounds on
-      [l, m) and lower bounds on [m, t-1]; domain ``l <= m <= t``.
-    * ``Rtab(t, m, r)``: right side [t+1, r] of sink t with lower bounds on
-      (t, m) and upper bounds on [m, r]; domain ``t < m <= r``.
+    * ``lminus[l, t] = theta_l(l, t, 0, 0)`` and
+      ``rminus[t, r] = theta_r(t, r, 0, 0)``: the sides of sink t with all
+      weights at lower bounds;
+    * ``A[l, t] = max_{m in [l, t]} theta_l(l, t, l, m) - v[l, m]`` and
+      ``D[l, t] = min_{m in [l, t]} v[l, m]``, over the left-anchored
+      candidates (l, m);
+    * ``B[t, r] = max_{m in [t+1, r]} theta_r(t, r, m, r+1) - v[m, r+1]`` and
+      ``C[t, r] = min_{m in [t+1, r]} v[m, r+1]``, over the right-anchored
+      candidates (m, r+1).
 
-    ``lrow`` / ``rrow`` produce a whole row (all m) in O(length) time via
-    running prefix/suffix maxima.  ``lminus`` / ``rminus`` answer
-    all-lower-bound sides in O(1) from sparse tables.  With
-    ``materialize=True`` all rows are stored in dense 3-d arrays (memory
-    O(n^3) — small inputs only).  With ``validate=True`` every row produced
-    is checked against the direct per-scenario side evaluation, falling
-    back to the direct value on mismatch and counting the event in
-    ``validation_mismatches``.
+    Entries are defined where l <= t (``lminus``, ``A``, ``D``), t <= r
+    (``rminus``) and t < r (``B``, ``C``); all other cells hold 0.
     """
 
-    def __init__(
-        self,
-        inst: PathInstance,
-        materialize: bool = False,
-        validate: bool = False,
-    ):
-        inst.require_valid()
-        self.inst = inst
-        self.materialized = materialize
-        self.validate = validate
-        self.validation_mismatches = 0
-        n = inst.n
-        x = np.asarray(inst.coords, dtype=np.int64)
-        self._xt = x * inst.tau
-        wm = np.asarray(inst.wminus, dtype=np.int64)
-        wp = np.asarray(inst.wplus, dtype=np.int64)
-        self._pm0 = np.zeros(n + 2, dtype=np.int64)
-        self._pm0[1:] = np.cumsum(wm)
-        self._pp0 = np.zeros(n + 2, dtype=np.int64)
-        self._pp0[1:] = np.cumsum(wp)
-        # max over z of (prefix-lower through z) - x_z  /  x_z - (prefix-lower before z)
-        self._st_lm = _SparseMax(self._pm0[1:] - self._xt)
-        self._st_rm = _SparseMax(self._xt - self._pm0[:-1])
-        self._lmat: Optional[np.ndarray] = None
-        self._rmat: Optional[np.ndarray] = None
-        if materialize:
-            self._lmat = np.full((n + 1, n + 1, n + 1), NEG, dtype=np.int64)
-            self._rmat = np.full((n + 1, n + 1, n + 1), NEG, dtype=np.int64)
-            for l in range(n + 1):
-                for t in range(l, n + 1):
-                    self._lmat[l, l : t + 1, t] = self.lrow(l, t)
-            for t in range(n + 1):
-                for r in range(t + 1, n + 1):
-                    self._rmat[t, t + 1 : r + 1, r] = self.rrow(t, r)
+    lminus: np.ndarray
+    rminus: np.ndarray
+    A: np.ndarray
+    D: np.ndarray
+    B: np.ndarray
+    C: np.ndarray
 
-    # -- scalar single-point queries -----------------------------------------
 
-    def _q(self, st: _SparseMax, a: int, b: int) -> int:
-        return int(st.query(np.array([a]), np.array([b]))[0])
+def build_lookup_tables(inst: PathInstance, cache: ScenarioOptCache) -> EvacLookupTables:
+    """Build :class:`EvacLookupTables` from a scenario-optimum cache.
 
-    def lminus(self, l: int, t: int) -> int:
-        """Left-side time of sink t from l with all weights at lower bounds."""
-        if not 0 <= l <= t <= self.inst.n:
-            raise ValueError(f"left range ({l}, {t}) out of range")
-        if t == l:
-            return 0
-        return int(self._xt[t] - self._pm0[l]) + self._q(self._st_lm, l, t - 1)
+    Completes the cache, then evaluates every side time with the cache's
+    batch engine: one call each for ``lminus`` and ``rminus``, one per part
+    start l for ``A`` and one per sink t for ``B``, so that no call has more
+    lanes than the cache's complete fill.
+    """
+    if cache.inst is not inst and cache.inst != inst:
+        raise ValueError("cache was built for a different instance")
+    cache.complete()
+    v = cache.values
+    eng = cache._batch_engine()
+    size = inst.n + 1
+    lminus, rminus, A, D, B, C = (np.zeros((size, size), dtype=np.int64) for _ in range(6))
 
-    def rminus(self, t: int, r: int) -> int:
-        """Right-side time of sink t through r with all weights at lower bounds."""
-        if not 0 <= t <= r <= self.inst.n:
-            raise ValueError(f"right range ({t}, {r}) out of range")
-        if r == t:
-            return 0
-        return int(self._pm0[r + 1] - self._xt[t]) + self._q(self._st_rm, t + 1, r)
+    lo, hi = np.triu_indices(size)
+    zero = np.zeros_like(lo)
+    lminus[lo, hi] = eng.theta_l(lo, hi, zero, zero)
+    rminus[lo, hi] = eng.theta_r(lo, hi, zero, zero)
 
-    # -- whole rows -----------------------------------------------------------
-
-    def lrow(self, l: int, t: int) -> np.ndarray:
-        """All ``Ltab(l, m, t)`` for m in [l, t], as an int64 array."""
-        if not 0 <= l <= t <= self.inst.n:
-            raise ValueError(f"left range ({l}, {t}) out of range")
-        if t == l:
-            return np.zeros(1, dtype=np.int64)
-        z = np.arange(l, t)
-        base = self._xt[t] - self._xt[z]
-        # upper-bound region value per vertex, cumulative from the left
-        v1 = base + self._pp0[z + 1] - self._pp0[l]
-        pre = np.maximum.accumulate(v1)
-        # lower-bound region value per vertex, cumulative from the right
-        u = base + self._pm0[z + 1]
-        suf = np.maximum.accumulate(u[::-1])[::-1]
-        m_all = np.arange(l, t + 1)
-        length = t - l
-        left_part = np.where(
-            m_all > l, pre[np.maximum(m_all - 1 - l, 0)], NEG
+    # Lanes (row, col) with col <= row, in row order: the first
+    # span(span+1)/2 of them cover rows 0..span-1, and row i starts at i(i+1)/2.
+    row, col = np.tril_indices(size)
+    starts = np.arange(size) * np.arange(1, size + 1) // 2
+    for l in range(size):
+        span = size - l
+        lanes = span * (span + 1) // 2
+        t, m = l + row[:lanes], l + col[:lanes]
+        pos = np.full(lanes, l, dtype=np.int64)
+        A[l, l:] = np.maximum.reduceat(eng.theta_l(pos, t, pos, m) - v[l, m], starts[:span])
+        D[l, l:] = np.minimum.accumulate(v[l, l:size])
+    for t in range(size - 1):
+        span = size - 1 - t
+        lanes = span * (span + 1) // 2
+        r, m = t + 1 + row[:lanes], t + 1 + col[:lanes]
+        sink = np.full(lanes, t, dtype=np.int64)
+        B[t, t + 1 :] = np.maximum.reduceat(
+            eng.theta_r(sink, r, m, r + 1) - v[m, r + 1], starts[:span]
         )
-        right_part = np.where(
-            m_all < t,
-            suf[np.minimum(m_all - l, length - 1)]
-            - self._pm0[m_all]
-            + self._pp0[m_all]
-            - self._pp0[l],
-            NEG,
-        )
-        out = np.maximum(left_part, right_part)
-        if self.validate:
-            out = self._validated(out, self._direct_lrow(l, t))
-        return out
-
-    def rrow(self, t: int, r: int) -> np.ndarray:
-        """All ``Rtab(t, m, r)`` for m in [t+1, r], as an int64 array."""
-        if not 0 <= t <= r <= self.inst.n:
-            raise ValueError(f"right range ({t}, {r}) out of range")
-        if r == t:
-            return np.zeros(0, dtype=np.int64)
-        z = np.arange(t + 1, r + 1)
-        base = self._xt[z] - self._xt[t]
-        v1 = base + self._pp0[r + 1] - self._pp0[z]
-        suf = np.maximum.accumulate(v1[::-1])[::-1]
-        u = base - self._pm0[z]
-        pre = np.maximum.accumulate(u)
-        m_all = np.arange(t + 1, r + 1)
-        right_part = suf[m_all - (t + 1)]
-        left_part = np.where(
-            m_all > t + 1,
-            pre[np.maximum(m_all - t - 2, 0)]
-            + self._pm0[m_all]
-            + self._pp0[r + 1]
-            - self._pp0[m_all],
-            NEG,
-        )
-        out = np.maximum(right_part, left_part)
-        if self.validate:
-            out = self._validated(out, self._direct_rrow(t, r))
-        return out
-
-    # -- scalar table accessors -----------------------------------------------
-
-    def Ltab(self, l: int, m: int, t: int) -> int:
-        """Left side [l, t-1] of sink t: upper bounds on [l, m), lower beyond."""
-        if not 0 <= l <= m <= t <= self.inst.n:
-            raise ValueError(f"left table index ({l}, {m}, {t}) out of range")
-        if self._lmat is not None:
-            return int(self._lmat[l, m, t])
-        return int(self.lrow(l, t)[m - l])
-
-    def Rtab(self, t: int, m: int, r: int) -> int:
-        """Right side [t+1, r] of sink t: lower bounds on (t, m), upper from m on."""
-        if not 0 <= t < m <= r <= self.inst.n:
-            raise ValueError(f"right table index ({t}, {m}, {r}) out of range")
-        if self._rmat is not None:
-            return int(self._rmat[t, m, r])
-        return int(self.rrow(t, r)[m - t - 1])
-
-    # -- validation fallbacks ---------------------------------------------------
-
-    def _direct_lrow(self, l: int, t: int) -> np.ndarray:
-        inst = self.inst
-        out = np.empty(t - l + 1, dtype=np.int64)
-        for m in range(l, t + 1):
-            w = list(inst.wminus)
-            w[l:m] = inst.wplus[l:m]
-            res = eval_side(inst, Scenario(w), l, t, t, Side.LEFT, CostModel.SIMPLIFIED)
-            out[m - l] = res.time
-        return out
-
-    def _direct_rrow(self, t: int, r: int) -> np.ndarray:
-        inst = self.inst
-        out = np.empty(r - t, dtype=np.int64)
-        for m in range(t + 1, r + 1):
-            w = list(inst.wminus)
-            w[m : r + 1] = inst.wplus[m : r + 1]
-            res = eval_side(inst, Scenario(w), t, r, t, Side.RIGHT, CostModel.SIMPLIFIED)
-            out[m - t - 1] = res.time
-        return out
-
-    def _validated(self, got: np.ndarray, want: np.ndarray) -> np.ndarray:
-        if got.shape == want.shape and np.array_equal(got, want):
-            return got
-        self.validation_mismatches += int(np.count_nonzero(got != want))
-        return want
-
-
-def build_lookup_tables(
-    inst: PathInstance,
-    materialize: bool = False,
-    validate: bool = False,
-) -> EvacLookupTables:
-    """Build :class:`EvacLookupTables` for an instance."""
-    return EvacLookupTables(inst, materialize=materialize, validate=validate)
+    for r in range(1, size):
+        C[:r, r] = np.minimum.accumulate(v[r:0:-1, r + 1])[::-1]
+    return EvacLookupTables(lminus=lminus, rminus=rminus, A=A, D=D, B=B, C=C)
 
 
 # ---------------------------------------------------------------------------
@@ -489,57 +371,47 @@ class RjiMatrix:
 def compute_rji(
     inst: PathInstance,
     cache: ScenarioOptCache,
-    tables: Optional[EvacLookupTables] = None,
     check_invariants: bool = False,
 ) -> RjiMatrix:
     """Compute the full matrix of minimal worst-case subpath regrets.
 
     For part [l, r] with sink t, every worst-case candidate is dominated by
-    one that is left-anchored (upper bounds on [l, i), i <= t, rest lower)
-    or right-anchored (upper bounds on [i, r], i > t, rest lower), so each
-    sink evaluation is two table rows plus an all-lower term.  Per row l the
-    minimizing sink only moves right as r grows; a tie-advancing sweep keeps
-    the rightmost minimizer, so total sink movement is O(n) per row.
+    one that is left-anchored (upper bounds on [l, m), m <= t, rest lower)
+    or right-anchored (upper bounds on [m, r], m > t, rest lower).  Under a
+    left-anchored candidate the right side of t is all lower bounds, and
+    vice versa, so the maximum over candidates separates: with the tables of
+    :func:`build_lookup_tables`, the worst-case regret of sink t is
+
+        max(A[l, t], rminus[t, r] - D[l, t]),
+        also max'ed with B[t, r] and lminus[l, t] - C[t, r] when t < r.
+
+    Per row l the minimizing sink only moves right as r grows; a
+    tie-advancing sweep keeps the rightmost minimizer, so total sink
+    movement is O(n) per row.
 
     ``check_invariants=True`` additionally verifies, per cell, that the
     swept sink attains the true minimum over all sinks, and that R is
-    monotone under part growth (small inputs only — O(n^4) work).
+    monotone under part growth (small inputs only — O(n^3) work); a
+    violation raises ``RuntimeError``.
     """
     inst.require_valid()
-    if cache.inst is not inst and cache.inst != inst:
-        raise ValueError("cache was built for a different instance")
     n = inst.n
-    if tables is None:
-        tables = build_lookup_tables(inst)
-    cache.complete()
-    vals = cache.values
+    tables = build_lookup_tables(inst, cache)
+    rminus, B, C = tables.rminus, tables.B, tables.C
     R = np.full((n + 1, n + 1), NEG, dtype=np.int64)
     sink = np.full((n + 1, n + 1), -1, dtype=np.int64)
     evals = 0
     moves = 0
 
     for l in range(n + 1):
-        lrow_cache: dict[int, np.ndarray] = {}
+        A_l, D_l, lminus_l = tables.A[l], tables.D[l], tables.lminus[l]
 
         def part_regret(t: int, r: int) -> int:
             nonlocal evals
             evals += 1
-            lr = lrow_cache.get(t)
-            if lr is None:
-                lr = tables.lrow(l, t)
-                lrow_cache[t] = lr
-            rm = tables.rminus(t, r)
-            # left-anchored candidates (l, i), i in [l, t]
-            left_evac = np.maximum(lr, rm)
-            best = int(np.max(left_evac - vals[l, l : t + 1]))
+            best = max(A_l[t], rminus[t, r] - D_l[t])
             if t < r:
-                # right-anchored candidates (i, r+1), i in [t+1, r]
-                rr = tables.rrow(t, r)
-                lm = tables.lminus(l, t)
-                right_evac = np.maximum(rr, lm)
-                cand = int(np.max(right_evac - vals[t + 1 : r + 1, r + 1]))
-                if cand > best:
-                    best = cand
+                best = max(best, B[t, r], lminus_l[t] - C[t, r])
             return best
 
         t = l
@@ -559,19 +431,26 @@ def compute_rji(
         if check_invariants:
             for r in range(l, n + 1):
                 full = [part_regret(tt, r) for tt in range(l, r + 1)]
-                assert R[l, r] == min(full), (l, r, R[l, r], full)
-                assert full[int(sink[l, r]) - l] == R[l, r]
+                if R[l, r] != min(full):
+                    raise RuntimeError(
+                        f"R[{l}, {r}] = {R[l, r]} is not the minimum of {full}"
+                    )
+                if full[int(sink[l, r]) - l] != R[l, r]:
+                    raise RuntimeError(f"sink {sink[l, r]} does not attain R[{l}, {r}]")
 
     if check_invariants:
         for j in range(n + 1):
             for i in range(j, n):
-                assert R[j, i] <= R[j, i + 1], ("grow right", j, i)
+                if R[j, i] > R[j, i + 1]:
+                    raise RuntimeError(f"R shrinks when part ({j}, {i}) grows right")
         for j in range(1, n + 1):
             for i in range(j, n + 1):
-                assert R[j, i] <= R[j - 1, i], ("grow left", j, i)
+                if R[j, i] > R[j - 1, i]:
+                    raise RuntimeError(f"R shrinks when part ({j}, {i}) grows left")
         for j in range(n + 1):
             for i in range(j, n):
-                assert sink[j, i] <= sink[j, i + 1], ("sink monotone", j, i)
+                if sink[j, i] > sink[j, i + 1]:
+                    raise RuntimeError(f"sink moves left when part ({j}, {i}) grows right")
 
     counters = {"sink_evals": evals, "sink_moves": moves, "rows": n + 1}
     return RjiMatrix(R=R, sink=sink, counters=counters)

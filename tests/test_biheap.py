@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from pathevac.biheap import BiHeap, biheap_max, biheap_update
+from pathevac.biheap import BiHeap
 from pathevac.evac import ceil_div
 from pathevac.oracle import naive_biheap_mirror
 
@@ -136,12 +136,3 @@ def test_tree_touch_counter_logarithmic():
         else:
             handles.append(h.insert(rng.randint(0, 10_000), rng.randint(0, 500)))
         assert h.last_op_tree_touches <= bound
-
-
-def test_module_level_helpers():
-    h = BiHeap(2)
-    handle = biheap_update(h, ("insert", 7, 1))
-    biheap_update(h, ("addw", 2))
-    cost, top = biheap_max(h)
-    assert top == handle
-    assert cost == h.max_cost() == ceil_div(9, 2) + 1

@@ -172,3 +172,54 @@ def test_console_entry_point_runs():
     res = run_cli_subprocess("--help")
     assert res.returncode == 0
     assert "solve-mmr" in res.stdout
+
+
+BAD_INTS = [1.7, "5", True, float("inf"), float("nan")]
+
+
+def _with_bad_int(path, edit, value):
+    obj = json.load(open(path))
+    edit(obj, value)
+    json.dump(obj, open(path, "w"))  # inf/nan are written as Infinity/NaN
+
+
+@pytest.mark.parametrize("value", BAD_INTS, ids=repr)
+@pytest.mark.parametrize("field", ["x", "w_min", "capacity"])
+def test_instance_rejects_non_integer(inst_path, capsys, field, value):
+    def edit(obj, v):
+        if field == "capacity":
+            obj["capacity"] = v
+        else:
+            obj["vertices"][1][field] = v
+
+    _with_bad_int(inst_path, edit, value)
+    assert run_cli("solve-mmr", inst_path, "--k", "2") == 2
+    assert f"{field} must be an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", BAD_INTS, ids=repr)
+def test_scenario_rejects_non_integer(tmp_path, inst_path, capsys, value):
+    inst = json.load(open(inst_path))
+    sc_path = str(tmp_path / "s.json")
+    json.dump({"w": [v["w_min"] for v in inst["vertices"]]}, open(sc_path, "w"))
+    _with_bad_int(sc_path, lambda obj, v: obj["w"].__setitem__(0, v), value)
+    assert run_cli("solve-opt", inst_path, "--k", "2", "--scenario", sc_path) == 2
+    assert "w must be an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", BAD_INTS, ids=repr)
+@pytest.mark.parametrize("field", ["r", "objective"])
+def test_plan_rejects_non_integer(tmp_path, inst_path, capsys, field, value):
+    plan_path = str(tmp_path / "plan.json")
+    assert run_cli("solve-opt", inst_path, "--k", "2", "-o", plan_path) == 0
+
+    def edit(obj, v):
+        if field == "objective":
+            obj["objective"] = v
+        else:
+            obj["parts"][-1]["r"] = v
+
+    _with_bad_int(plan_path, edit, value)
+    capsys.readouterr()
+    assert run_cli("verify", inst_path, plan_path) == 2
+    assert f"{field} must be an integer" in capsys.readouterr().err

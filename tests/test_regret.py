@@ -7,7 +7,8 @@ import random
 import numpy as np
 import pytest
 
-from pathevac.evac import eval_plan
+from pathevac._batch import ScenarioBatchEngine
+from pathevac.evac import Side, eval_plan, eval_side
 from pathevac.model import (
     CostModel,
     PathInstance,
@@ -97,67 +98,95 @@ def test_detect_descriptor():
 # -- lookup tables -------------------------------------------------------------
 
 
+def _lanes(*cols):
+    return [np.asarray(c, dtype=np.int64) for c in cols]
+
+
 def test_table_values_small_example():
     inst = unit_interval_instance()
-    t = build_lookup_tables(inst)
-    # left side of sink 2 over [0, 1]: all-upper 7, split 5, all-lower 3
-    assert list(t.lrow(0, 2)) == [3, 5, 7]
-    assert t.Ltab(0, 0, 2) == 3
-    assert t.Ltab(0, 1, 2) == 5
-    assert t.Ltab(0, 2, 2) == 7
+    eng = ScenarioBatchEngine(inst)
+
+    def theta_l(l, t, t1, t2):
+        return int(eng.theta_l(*_lanes([l], [t], [t1], [t2]))[0])
+
+    def theta_r(t, r, t1, t2):
+        return int(eng.theta_r(*_lanes([t], [r], [t1], [t2]))[0])
+
+    # left side of sink 2 over [0, 1]: all-lower 3, split 5, all-upper 7
+    assert [theta_l(0, 2, 0, m) for m in range(3)] == [3, 5, 7]
     # right side of sink 0 over [1, 2]
-    assert t.Rtab(0, 1, 2) == 7
-    assert t.Rtab(0, 2, 2) == 5
-    assert t.lminus(0, 0) == 0
-    assert t.rminus(2, 2) == 0
-    assert t.lminus(0, 2) == 3
-    assert t.rminus(0, 2) == 3
-
-
-def test_table_domain_checks():
-    inst = unit_interval_instance()
-    t = build_lookup_tables(inst)
-    with pytest.raises(ValueError):
-        t.Rtab(0, 3, 2)  # split beyond the part
-    with pytest.raises(ValueError):
-        t.Rtab(1, 1, 2)  # split must be right of the sink
-    with pytest.raises(ValueError):
-        t.Ltab(1, 0, 2)
-    with pytest.raises(ValueError):
-        t.Ltab(0, 3, 2)
-    with pytest.raises(ValueError):
-        t.lrow(2, 1)
+    assert theta_r(0, 2, 1, 3) == 7
+    assert theta_r(0, 2, 2, 3) == 5
+    assert theta_l(0, 0, 0, 0) == 0
+    assert theta_r(2, 2, 0, 0) == 0
+    assert theta_l(0, 2, 0, 0) == 3
+    assert theta_r(0, 2, 0, 0) == 3
+    tables = build_lookup_tables(inst, build_scenario_opt_cache(inst, 1))
+    assert tables.lminus[0, 2] == 3
+    assert tables.rminus[0, 2] == 3
 
 
 def test_table_rows_match_direct_evaluation():
+    """Engine side times == eval_side on the left-anchored, right-anchored
+    and all-lower families."""
     rng = random.Random(52)
     for _ in range(25):
         inst = mk_uncertain(rng, rng.randint(0, 10))
-        t = build_lookup_tables(inst, validate=True)
+        eng = ScenarioBatchEngine(inst)
         n = inst.n
-        for l in range(n + 1):
-            for tk in range(l, n + 1):
-                t.lrow(l, tk)
-        for tk in range(n + 1):
-            for r in range(tk, n + 1):
-                t.rrow(tk, r)
-        assert t.validation_mismatches == 0
+        left = [(l, t, l, m) for l in range(n + 1) for t in range(l, n + 1)
+                for m in range(l, t + 1)]
+        left += [(l, t, 0, 0) for l in range(n + 1) for t in range(l, n + 1)]
+        right = [(t, r, m, r + 1) for t in range(n + 1) for r in range(t + 1, n + 1)
+                 for m in range(t + 1, r + 1)]
+        right += [(t, r, 0, 0) for t in range(n + 1) for r in range(t, n + 1)]
+        got_left = eng.theta_l(*_lanes(*zip(*left)))
+        got_right = eng.theta_r(*_lanes(*zip(*right)))
+        for (l, t, t1, t2), got in zip(left, got_left):
+            s = realize_scenario(inst, ScenarioDescriptor(t1, t2))
+            want = eval_side(inst, s, l, t, t, Side.LEFT, CostModel.SIMPLIFIED).time
+            assert got == want, (l, t, t1, t2)
+        for (t, r, t1, t2), got in zip(right, got_right):
+            s = realize_scenario(inst, ScenarioDescriptor(t1, t2))
+            want = eval_side(inst, s, t, r, t, Side.RIGHT, CostModel.SIMPLIFIED).time
+            assert got == want, (t, r, t1, t2)
 
 
-def test_materialized_tables_agree_with_rows():
+def test_tables_match_definition():
     rng = random.Random(53)
-    inst = mk_uncertain(rng, 7)
-    lazy = build_lookup_tables(inst)
-    mat = build_lookup_tables(inst, materialize=True)
-    n = inst.n
-    for l in range(n + 1):
-        for tk in range(l, n + 1):
-            for m in range(l, tk + 1):
-                assert lazy.Ltab(l, m, tk) == mat.Ltab(l, m, tk)
-    for tk in range(n + 1):
-        for r in range(tk + 1, n + 1):
-            for m in range(tk + 1, r + 1):
-                assert lazy.Rtab(tk, m, r) == mat.Rtab(tk, m, r)
+    for it in range(16):
+        inst = mk_uncertain(rng, rng.randint(0, 8))
+        k = rng.randint(1, min(3, inst.n + 1))
+        engine = "reference" if it % 4 == 0 else "batch"
+        cache = build_scenario_opt_cache(inst, k, engine=engine, fill="lazy")
+        tables = build_lookup_tables(inst, cache)
+        n = inst.n
+
+        def side(d, lo, hi, sink, which):
+            s = realize_scenario(inst, ScenarioDescriptor(*d))
+            return eval_side(inst, s, lo, hi, sink, which, CostModel.SIMPLIFIED).time
+
+        want = {name: np.zeros((n + 1, n + 1), dtype=np.int64)
+                for name in ("lminus", "rminus", "A", "D", "B", "C")}
+        for i in range(n + 1):
+            for j in range(i, n + 1):
+                # left side of sink j in part [i, j], right side of sink i in [i, j]
+                want["lminus"][i, j] = side((0, 0), i, j, j, Side.LEFT)
+                want["rminus"][i, j] = side((0, 0), i, j, i, Side.RIGHT)
+                left = range(i, j + 1)
+                want["A"][i, j] = max(
+                    side((i, m), i, j, j, Side.LEFT) - cache.get((i, m)) for m in left
+                )
+                want["D"][i, j] = min(cache.get((i, m)) for m in left)
+                if i < j:
+                    right = range(i + 1, j + 1)
+                    want["B"][i, j] = max(
+                        side((m, j + 1), i, j, i, Side.RIGHT) - cache.get((m, j + 1))
+                        for m in right
+                    )
+                    want["C"][i, j] = min(cache.get((m, j + 1)) for m in right)
+        for name, table in want.items():
+            assert np.array_equal(getattr(tables, name), table), name
 
 
 # -- plan regret ---------------------------------------------------------------
