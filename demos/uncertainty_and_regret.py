@@ -79,12 +79,12 @@ assert regret_of_plan(inst, plan, ws, cache=cache) == value
 
 # --- the lookup tables behind the fast path ------------------------------------------
 
-# The worst-case regret of a part separates into six O(n^2) tables of
+# The worst-case regret of a part separates into three O(n^2) tables of
 # side times and scenario optima; e.g. A[l, t] is the worst regret of sink
 # t's left side over the candidates that raise a run starting at l.
 tables = build_lookup_tables(inst, cache)
-print(f"\nleft-side time of each sink from vertex 0, all lower bounds: "
-      f"{[int(v) for v in tables.lminus[0]]}")
+print(f"\nright-side time of sink 0 for each part end, all lower bounds: "
+      f"{[int(v) for v in tables.rminus[0]]}")
 t_sink = 6
 worst_left = max(
     eval_side(inst, realize_scenario(inst, ScenarioDescriptor(0, m)), 0, t_sink,

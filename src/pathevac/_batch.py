@@ -1,64 +1,118 @@
 """Vectorized optimal k-sink evacuation times for many scenarios at once.
 
 Used to build the scenario-optimum cache over all O(n^2) candidate scenarios
-(simplified cost model).  Strategy: per-scenario binary search on the answer
-V, with a vectorized greedy feasibility check — repeatedly extend the current
-part as far right as possible subject to both sides of its best sink meeting
-V — executed simultaneously for every scenario lane.
+(simplified cost model).  A candidate scenario, or lane, (t1, t2) takes upper
+weight bounds on [t1, t2) and lower bounds elsewhere, so every prefix-sum or
+profile quantity it needs decomposes into at most three segments of four
+static arrays.
 
-A candidate scenario (t1, t2) takes upper weight bounds on [t1, t2) and lower
-bounds elsewhere, so every prefix-sum/profile quantity it needs decomposes
-into at most three segments of four static arrays; range maxima over those
-come from O(n log n) sparse tables, giving O(1) work per probe and lane.
-All arithmetic is int64-exact.
+* **Range maxima.**  Each static array gets a sparse table stored flat, one
+  row per power-of-two window length, behind an all-NEG row.  A query looks
+  up its row offset and its right-end shift by range length in two small
+  tables and gathers twice; an empty range maps to the NEG row, so no query
+  needs a validity mask.
+* **Feasibility.**  ``_feasible`` answers "can k parts each finish within
+  v?" for every lane at once by greedy extension: repeatedly extend the
+  current part as far right as possible subject to both sides of its best
+  sink meeting v.
+* **Open-lane bisection.**  ``solve`` binary-searches the answer per lane;
+  each round probes only the lanes whose bracket is still open.
+* **Anchor brackets.**  A call with at least ``_ANCHOR_MIN_LANES`` lanes
+  first solves the windows between grid points ``0, 4, 8, ..`` and ``n+1``
+  that its lanes need, then bisects each lane inside the narrow bracket
+  those windows give (see ``_anchor_brackets``).  Smaller calls are bound
+  by per-call overhead, which the extra phase would only add to.
+
+All arithmetic is int64-exact; :func:`check_int64_headroom` rejects the
+instances for which it could not be.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .model import PathInstance
+from .model import InvalidInstanceError, PathInstance
 
-__all__ = ["ScenarioBatchEngine", "NEG"]
+__all__ = ["ScenarioBatchEngine", "NEG", "INT64_HEADROOM", "check_int64_headroom"]
 
 NEG = -(1 << 62)
 
+# int64 headroom.  Write X = max(|x_0|, |x_n|) * tau, the largest |x * tau|;
+# S = sum of w+, which bounds every prefix weight and every sum of deltas
+# delta = w+ - w-; and H = X + S.  The four profile arrays lie in [-H, H];
+# segment maxima, shifted by a delta sum, in [-2H, 2H]; side times, the
+# bisection bounds and their sum, the anchor brackets (OPT + S) and the
+# regret tables of ``regret`` (side time - OPT) within 4H in absolute value.
+# The NEG = -2^62 sentinel of an empty segment is shifted by at most S, and
+# a side time over an empty range adds at most 3H more before it is masked.
+# So H < 2^60 keeps every intermediate within 2^62 + 3 * 2^60 < 2^63, keeps
+# every shifted sentinel (at most NEG + S < -2H) below every real segment
+# maximum, and keeps every regret below the 2^62 sentinel of ``minmax``.
+INT64_HEADROOM = 1 << 60
+
+# Lane count from which ``solve`` brackets lanes by anchor windows, and the
+# grid step of those windows.
+_ANCHOR_MIN_LANES = 1500
+_ANCHOR_STEP = 4
+
+
+def check_int64_headroom(inst: PathInstance) -> None:
+    """Raise InvalidInstanceError unless int64 arithmetic is exact for ``inst``."""
+    reach = max(abs(inst.coords[0]), abs(inst.coords[-1])) * inst.tau + sum(inst.wplus)
+    if reach >= INT64_HEADROOM:
+        raise InvalidInstanceError(
+            f"max |x| * tau + sum of w_max is {reach}, beyond the int64 "
+            f"headroom 2^60 of the scenario-optimum engine"
+        )
+
 
 class _SparseMax:
-    """Static range-maximum over an int64 array with vectorized queries."""
+    """Static range maximum over an int64 array, answered by flat gathers.
+
+    Row 0 of the flat table is all NEG; row j + 1 holds the maxima of the
+    windows of length 2^j.  Every row has two NEG columns past the array, so
+    a query [a, b] with 0 <= a <= len + 1 and -1 <= b < len never reads
+    outside it: an empty range (b < a) reads row 0 at columns a and b + 1.
+    """
 
     def __init__(self, arr: np.ndarray):
         n = arr.shape[0]
         levels = max(1, n.bit_length())
-        st = np.full((levels, n), NEG, dtype=np.int64)
-        st[0] = arr
+        width = n + 2
+        st = np.full((levels + 1, width), NEG, dtype=np.int64)
+        st[1, :n] = arr
         span = 1
-        for j in range(1, levels):
+        for j in range(2, levels + 1):
             m = n - 2 * span + 1
             if m > 0:
                 st[j, :m] = np.maximum(st[j - 1, :m], st[j - 1, span:span + m])
             span *= 2
-        self.st = st
+        self.flat = st.ravel()
+        # Indexed by d = b - a, i.e. by range length d + 1: the row holding
+        # windows of length 2^lg(d + 1), and that row's offset minus the
+        # shift 2^lg - 1 from b to the right window's start.  The last entry,
+        # reached through numpy's negative indexing by d = -1, serves every
+        # empty range: row 0, read at a and at b + 1.
         lg = np.zeros(n + 1, dtype=np.int64)
-        for i in range(2, n + 1):
-            lg[i] = lg[i >> 1] + 1
-        self.lg = lg
+        for j in range(1, levels):
+            lg[(1 << j) - 1:n] += 1
+        self.row = (lg + 1) * width
+        self.row_right = self.row - (np.left_shift(np.int64(1), lg) - 1)
+        self.row[n] = 0
+        self.row_right[n] = 1
 
     def query(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Elementwise max over [a, b]; NEG where a > b."""
-        valid = a <= b
-        aa = np.where(valid, a, 0)
-        bb = np.where(valid, b, 0)
-        j = self.lg[bb - aa + 1]
-        span = np.left_shift(np.int64(1), j)
-        out = np.maximum(self.st[j, aa], self.st[j, bb - span + 1])
-        return np.where(valid, out, NEG)
+        d = np.maximum(b - a, -1)
+        flat = self.flat
+        return np.maximum(flat[self.row[d] + a], flat[self.row_right[d] + b])
 
 
 class ScenarioBatchEngine:
     """Optimal k-sink times (simplified model) for batches of (t1, t2) lanes."""
 
     def __init__(self, inst: PathInstance):
+        check_int64_headroom(inst)
         n = inst.n
         x = np.asarray(inst.coords, dtype=np.int64)
         wm = np.asarray(inst.wminus, dtype=np.int64)
@@ -145,6 +199,69 @@ class ScenarioBatchEngine:
             pos = np.where(active, elo + 1, pos)
         return pos > n
 
+    def _upper(self, t1, t2):
+        """A feasible time for every lane: the span's travel time plus all weight."""
+        n = self.n
+        return (self.xt[n] - self.xt[0]) + self._pw(np.full(t1.shape[0], n), t1, t2)
+
+    def _bisect(self, k, t1, t2, lo, hi):
+        """Per lane, the least feasible time in [lo, hi] (hi must be feasible).
+
+        Each round probes only the lanes whose bracket is still open.  Works
+        on ``lo`` and ``hi`` in place and returns ``lo``.
+        """
+        idx = np.flatnonzero(lo < hi)
+        while idx.size:
+            a = lo[idx]
+            b = hi[idx]
+            v = (a + b) >> 1
+            ok = self._feasible(k, v, t1[idx], t2[idx])
+            a = np.where(ok, a, v + 1)
+            b = np.where(ok, v, b)
+            lo[idx] = a
+            hi[idx] = b
+            idx = idx[a < b]
+        return lo
+
+    def _anchor_brackets(self, k, t1, t2):
+        """Per lane, a bracket [lo, hi] around its optimum, from anchor windows.
+
+        Two facts of the simplified model make the bracket sound.  Every
+        plan's time is a maximum of terms x*tau + (a sum of weights), so
+        (i) it cannot fall when a weight grows, and (ii) it grows by at most
+        delta when one weight grows by delta.  OPT, the minimum over plans,
+        inherits both: OPT is monotone under window growth, and switching
+        vertex i from w-_i to w+_i raises OPT by at most delta_i = w+_i - w-_i.
+
+        With grid points 0, 4, 8, .. and n+1, lane (t1, t2) has the outer
+        window (floor(t1), ceil(t2)) around it and, unless t1 and t2 lie
+        strictly between the same two grid points, the inner window
+        (ceil(t1), floor(t2)) inside it.  Then
+        OPT(inner) <= OPT(t1, t2) <= OPT(outer), and
+        OPT(t1, t2) <= OPT(inner) + (sum of delta over [t1, t2) minus inner).
+        Without an inner window the bracket is [0, OPT(outer)].
+        """
+        n = self.n
+        last = n + 1
+        step = _ANCHOR_STEP
+        down1 = np.where(t1 == last, last, t1 - t1 % step)
+        down2 = np.where(t2 == last, last, t2 - t2 % step)
+        up1 = np.minimum(t1 + (-t1) % step, last)
+        up2 = np.minimum(t2 + (-t2) % step, last)
+        has_inner = up1 <= down2
+        span = n + 2
+        outer = down1 * span + up2
+        inner = np.where(has_inner, up1 * span + down2, outer)
+        keys = np.unique(np.concatenate((outer, inner)))
+        a1, a2 = np.divmod(keys, span)
+        vals = self._bisect(k, a1, a2, np.zeros_like(keys), self._upper(a1, a2))
+        v_out = vals[np.searchsorted(keys, outer)]
+        v_in = vals[np.searchsorted(keys, inner)]
+        slack = (self.dp0[t2] - self.dp0[t1]) - (self.dp0[down2] - self.dp0[up1])
+        lo = np.where(has_inner, v_in, 0)
+        hi = np.where(has_inner, np.minimum(v_out, v_in + slack), v_out)
+        return lo, hi
+
     def solve(self, k: int, t1s, t2s) -> np.ndarray:
         """Optimal k-sink time (simplified model) for every lane (t1, t2)."""
         t1 = np.ascontiguousarray(np.asarray(t1s, dtype=np.int64))
@@ -155,16 +272,8 @@ class ScenarioBatchEngine:
             return np.zeros(0, dtype=np.int64)
         if np.any((t1 < 0) | (t1 > t2) | (t2 > self.n + 1)):
             raise ValueError("descriptor out of range")
-        n = self.n
-        size = t1.shape[0]
-        lo = np.zeros(size, dtype=np.int64)
-        hi = (self.xt[n] - self.xt[0]) + self._pw(np.full(size, n), t1, t2)
-        while True:
-            open_ = lo < hi
-            if not np.any(open_):
-                break
-            v = (lo + hi) >> 1
-            ok = self._feasible(k, v, t1, t2)
-            hi = np.where(open_ & ok, v, hi)
-            lo = np.where(open_ & ~ok, v + 1, lo)
-        return lo
+        if t1.shape[0] >= _ANCHOR_MIN_LANES:
+            lo, hi = self._anchor_brackets(k, t1, t2)
+        else:
+            lo, hi = np.zeros_like(t1), self._upper(t1, t2)
+        return self._bisect(k, t1, t2, lo, hi)

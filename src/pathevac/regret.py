@@ -12,14 +12,14 @@ Main pieces:
   batch engine or by the per-scenario dynamic program.
 * :func:`regret_of_plan` / :func:`max_regret_of_plan` — regret of a plan
   under one scenario, and its worst case over all candidate scenarios.
-* :class:`EvacLookupTables` / :func:`build_lookup_tables` — six O(n^2)
+* :class:`EvacLookupTables` / :func:`build_lookup_tables` — three O(n^2)
   tables into which the worst-case regret of every part and sink
   separates, built from the cache's values and its batch engine's side
   times.
 * :func:`compute_rji` — the matrix R[j, i] of minimal worst-case regrets of
   single-sink subpaths [j, i], with the minimizing sink per cell: the
-  regret of part [l, r] with sink t is max(A[l, t], rminus[t, r] - D[l, t]),
-  and also max'ed with B[t, r] and lminus[l, t] - C[t, r] when t < r.
+  regret of part [l, r] with sink t is max(A[l, t], rminus[t, r] - v[0, 0]),
+  also max'ed with B[t, r] when t < r.
 * Binary dump/load helpers for both the cache and the matrix.
 
 All quantities are exact int64 integers.
@@ -33,7 +33,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from ._batch import NEG, ScenarioBatchEngine
+from ._batch import NEG, ScenarioBatchEngine, check_int64_headroom
 from .evac import eval_plan
 from .evac import eval_side  # noqa: F401  (unused; perfbench/layers.py traces regret.eval_side)
 from .model import (
@@ -85,6 +85,7 @@ class ScenarioOptCache:
 
     def __init__(self, inst: PathInstance, k: int, engine: str = "batch"):
         inst.require_valid()
+        check_int64_headroom(inst)
         if not 1 <= k <= inst.n + 1:
             raise ValueError(f"k={k} out of range 1..{inst.n + 1}")
         if engine not in ("batch", "reference"):
@@ -263,38 +264,32 @@ def max_regret_of_plan(
 class EvacLookupTables:
     """Components of the worst-case regret of every part and sink.
 
-    Six (n+1) x (n+1) int64 tables.  With ``v`` the scenario-optimum cache
+    Three (n+1) x (n+1) int64 tables.  With ``v`` the scenario-optimum cache
     values and ``theta_l`` / ``theta_r`` the batch engine's side times:
 
-    * ``lminus[l, t] = theta_l(l, t, 0, 0)`` and
-      ``rminus[t, r] = theta_r(t, r, 0, 0)``: the sides of sink t with all
-      weights at lower bounds;
-    * ``A[l, t] = max_{m in [l, t]} theta_l(l, t, l, m) - v[l, m]`` and
-      ``D[l, t] = min_{m in [l, t]} v[l, m]``, over the left-anchored
-      candidates (l, m);
-    * ``B[t, r] = max_{m in [t+1, r]} theta_r(t, r, m, r+1) - v[m, r+1]`` and
-      ``C[t, r] = min_{m in [t+1, r]} v[m, r+1]``, over the right-anchored
-      candidates (m, r+1).
+    * ``rminus[t, r] = theta_r(t, r, 0, 0)``: the right side of sink t with
+      all weights at lower bounds;
+    * ``A[l, t] = max_{m in [l, t]} theta_l(l, t, l, m) - v[l, m]``, over the
+      left-anchored candidates (l, m);
+    * ``B[t, r] = max_{m in [t+1, r]} theta_r(t, r, m, r+1) - v[m, r+1]``,
+      over the right-anchored candidates (m, r+1).
 
-    Entries are defined where l <= t (``lminus``, ``A``, ``D``), t <= r
-    (``rminus``) and t < r (``B``, ``C``); all other cells hold 0.
+    Entries are defined where l <= t (``A``), t <= r (``rminus``) and t < r
+    (``B``); all other cells hold 0.
     """
 
-    lminus: np.ndarray
     rminus: np.ndarray
     A: np.ndarray
-    D: np.ndarray
     B: np.ndarray
-    C: np.ndarray
 
 
 def build_lookup_tables(inst: PathInstance, cache: ScenarioOptCache) -> EvacLookupTables:
     """Build :class:`EvacLookupTables` from a scenario-optimum cache.
 
     Completes the cache, then evaluates every side time with the cache's
-    batch engine: one call each for ``lminus`` and ``rminus``, one per part
-    start l for ``A`` and one per sink t for ``B``, so that no call has more
-    lanes than the cache's complete fill.
+    batch engine: one call for ``rminus``, one per part start l for ``A``
+    and one per sink t for ``B``, so that no call has more lanes than the
+    cache's complete fill.
     """
     if cache.inst is not inst and cache.inst != inst:
         raise ValueError("cache was built for a different instance")
@@ -302,11 +297,10 @@ def build_lookup_tables(inst: PathInstance, cache: ScenarioOptCache) -> EvacLook
     v = cache.values
     eng = cache._batch_engine()
     size = inst.n + 1
-    lminus, rminus, A, D, B, C = (np.zeros((size, size), dtype=np.int64) for _ in range(6))
+    rminus, A, B = (np.zeros((size, size), dtype=np.int64) for _ in range(3))
 
     lo, hi = np.triu_indices(size)
     zero = np.zeros_like(lo)
-    lminus[lo, hi] = eng.theta_l(lo, hi, zero, zero)
     rminus[lo, hi] = eng.theta_r(lo, hi, zero, zero)
 
     # Lanes (row, col) with col <= row, in row order: the first
@@ -319,7 +313,6 @@ def build_lookup_tables(inst: PathInstance, cache: ScenarioOptCache) -> EvacLook
         t, m = l + row[:lanes], l + col[:lanes]
         pos = np.full(lanes, l, dtype=np.int64)
         A[l, l:] = np.maximum.reduceat(eng.theta_l(pos, t, pos, m) - v[l, m], starts[:span])
-        D[l, l:] = np.minimum.accumulate(v[l, l:size])
     for t in range(size - 1):
         span = size - 1 - t
         lanes = span * (span + 1) // 2
@@ -328,9 +321,7 @@ def build_lookup_tables(inst: PathInstance, cache: ScenarioOptCache) -> EvacLook
         B[t, t + 1 :] = np.maximum.reduceat(
             eng.theta_r(sink, r, m, r + 1) - v[m, r + 1], starts[:span]
         )
-    for r in range(1, size):
-        C[:r, r] = np.minimum.accumulate(v[r:0:-1, r + 1])[::-1]
-    return EvacLookupTables(lminus=lminus, rminus=rminus, A=A, D=D, B=B, C=C)
+    return EvacLookupTables(rminus=rminus, A=A, B=B)
 
 
 # ---------------------------------------------------------------------------
@@ -379,11 +370,23 @@ def compute_rji(
     one that is left-anchored (upper bounds on [l, m), m <= t, rest lower)
     or right-anchored (upper bounds on [m, r], m > t, rest lower).  Under a
     left-anchored candidate the right side of t is all lower bounds, and
-    vice versa, so the maximum over candidates separates: with the tables of
-    :func:`build_lookup_tables`, the worst-case regret of sink t is
+    vice versa, so the maximum over candidates separates into
 
-        max(A[l, t], rminus[t, r] - D[l, t]),
-        also max'ed with B[t, r] and lminus[l, t] - C[t, r] when t < r.
+        max(A[l, t], rminus[t, r] - min_{m in [l, t]} v[l, m]),
+        also max'ed with B[t, r] and lminus[l, t] - min_{m in [t+1, r]} v[m, r+1]
+        when t < r,
+
+    with ``lminus[l, t]`` the left side of t under all lower bounds.  Two
+    of these terms simplify, because the scenario optimum cannot fall when
+    its window of upper bounds grows (``_batch._anchor_brackets`` gives the
+    argument), so every v is at least v[l, l] = v[0, 0], the all-lower
+    optimum.  Hence min_{m in [l, t]} v[l, m] = v[l, l] = v[0, 0]; and
+    lminus[l, t] - min_m v[m, r+1] <= lminus[l, t] - v[0, 0] =
+    theta_l(l, t, l, l) - v[l, l], the m = l term of A[l, t], so that term
+    never decides the maximum.  With the tables of :func:`build_lookup_tables`
+    the worst-case regret of sink t is
+
+        max(A[l, t], rminus[t, r] - v[0, 0]), also max'ed with B[t, r] when t < r.
 
     Per row l the minimizing sink only moves right as r grows; a
     tie-advancing sweep keeps the rightmost minimizer, so total sink
@@ -397,21 +400,22 @@ def compute_rji(
     inst.require_valid()
     n = inst.n
     tables = build_lookup_tables(inst, cache)
-    rminus, B, C = tables.rminus, tables.B, tables.C
+    rminus, B = tables.rminus, tables.B
+    v00 = cache.values[0, 0]
     R = np.full((n + 1, n + 1), NEG, dtype=np.int64)
     sink = np.full((n + 1, n + 1), -1, dtype=np.int64)
     evals = 0
     moves = 0
 
     for l in range(n + 1):
-        A_l, D_l, lminus_l = tables.A[l], tables.D[l], tables.lminus[l]
+        A_l = tables.A[l]
 
         def part_regret(t: int, r: int) -> int:
             nonlocal evals
             evals += 1
-            best = max(A_l[t], rminus[t, r] - D_l[t])
+            best = max(A_l[t], rminus[t, r] - v00)
             if t < r:
-                best = max(best, B[t, r], lminus_l[t] - C[t, r])
+                best = max(best, B[t, r])
             return best
 
         t = l

@@ -10,6 +10,7 @@ import itertools
 import random
 import time
 
+from pathevac._batch import ScenarioBatchEngine
 from pathevac.evac import eval_one_sink, eval_plan, simulate_evacuation
 from pathevac.minmax import (
     minmax_regret_bs,
@@ -269,6 +270,11 @@ def test_criterion_7_performance_at_scale():
         for inc in res2.counters["j_increments_per_row"]:
             assert inc <= 2 * n2
         assert res2.counters["sink_moves"] <= 3 * 10 * (n2 + 1)
+        # Independent value check, outside the timed region: with point
+        # intervals at w2, the batch engine's all-lower lane (0, 0) is the
+        # same simplified optimum.
+        point = PathInstance(tuple(coords2), w2, w2, capacity=1, tau=1)
+        assert ScenarioBatchEngine(point).solve(10, [0], [0])[0] == res2.value
         detail = (
             f"minmax n=300 k=5 in {mmr_elapsed:.1f}s; "
             f"k-sink n=10^5 k=10 in {opt_elapsed:.1f}s"

@@ -145,6 +145,22 @@ def test_invalid_instance_reports_violations(tmp_path):
     assert "capacity not positive" in res.stderr
 
 
+def test_int64_overflow_instance_exits_2(tmp_path, capsys):
+    path = str(tmp_path / "far.json")
+    obj = {
+        "vertices": [
+            {"x": (1 << 62) - 3, "w_min": 1, "w_max": 5},
+            {"x": (1 << 62) - 1, "w_min": 2, "w_max": 4},
+        ],
+        "capacity": 1,
+        "tau": 4,
+    }
+    with open(path, "w") as fh:
+        json.dump(obj, fh)
+    assert run_cli("solve-mmr", path, "--k", "1") == 2
+    assert "int64 headroom" in capsys.readouterr().err
+
+
 def test_bench_emits_json_lines(capsys):
     rc = run_cli("bench", "--algo", "optk", "--n-list", "8,12", "--k-list",
                  "1,2", "--seed", "5")

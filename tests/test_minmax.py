@@ -5,16 +5,19 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pathevac._batch import INT64_HEADROOM
 from pathevac.minmax import (
     minmax_regret_bs,
     minmax_regret_dp,
     solve_minmax_regret_bs,
     solve_minmax_regret_dp,
 )
-from pathevac.model import PathInstance, validate_plan
+from pathevac.model import InvalidInstanceError, PathInstance, validate_plan
 from pathevac.oracle import brute_minmax_regret
-from pathevac.regret import build_scenario_opt_cache, max_regret_of_plan
+from pathevac.regret import ScenarioOptCache, build_scenario_opt_cache, max_regret_of_plan
 
 from conftest import rand_instance
 
@@ -120,3 +123,36 @@ def test_k_validation():
         minmax_regret_dp(inst, 3)
     with pytest.raises(ValueError):
         minmax_regret_bs(inst, 3)
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_int64_headroom_boundary(data):
+    """Just below the headroom bound max|x| * tau + sum(w+) < 2^60 the int64
+    DP solver agrees with the pure-int one; at or past it the cache rejects
+    the instance."""
+    n = data.draw(st.integers(1, 6))
+    tau = data.draw(st.integers(1, 4))
+    k = data.draw(st.integers(1, 2))
+    gaps = [data.draw(st.integers(1, 5)) for _ in range(n)]
+    wminus = [data.draw(st.integers(1, 9)) for _ in range(n + 1)]
+    wplus = [lo + data.draw(st.integers(0, 9)) for lo in wminus]
+    slack = data.draw(st.integers(0, 1000))
+    negative = data.draw(st.booleans())
+    total = sum(wplus)
+
+    def placed(far):
+        """Coordinates whose largest magnitude is ``far``, at either end."""
+        xs = [0]
+        for g in gaps:
+            xs.append(xs[-1] + g)
+        xs = [x - xs[-1] + far for x in xs] if not negative else [x - far for x in xs]
+        return PathInstance(tuple(xs), tuple(wminus), tuple(wplus), tau=tau)
+
+    below = placed((INT64_HEADROOM - 1 - slack - total) // tau)
+    above = placed(-(-(INT64_HEADROOM + slack - total) // tau))
+    assert minmax_regret_dp(below, k)[0] == minmax_regret_bs(below, k)[0]
+    with pytest.raises(InvalidInstanceError):
+        ScenarioOptCache(above, k)
+    with pytest.raises(InvalidInstanceError):
+        solve_minmax_regret_dp(above, k)

@@ -6,7 +6,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pathevac import _batch
 from pathevac._batch import ScenarioBatchEngine
 from pathevac.evac import Side, eval_plan, eval_side
 from pathevac.model import (
@@ -54,6 +57,66 @@ def test_cache_batch_equals_reference_engine():
         a = build_scenario_opt_cache(inst, k, engine="batch")
         b = build_scenario_opt_cache(inst, k, engine="reference")
         assert np.array_equal(a.array, b.array)
+
+
+def test_anchor_path_equals_plain_chunks(monkeypatch):
+    """A complete fill large enough for anchor brackets equals the same lanes
+    solved in chunks below the lane threshold, and the per-scenario DP."""
+    calls = []
+    brackets = ScenarioBatchEngine._anchor_brackets
+
+    def counted(self, *args):
+        calls.append(args[1].shape[0])
+        return brackets(self, *args)
+
+    monkeypatch.setattr(ScenarioBatchEngine, "_anchor_brackets", counted)
+    rng = random.Random(59)
+    n = 60
+    t1, t2 = np.triu_indices(n + 2)
+    assert t1.size >= _batch._ANCHOR_MIN_LANES
+    chunk = _batch._ANCHOR_MIN_LANES // 2
+    for it, k in enumerate((1, 2, 4, 6)):
+        inst = rand_instance(rng, n, w_max=30, capacities=(1,), taus=(1, 2, 3))
+        if it % 2 == 0:  # point intervals: every bracket with an inner window is closed
+            inst = PathInstance(inst.coords, inst.wminus, inst.wminus, tau=inst.tau)
+        eng = ScenarioBatchEngine(inst)
+        calls.clear()
+        full = eng.solve(k, t1, t2)
+        assert calls == [t1.size]
+        parts = [eng.solve(k, t1[i:i + chunk], t2[i:i + chunk])
+                 for i in range(0, t1.size, chunk)]
+        assert calls == [t1.size]
+        assert np.array_equal(full, np.concatenate(parts))
+        for idx in rng.sample(range(t1.size), 8):
+            d = ScenarioDescriptor(int(t1[idx]), int(t2[idx]))
+            want, _ = optimal_k_sink(inst, realize_scenario(inst, d), k,
+                                     CostModel.SIMPLIFIED)
+            assert full[idx] == want, (k, d)
+
+
+@settings(deadline=None, max_examples=40)
+@given(data=st.data())
+def test_optimum_monotone_and_delta_bounded(data):
+    """The two facts behind the anchor brackets, on the per-scenario DP:
+    adding one vertex to the window of upper bounds never lowers the
+    optimum and raises it by at most that vertex's w+ - w-."""
+    n = data.draw(st.integers(0, 8))
+    coords = [0]
+    for _ in range(n):
+        coords.append(coords[-1] + data.draw(st.integers(1, 5)))
+    wminus = [data.draw(st.integers(1, 8)) for _ in range(n + 1)]
+    wplus = [lo + data.draw(st.integers(0, 8)) for lo in wminus]
+    inst = PathInstance(tuple(coords), tuple(wminus), tuple(wplus),
+                        tau=data.draw(st.integers(1, 3)))
+    k = data.draw(st.integers(1, min(3, n + 1)))
+    v = build_scenario_opt_cache(inst, k, engine="reference").array
+    delta = [hi - lo for lo, hi in zip(wminus, wplus)]
+    for t1 in range(n + 2):
+        for t2 in range(t1, n + 2):
+            if t2 <= n:
+                assert v[t1, t2] <= v[t1, t2 + 1] <= v[t1, t2] + delta[t2]
+            if t1 > 0:
+                assert v[t1, t2] <= v[t1 - 1, t2] <= v[t1, t2] + delta[t1 - 1]
 
 
 def test_cache_lazy_fill_and_get():
@@ -121,9 +184,12 @@ def test_table_values_small_example():
     assert theta_r(2, 2, 0, 0) == 0
     assert theta_l(0, 2, 0, 0) == 3
     assert theta_r(0, 2, 0, 0) == 3
-    tables = build_lookup_tables(inst, build_scenario_opt_cache(inst, 1))
-    assert tables.lminus[0, 2] == 3
+    cache = build_scenario_opt_cache(inst, 1)
+    tables = build_lookup_tables(inst, cache)
     assert tables.rminus[0, 2] == 3
+    # A[0, 2] = max over m of theta_l(0, 2, 0, m) - v[0, m] = max(3-2, 5-3, 7-4)
+    assert [cache.get((0, m)) for m in range(3)] == [2, 3, 4]
+    assert tables.A[0, 2] == 3
 
 
 def test_table_rows_match_direct_evaluation():
@@ -167,24 +233,28 @@ def test_tables_match_definition():
             return eval_side(inst, s, lo, hi, sink, which, CostModel.SIMPLIFIED).time
 
         want = {name: np.zeros((n + 1, n + 1), dtype=np.int64)
-                for name in ("lminus", "rminus", "A", "D", "B", "C")}
+                for name in ("rminus", "A", "B")}
+        v00 = cache.get((0, 0))
         for i in range(n + 1):
             for j in range(i, n + 1):
                 # left side of sink j in part [i, j], right side of sink i in [i, j]
-                want["lminus"][i, j] = side((0, 0), i, j, j, Side.LEFT)
+                lminus = side((0, 0), i, j, j, Side.LEFT)
                 want["rminus"][i, j] = side((0, 0), i, j, i, Side.RIGHT)
                 left = range(i, j + 1)
                 want["A"][i, j] = max(
                     side((i, m), i, j, j, Side.LEFT) - cache.get((i, m)) for m in left
                 )
-                want["D"][i, j] = min(cache.get((i, m)) for m in left)
+                # the dropped terms: min_m v[i, m] is v[0, 0], and
+                # lminus - min_m v[m, j+1] never exceeds A[i, j]
+                assert min(cache.get((i, m)) for m in left) == v00
                 if i < j:
                     right = range(i + 1, j + 1)
                     want["B"][i, j] = max(
                         side((m, j + 1), i, j, i, Side.RIGHT) - cache.get((m, j + 1))
                         for m in right
                     )
-                    want["C"][i, j] = min(cache.get((m, j + 1)) for m in right)
+                    c = min(cache.get((m, j + 1)) for m in right)
+                    assert lminus - c <= want["A"][i, j]
         for name, table in want.items():
             assert np.array_equal(getattr(tables, name), table), name
 
