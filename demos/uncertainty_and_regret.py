@@ -15,6 +15,8 @@ analysis into table lookups.
 
 import random
 
+import numpy as np
+
 from pathevac import (
     CostModel,
     Plan,
@@ -25,6 +27,7 @@ from pathevac import (
     compute_rji,
     enumerate_global_candidates,
     enumerate_partition_candidates,
+    eval_plan,
     eval_side,
     max_regret_of_plan,
     realize_scenario,
@@ -58,24 +61,25 @@ print(f"candidate {tuple(d)} realizes to weights {s.weights}")
 
 k = 3
 cache = build_scenario_opt_cache(inst, k)  # batch engine over all candidates
-print(f"\noptimal {k}-sink time per candidate: "
-      f"min {int(cache.array[cache.array > -(1 << 61)].min())}, "
-      f"max {int(cache.array.max())}")
+# values[t1, t2] holds the optimum of candidate (t1, t2), for t1 <= t2
+v = cache.values[np.triu_indices(n + 2)]
+print(f"\noptimal {k}-sink time per candidate: min {int(v.min())}, max {int(v.max())}")
 assert cache.get((0, 0)) == int(cache.values[0, 0])
 
 # --- regret of one concrete plan -----------------------------------------------------
 
 plan = Plan(boundaries=(4, 9, n), sinks=(2, 7, 11))
-r = regret_of_plan(inst, plan, s, cache=cache, d=d)
+r = regret_of_plan(inst, plan, s)  # the plan's time minus a fresh k-sink optimum
 print(f"\nplan parts {plan.parts()}, sinks {plan.sinks}")
 print(f"regret under candidate {tuple(d)}: {r}")
+assert r == eval_plan(inst, s, plan, CostModel.SIMPLIFIED)[0] - cache.get(d)
 
 value, witness = max_regret_of_plan(inst, plan, cache)
 print(f"worst-case regret {value}, attained by candidate {tuple(witness)}")
 per_part = enumerate_partition_candidates(inst, plan)
 print(f"(checked {len(per_part)} part-anchored candidates, not the full box)")
 ws = realize_scenario(inst, witness)
-assert regret_of_plan(inst, plan, ws, cache=cache) == value
+assert regret_of_plan(inst, plan, ws) == value
 
 # --- the lookup tables behind the fast path ------------------------------------------
 
@@ -98,7 +102,7 @@ assert tables.A[0, t_sink] == worst_left
 
 rji = compute_rji(inst, cache)
 print(f"\nR[j, i] holds the best single-sink worst-case regret of each "
-      f"subpath; R[0, {n}] = {rji.regret(0, n)} "
-      f"(best sink {rji.sink_of(0, n)})")
+      f"subpath; R[0, {n}] = {int(rji.R[0, n])} "
+      f"(best sink {int(rji.sink[0, n])})")
 print(f"sweep work: {rji.counters['sink_evals']} sink evaluations, "
       f"{rji.counters['sink_moves']} pointer moves")

@@ -45,7 +45,6 @@ from .model import (
     validate_plan,
 )
 from .optk import (
-    OptDpTable,
     OptKResult,
     SubpathTracker,
     optimal_k_sink,
@@ -53,7 +52,6 @@ from .optk import (
     solve_optimal_k_sink,
 )
 from .minmax import (
-    MmrDpTable,
     MmrResult,
     minmax_regret_bs,
     minmax_regret_dp,
@@ -73,11 +71,6 @@ from .regret import (
     build_lookup_tables,
     build_scenario_opt_cache,
     compute_rji,
-    detect_descriptor,
-    dump_opt_cache,
-    dump_rji,
-    load_opt_cache,
-    load_rji,
     max_regret_of_plan,
     regret_of_plan,
 )

@@ -24,8 +24,9 @@ moves differently, so refreshing the summaries along the root paths of the
 at-most-two boundary-adjacent leaf pairs restores all invariants in
 O(log size).
 
-With c == 1 the residue structure degenerates and a single lazy max-heap on
-w_abs + l_abs is used instead (the mandatory fast path).
+With c == 1 every pair has label 0, so the tree holds a single leaf.  The
+k-sink DP does not build a BiHeap for unit capacity: ``optk._FastTracker``
+keeps plain heaps there.
 """
 
 from __future__ import annotations
@@ -267,7 +268,6 @@ class BiHeap:
         self.wbar = 0
         self.lbar = 0
         self._alive: list[bool] = []
-        self._key: list[int] = []
         self._label: list[int] = []
         self._live = 0
         self.counters = {
@@ -280,13 +280,8 @@ class BiHeap:
             "tree_nodes_touched": 0,
         }
         self.last_op_tree_touches = 0
-        if c == 1:
-            self._heap: list[tuple[int, int]] = []
-            self._tree = None
-            self._classes = None
-        else:
-            self._classes: dict[int, _ResidueClass] = {}
-            self._tree = _Tree23(self._leaf_cost)
+        self._classes: dict[int, _ResidueClass] = {}
+        self._tree = _Tree23(self._leaf_cost)
 
     # -- internals -----------------------------------------------------------
 
@@ -294,15 +289,9 @@ class BiHeap:
         cls = leaf.cls
         return cls.max_key + ceil_div(leaf.lo + self.wbar, self.c) + self.lbar
 
-    def _begin_op(self) -> int:
-        return self._tree.touches if self._tree is not None else 0
-
     def _end_op(self, before: int) -> None:
-        if self._tree is not None:
-            self.last_op_tree_touches = self._tree.touches - before
-            self.counters["tree_nodes_touched"] = self._tree.touches
-        else:
-            self.last_op_tree_touches = 0
+        self.last_op_tree_touches = self._tree.touches - before
+        self.counters["tree_nodes_touched"] = self._tree.touches
 
     def _class_clean_top(self, cls: _ResidueClass) -> None:
         heap = cls.heap
@@ -325,24 +314,15 @@ class BiHeap:
 
     def insert(self, W: int, L: int) -> int:
         """Add a pair with current W value W and L value L; returns a handle."""
-        before = self._begin_op()
+        before = self._tree.touches
         slot = len(self._alive)
         wa = W - self.wbar
         la = L - self.lbar
         self._alive.append(True)
         self._live += 1
         self.counters["inserts"] += 1
-        if self.c == 1:
-            key = wa + la
-            self._key.append(key)
-            self._label.append(0)
-            heapq.heappush(self._heap, (-key, slot))
-            self.counters["heap_pushes"] += 1
-            self._end_op(before)
-            return slot
         label = wa % self.c
         key = wa // self.c + la
-        self._key.append(key)
         self._label.append(label)
         cls = self._classes.get(label)
         if cls is None:
@@ -369,7 +349,7 @@ class BiHeap:
 
     def delete(self, handle: int) -> None:
         """Remove the pair behind `handle`; stale handles raise ValueError."""
-        before = self._begin_op()
+        before = self._tree.touches
         if not (
             isinstance(handle, int)
             and 0 <= handle < len(self._alive)
@@ -379,9 +359,6 @@ class BiHeap:
         self._alive[handle] = False
         self._live -= 1
         self.counters["deletes"] += 1
-        if self.c == 1:
-            self._end_op(before)
-            return
         cls = self._classes[self._label[handle]]
         cls.live -= 1
         if cls.live == 0:
@@ -394,11 +371,11 @@ class BiHeap:
 
     def add_w(self, w: int) -> None:
         """Add w to the W of every pair (w may be negative)."""
-        before = self._begin_op()
+        before = self._tree.touches
         wbar_old = self.wbar
         self.wbar += w
         self.counters["addw"] += 1
-        if self.c == 1 or w % self.c == 0 or not self._classes:
+        if w % self.c == 0 or not self._classes:
             self._end_op(before)
             return
         c = self.c
@@ -431,13 +408,6 @@ class BiHeap:
         """(best current cost, handle attaining it), or None when empty."""
         if self._live == 0:
             return None
-        if self.c == 1:
-            heap = self._heap
-            while heap and not self._alive[heap[0][1]]:
-                heapq.heappop(heap)
-                self.counters["heap_pops"] += 1
-            key, slot = heap[0]
-            return (-key + self.wbar + self.lbar, slot)
         leaf = self._tree.max_leaf()
         cls = leaf.cls
         cost = cls.max_key + ceil_div(leaf.lo + self.wbar, self.c) + self.lbar

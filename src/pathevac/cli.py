@@ -104,6 +104,22 @@ def _scenario_from_args(inst: PathInstance, args) -> Optional[Scenario]:
 # ---------------------------------------------------------------------------
 
 
+def _random_instance(
+    rng: random.Random, n: int, coord_max: int, w_max: int, capacity: int, tau: int
+) -> PathInstance:
+    """Instance with n+1 distinct coordinates drawn from [0, coord_max] and
+    per-vertex intervals 1 <= w- <= w+ <= w_max; the generator of ``gen``."""
+    coords = sorted(rng.sample(range(coord_max + 1), n + 1))
+    wminus = []
+    wplus = []
+    for _ in range(n + 1):
+        lo = rng.randint(1, w_max)
+        hi = rng.randint(lo, w_max)
+        wminus.append(lo)
+        wplus.append(hi)
+    return PathInstance(tuple(coords), tuple(wminus), tuple(wplus), capacity=capacity, tau=tau)
+
+
 def _cmd_gen(args) -> int:
     n = args.n
     if n < 0:
@@ -113,18 +129,7 @@ def _cmd_gen(args) -> int:
     if args.w_max < 1:
         return _fail_bad_input("--w-max must be >= 1")
     rng = random.Random(args.seed)
-    coords = sorted(rng.sample(range(args.coord_max + 1), n + 1))
-    wminus = []
-    wplus = []
-    for _ in range(n + 1):
-        lo = rng.randint(1, args.w_max)
-        hi = rng.randint(lo, args.w_max)
-        wminus.append(lo)
-        wplus.append(hi)
-    inst = PathInstance(
-        tuple(coords), tuple(wminus), tuple(wplus),
-        capacity=args.capacity, tau=args.tau,
-    )
+    inst = _random_instance(rng, n, args.coord_max, args.w_max, args.capacity, args.tau)
     problems = validate_instance(inst)
     if problems:
         return _fail_bad_input("generated instance invalid: " + "; ".join(problems))
@@ -224,50 +229,33 @@ def _cmd_verify(args) -> int:
         print(f"PASS: objective {got} matches (instance too large for brute-force check)")
         return 0
 
-    if kind == "max_regret":
-        cache = build_scenario_opt_cache(inst, plan.k, fill="lazy")
-        got, witness = max_regret_of_plan(inst, plan, cache)
-        if got != objective:
-            print(f"FAIL: plan has max regret {got}, file claims {objective}")
+    # kind == "max_regret": load_plan accepts no other kind.
+    cache = build_scenario_opt_cache(inst, plan.k, fill="lazy")
+    got, witness = max_regret_of_plan(inst, plan, cache)
+    if got != objective:
+        print(f"FAIL: plan has max regret {got}, file claims {objective}")
+        return 1
+    if inst.n <= 8 and plan.k <= 3:
+        want, _ = brute_minmax_regret(inst, plan.k)
+        if got != want:
+            print(f"FAIL: plan regret {got} is not optimal (best is {want})")
             return 1
-        if inst.n <= 8 and plan.k <= 3:
-            want, _ = brute_minmax_regret(inst, plan.k)
-            if got != want:
-                print(f"FAIL: plan regret {got} is not optimal (best is {want})")
-                return 1
-            print(
-                f"PASS: max regret {got} matches and is optimal "
-                f"(witness scenario ({witness.t1}, {witness.t2}), brute-force check)"
-            )
-            return 0
         print(
-            f"PASS: max regret {got} matches "
-            f"(witness scenario ({witness.t1}, {witness.t2}); "
-            "instance too large for brute-force check)"
+            f"PASS: max regret {got} matches and is optimal "
+            f"(witness scenario ({witness.t1}, {witness.t2}), brute-force check)"
         )
         return 0
-
-    print(f"FAIL: unknown objective kind {kind!r}")
-    return 1
+    print(
+        f"PASS: max regret {got} matches "
+        f"(witness scenario ({witness.t1}, {witness.t2}); "
+        "instance too large for brute-force check)"
+    )
+    return 0
 
 
 # ---------------------------------------------------------------------------
 # bench
 # ---------------------------------------------------------------------------
-
-
-def _random_instance(rng: random.Random, n: int, w_max: int, capacity: int, tau: int) -> PathInstance:
-    coords = [0]
-    for _ in range(n):
-        coords.append(coords[-1] + rng.randint(1, 10))
-    wminus = []
-    wplus = []
-    for _ in range(n + 1):
-        lo = rng.randint(1, w_max)
-        hi = rng.randint(lo, w_max)
-        wminus.append(lo)
-        wplus.append(hi)
-    return PathInstance(tuple(coords), tuple(wminus), tuple(wplus), capacity=capacity, tau=tau)
 
 
 def _cmd_bench(args) -> int:
@@ -283,7 +271,7 @@ def _cmd_bench(args) -> int:
             if not 1 <= k <= n + 1:
                 continue
             rng = random.Random(args.seed * 1_000_003 + n * 1_009 + k)
-            inst = _random_instance(rng, n, args.w_max, args.capacity, args.tau)
+            inst = _random_instance(rng, n, 10 * n, args.w_max, args.capacity, args.tau)
             record = {"algo": args.algo, "n": n, "k": k, "seed": args.seed}
             t0 = time.perf_counter()
             if args.algo == "optk":

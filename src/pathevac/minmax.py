@@ -34,15 +34,9 @@ from .model import (
     realize_scenario,
 )
 from .optk import optimal_k_sink
-from .regret import (
-    RjiMatrix,
-    ScenarioOptCache,
-    build_scenario_opt_cache,
-    compute_rji,
-)
+from .regret import build_scenario_opt_cache, compute_rji
 
 __all__ = [
-    "MmrDpTable",
     "MmrResult",
     "solve_minmax_regret_dp",
     "minmax_regret_dp",
@@ -54,19 +48,10 @@ _POS = np.int64(1 << 62)
 
 
 @dataclass
-class MmrDpTable:
-    """DP state: M[q, i] = best worst-case regret of q parts covering [0, i]."""
-
-    M: np.ndarray
-    argJ: np.ndarray
-
-
-@dataclass
 class MmrResult:
     value: int
     plan: Plan
     counters: dict = field(default_factory=dict)
-    table: Optional[MmrDpTable] = None
 
 
 def _validate(inst: PathInstance, k: int) -> None:
@@ -80,29 +65,18 @@ def _validate(inst: PathInstance, k: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-def solve_minmax_regret_dp(
-    inst: PathInstance,
-    k: int,
-    cache: Optional[ScenarioOptCache] = None,
-    rji: Optional[RjiMatrix] = None,
-    with_table: bool = False,
-) -> MmrResult:
+def solve_minmax_regret_dp(inst: PathInstance, k: int) -> MmrResult:
     """Minmax-regret plan via dynamic programming over the R matrix.
 
-    Recurrence: M(q, i) = min over j in [q-1, i] of
-    max(M(q-1, j-1), R[j, i]), with M(1, i) = R[0, i].  The inner objective
-    is the max of a non-decreasing and a non-increasing sequence in j, so
-    the rightmost minimizing j is found by advancing a per-row pointer that
-    never retreats (ties advance).
+    M(q, i), the best worst-case regret of q parts covering [0, i], is the
+    min over j in [q-1, i] of max(M(q-1, j-1), R[j, i]), with
+    M(1, i) = R[0, i].  The inner objective is the max of a non-decreasing
+    and a non-increasing sequence in j, so the rightmost minimizing j is
+    found by advancing a per-row pointer that never retreats (ties advance).
     """
     _validate(inst, k)
     n = inst.n
-    if cache is None:
-        cache = build_scenario_opt_cache(inst, k)
-    elif cache.k != k:
-        raise ValueError(f"cache built for k={cache.k}, solver needs k={k}")
-    if rji is None:
-        rji = compute_rji(inst, cache)
+    rji = compute_rji(inst, build_scenario_opt_cache(inst, k))
     R = rji.R
 
     M = np.full((k + 1, n + 1), _POS, dtype=np.int64)
@@ -161,8 +135,7 @@ def solve_minmax_regret_dp(
         "rji_sink_evals": rji.counters.get("sink_evals"),
         "rji_sink_moves": rji.counters.get("sink_moves"),
     }
-    table = MmrDpTable(M=M, argJ=argJ) if with_table else None
-    return MmrResult(value=value, plan=plan, counters=counters, table=table)
+    return MmrResult(value=value, plan=plan, counters=counters)
 
 
 def minmax_regret_dp(inst: PathInstance, k: int) -> tuple[int, Plan]:
@@ -176,22 +149,15 @@ def minmax_regret_dp(inst: PathInstance, k: int) -> tuple[int, Plan]:
 # ---------------------------------------------------------------------------
 
 
-def solve_minmax_regret_bs(
-    inst: PathInstance,
-    k: int,
-    opt_cache: Optional[ScenarioOptCache] = None,
-) -> MmrResult:
+def solve_minmax_regret_bs(inst: PathInstance, k: int) -> MmrResult:
     """Minmax-regret plan via nested binary search over split points.
 
     Subpath regrets are evaluated directly: for part [l, r], fold the
     per-sink evacuation times of every part-anchored candidate scenario and
-    take the minimum over sinks.  Scenario optima default to per-scenario
-    dynamic-program runs (independent of the batch cache); pass
-    ``opt_cache`` to share precomputed optima instead.
+    take the minimum over sinks.  Scenario optima come from per-scenario
+    dynamic-program runs, independent of the batch cache.
     """
     _validate(inst, k)
-    if opt_cache is not None and opt_cache.k != k:
-        raise ValueError(f"cache built for k={opt_cache.k}, solver needs k={k}")
     n = inst.n
     counters = {"rlr_evals": 0, "solve_evals": 0, "probe_steps": 0, "opt_scenarios": 0}
 
@@ -200,11 +166,8 @@ def solve_minmax_regret_bs(
     def opt_of(d: ScenarioDescriptor) -> int:
         v = opt_memo.get(d)
         if v is None:
-            if opt_cache is not None:
-                v = opt_cache.get(d)
-            else:
-                s = realize_scenario(inst, d)
-                v, _ = optimal_k_sink(inst, s, k, CostModel.SIMPLIFIED)
+            s = realize_scenario(inst, d)
+            v, _ = optimal_k_sink(inst, s, k, CostModel.SIMPLIFIED)
             counters["opt_scenarios"] += 1
             opt_memo[d] = v
         return v

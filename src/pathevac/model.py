@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple
 
 __all__ = [
     "CostModel",
@@ -91,10 +91,6 @@ class PathInstance:
     @property
     def num_vertices(self) -> int:
         return len(self.coords)
-
-    def edge_len(self, i: int) -> int:
-        """Length of the edge between vertices i and i+1."""
-        return self.coords[i + 1] - self.coords[i]
 
     def require_valid(self) -> None:
         violations = validate_instance(self)
@@ -282,16 +278,20 @@ def load_instance(path: str) -> PathInstance:
         return instance_from_obj(json.load(fh))
 
 
+def _require_objective_kind(kind) -> str:
+    if kind not in ("evac_time", "max_regret"):
+        raise ValueError(f"unknown objective_kind: {kind!r}")
+    return kind
+
+
 def plan_to_obj(plan: Plan, objective: int, objective_kind: str) -> dict:
-    if objective_kind not in ("evac_time", "max_regret"):
-        raise ValueError(f"unknown objective_kind: {objective_kind!r}")
     return {
         "parts": [
             {"l": l, "r": r, "sink": y}
             for (l, r), y in zip(plan.parts(), plan.sinks)
         ],
         "objective": int(objective),
-        "objective_kind": objective_kind,
+        "objective_kind": _require_objective_kind(objective_kind),
     }
 
 
@@ -306,7 +306,7 @@ def plan_from_obj(obj: dict) -> tuple[Plan, int, str]:
             raise ValueError("plan parts are not consecutive")
         expect_l = r + 1
     objective = require_int(obj["objective"], "objective")
-    return plan, objective, str(obj["objective_kind"])
+    return plan, objective, _require_objective_kind(obj["objective_kind"])
 
 
 def save_plan(plan: Plan, objective: int, objective_kind: str, path: str) -> None:

@@ -33,7 +33,6 @@ from .model import (
 
 __all__ = [
     "SubpathTracker",
-    "OptDpTable",
     "OptKResult",
     "optimal_one_sink",
     "optimal_k_sink",
@@ -298,21 +297,10 @@ class _FastTracker:
 
 
 @dataclass
-class OptDpTable:
-    """DP rows for inspection: T[q-1][i], argJ[q-1][i] (the rightmost
-    minimizing split), argSink[q-1][i] (the tracker's settled sink)."""
-
-    T: list[list[int]]
-    argJ: list[list[int]]
-    argSink: list[list[int]]
-
-
-@dataclass
 class OptKResult:
     value: int
     plan: Plan
     counters: dict
-    table: Optional[OptDpTable] = None
 
 
 def solve_optimal_k_sink(
@@ -320,7 +308,6 @@ def solve_optimal_k_sink(
     s: Scenario,
     k: int,
     cm: str = CostModel.DISCRETE,
-    with_table: bool = False,
 ) -> OptKResult:
     """Optimal k-sink plan for a fixed scenario; O(k n log n)."""
     CostModel.check(cm)
@@ -342,32 +329,22 @@ def solve_optimal_k_sink(
             return _FastTracker(inst, s, discrete, start, pw)
         return SubpathTracker(inst, s, cm, start, pw)
 
-    rows_T: list[list[int]] = []
-    rows_J: list[list[int]] = []
-    rows_S: list[list[int]] = []
-    row_incr: list[int] = []
-    sink_moves = 0
-
+    # Only the previous row of T is kept; every row of split points is kept
+    # for the reconstruction.
     ta = new_tracker(0)
-    t1 = [0] * (n + 1)
-    s1 = [0] * (n + 1)
+    tprev = [0] * (n + 1)
     for i in range(n + 1):
         ta.append(i)
-        t1[i] = ta.theta()
-        s1[i] = ta.y
-    rows_T.append(t1)
-    rows_J.append([0] * (n + 1))
-    rows_S.append(s1)
-    row_incr.append(0)
-    sink_moves += ta.sink_moves
+        tprev[i] = ta.theta()
+    rows_J: list[list[int]] = [[0] * (n + 1)]
+    row_incr = [0]
+    sink_moves = ta.sink_moves
 
     for _q in range(2, k + 1):
-        tprev = rows_T[-1]
         ta = new_tracker(0)
         tb = new_tracker(1)
         tq = [0] * (n + 1)
         jq = [0] * (n + 1)
-        sq = [0] * (n + 1)
         jc = 0
         for i in range(n + 1):
             ta.append(i)
@@ -388,14 +365,12 @@ def solve_optimal_k_sink(
                     break
             tq[i] = cur
             jq[i] = jc
-            sq[i] = ta.y
-        rows_T.append(tq)
+        tprev = tq
         rows_J.append(jq)
-        rows_S.append(sq)
         row_incr.append(ta.drops + tb.drops)
         sink_moves += ta.sink_moves + tb.sink_moves
 
-    value = rows_T[k - 1][n]
+    value = tprev[n]
 
     bounds: list[int] = []
     sinks: list[int] = []
@@ -414,8 +389,7 @@ def solve_optimal_k_sink(
         "j_increments_per_row": row_incr,
         "sink_moves": sink_moves,
     }
-    table = OptDpTable(rows_T, rows_J, rows_S) if with_table else None
-    return OptKResult(value, plan, counters, table)
+    return OptKResult(value, plan, counters)
 
 
 def optimal_k_sink(

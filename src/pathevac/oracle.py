@@ -12,7 +12,7 @@ import itertools
 from typing import Optional, Sequence
 
 from .evac import ceil_div, eval_one_sink
-from .model import CostModel, PathInstance, Plan, Scenario, ScenarioDescriptor
+from .model import CostModel, PathInstance, Plan, Scenario
 
 __all__ = [
     "brute_optimal_k_sink",

@@ -11,7 +11,8 @@ Main pieces:
   k-sink times for candidate scenarios, backed either by the vectorized
   batch engine or by the per-scenario dynamic program.
 * :func:`regret_of_plan` / :func:`max_regret_of_plan` — regret of a plan
-  under one scenario, and its worst case over all candidate scenarios.
+  under one scenario (optimum from the fixed-scenario DP), and its worst
+  case over all candidate scenarios (optima from the cache).
 * :class:`EvacLookupTables` / :func:`build_lookup_tables` — three O(n^2)
   tables into which the worst-case regret of every part and sink
   separates, built from the cache's values and its batch engine's side
@@ -20,14 +21,12 @@ Main pieces:
   single-sink subpaths [j, i], with the minimizing sink per cell: the
   regret of part [l, r] with sink t is max(A[l, t], rminus[t, r] - v[0, 0]),
   also max'ed with B[t, r] when t < r.
-* Binary dump/load helpers for both the cache and the matrix.
 
 All quantities are exact int64 integers.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
@@ -50,17 +49,12 @@ from .scenario_gen import enumerate_partition_candidates
 __all__ = [
     "ScenarioOptCache",
     "build_scenario_opt_cache",
-    "detect_descriptor",
     "regret_of_plan",
     "max_regret_of_plan",
     "EvacLookupTables",
     "build_lookup_tables",
     "RjiMatrix",
     "compute_rji",
-    "dump_rji",
-    "load_rji",
-    "dump_opt_cache",
-    "load_opt_cache",
 ]
 
 _UNSET = np.int64(NEG)
@@ -151,12 +145,6 @@ class ScenarioOptCache:
             self.ensure(np.array([t1]), np.array([t2]))
         return int(self.values[t1, t2])
 
-    @property
-    def array(self) -> np.ndarray:
-        """The complete value matrix (forces computation of all entries)."""
-        self.complete()
-        return self.values
-
 
 def build_scenario_opt_cache(
     inst: PathInstance,
@@ -173,56 +161,25 @@ def build_scenario_opt_cache(
     return cache
 
 
-def detect_descriptor(inst: PathInstance, s: Scenario) -> Optional[ScenarioDescriptor]:
-    """Descriptor (t1, t2) whose realization equals ``s``, or None.
-
-    A scenario realized from some window always detects (possibly as a
-    different, equivalent descriptor when interval endpoints coincide).
-    """
-    n = inst.n
-    w = s.weights
-    if len(w) != n + 1:
-        return None
-    wm, wp = inst.wminus, inst.wplus
-    diff = [i for i in range(n + 1) if w[i] != wm[i]]
-    if not diff:
-        return ScenarioDescriptor(0, 0)
-    t1, t2 = diff[0], diff[-1] + 1
-    for i in range(n + 1):
-        want = wp[i] if t1 <= i < t2 else wm[i]
-        if w[i] != want:
-            return None
-    return ScenarioDescriptor(t1, t2)
-
-
 # ---------------------------------------------------------------------------
 # Plan regret
 # ---------------------------------------------------------------------------
 
 
-def regret_of_plan(
-    inst: PathInstance,
-    plan: Plan,
-    s: Scenario,
-    cache: Optional[ScenarioOptCache] = None,
-    d: Optional[ScenarioDescriptor] = None,
-) -> int:
+def regret_of_plan(inst: PathInstance, plan: Plan, s: Scenario) -> int:
     """Regret of ``plan`` under scenario ``s`` (simplified model).
 
     This is the plan's evacuation time minus the optimal ``plan.k``-sink
-    time for the same scenario.  A cache (with matching k) answers the
-    optimal time when the scenario matches a descriptor; otherwise the
-    dynamic program computes it directly.
+    time for the same scenario, computed by the fixed-scenario DP.
     """
     time, _ = eval_plan(inst, s, plan, CostModel.SIMPLIFIED)
-    opt: Optional[int] = None
-    if cache is not None and cache.k == plan.k:
-        dd = d if d is not None else detect_descriptor(inst, s)
-        if dd is not None:
-            opt = cache.get(dd)
-    if opt is None:
-        opt, _ = optimal_k_sink(inst, s, plan.k, CostModel.SIMPLIFIED)
+    opt, _ = optimal_k_sink(inst, s, plan.k, CostModel.SIMPLIFIED)
     return time - opt
+
+
+def _require_cache_for(inst: PathInstance, cache: ScenarioOptCache) -> None:
+    if cache.inst is not inst and cache.inst != inst:
+        raise ValueError("cache was built for a different instance")
 
 
 def max_regret_of_plan(
@@ -233,13 +190,15 @@ def max_regret_of_plan(
     """Worst-case regret of ``plan`` over all candidate scenarios.
 
     Returns ``(value, witness)`` where ``witness`` is the first candidate
-    descriptor (in per-part enumeration order) attaining the maximum.
+    descriptor (in per-part enumeration order) attaining the maximum.  A
+    given ``cache`` must be built for ``inst`` and ``plan.k`` (else ValueError).
     """
     cands = enumerate_partition_candidates(inst, plan.boundaries)
     if cache is None:
         cache = ScenarioOptCache(inst, plan.k, engine="batch")
     elif cache.k != plan.k:
         raise ValueError(f"cache built for k={cache.k}, plan has k={plan.k}")
+    _require_cache_for(inst, cache)
     cache.ensure(
         np.array([d.t1 for _, d in cands], dtype=np.int64),
         np.array([d.t2 for _, d in cands], dtype=np.int64),
@@ -291,8 +250,7 @@ def build_lookup_tables(inst: PathInstance, cache: ScenarioOptCache) -> EvacLook
     and one per sink t for ``B``, so that no call has more lanes than the
     cache's complete fill.
     """
-    if cache.inst is not inst and cache.inst != inst:
-        raise ValueError("cache was built for a different instance")
+    _require_cache_for(inst, cache)
     cache.complete()
     v = cache.values
     eng = cache._batch_engine()
@@ -343,20 +301,6 @@ class RjiMatrix:
     R: np.ndarray
     sink: np.ndarray
     counters: dict = field(default_factory=dict)
-
-    @property
-    def n(self) -> int:
-        return self.R.shape[0] - 1
-
-    def regret(self, j: int, i: int) -> int:
-        if not 0 <= j <= i <= self.n:
-            raise ValueError(f"subpath ({j}, {i}) out of range")
-        return int(self.R[j, i])
-
-    def sink_of(self, j: int, i: int) -> int:
-        if not 0 <= j <= i <= self.n:
-            raise ValueError(f"subpath ({j}, {i}) out of range")
-        return int(self.sink[j, i])
 
 
 def compute_rji(
@@ -459,77 +403,3 @@ def compute_rji(
     counters = {"sink_evals": evals, "sink_moves": moves, "rows": n + 1}
     return RjiMatrix(R=R, sink=sink, counters=counters)
 
-
-# ---------------------------------------------------------------------------
-# Binary serialization (versioned header, little-endian int64 payloads)
-# ---------------------------------------------------------------------------
-
-_RJI_MAGIC = b"PVRJI\x00\x00\x01"
-_CACHE_MAGIC = b"PVOPT\x00\x00\x01"
-
-
-def _write_i64(f, *vals: int) -> None:
-    f.write(struct.pack("<" + "q" * len(vals), *vals))
-
-
-def _read_i64(f, count: int) -> tuple[int, ...]:
-    raw = f.read(8 * count)
-    if len(raw) != 8 * count:
-        raise ValueError("truncated file")
-    return struct.unpack("<" + "q" * count, raw)
-
-
-def _read_matrix(f, rows: int, cols: int) -> np.ndarray:
-    raw = f.read(8 * rows * cols)
-    if len(raw) != 8 * rows * cols:
-        raise ValueError("truncated file")
-    return np.frombuffer(raw, dtype="<i8").reshape(rows, cols).astype(np.int64)
-
-
-def dump_rji(m: RjiMatrix, path: str) -> None:
-    """Write an :class:`RjiMatrix` to a binary file (counters not stored)."""
-    rows = m.R.shape[0]
-    with open(path, "wb") as f:
-        f.write(_RJI_MAGIC)
-        _write_i64(f, rows)
-        f.write(m.R.astype("<i8").tobytes())
-        f.write(m.sink.astype("<i8").tobytes())
-
-
-def load_rji(path: str) -> RjiMatrix:
-    """Read an :class:`RjiMatrix` written by :func:`dump_rji`."""
-    with open(path, "rb") as f:
-        magic = f.read(8)
-        if magic != _RJI_MAGIC:
-            raise ValueError(f"bad magic for R matrix file: {magic!r}")
-        (rows,) = _read_i64(f, 1)
-        if rows <= 0:
-            raise ValueError(f"bad matrix size {rows}")
-        R = _read_matrix(f, rows, rows)
-        sink = _read_matrix(f, rows, rows)
-    return RjiMatrix(R=R, sink=sink, counters={})
-
-
-def dump_opt_cache(cache: ScenarioOptCache, path: str) -> None:
-    """Write a fully computed :class:`ScenarioOptCache` to a binary file."""
-    cache.complete()
-    n = cache.inst.n
-    with open(path, "wb") as f:
-        f.write(_CACHE_MAGIC)
-        _write_i64(f, n, cache.k)
-        f.write(cache.values.astype("<i8").tobytes())
-
-
-def load_opt_cache(path: str, inst: PathInstance) -> ScenarioOptCache:
-    """Read a cache written by :func:`dump_opt_cache` for the same instance."""
-    with open(path, "rb") as f:
-        magic = f.read(8)
-        if magic != _CACHE_MAGIC:
-            raise ValueError(f"bad magic for scenario cache file: {magic!r}")
-        n, k = _read_i64(f, 2)
-        if n != inst.n:
-            raise ValueError(f"cache is for n={n}, instance has n={inst.n}")
-        values = _read_matrix(f, n + 2, n + 2)
-    cache = ScenarioOptCache(inst, k, engine="batch")
-    cache.values = values
-    return cache

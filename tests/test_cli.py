@@ -83,6 +83,17 @@ def test_verify_catches_tampered_plan(tmp_path, inst_path, capsys):
     assert out.startswith("FAIL")
 
 
+def test_verify_rejects_unknown_objective_kind(tmp_path, inst_path, capsys):
+    plan_path = str(tmp_path / "plan.json")
+    assert run_cli("solve-mmr", inst_path, "--k", "2", "-o", plan_path) == 0
+    obj = json.load(open(plan_path))
+    obj["objective_kind"] = "speed"
+    json.dump(obj, open(plan_path, "w"))
+    capsys.readouterr()
+    assert run_cli("verify", inst_path, plan_path) == 2
+    assert "unknown objective_kind" in capsys.readouterr().err
+
+
 def test_solve_opt_scenario_file(tmp_path, inst_path, capsys):
     inst = json.load(open(inst_path))
     w = [v["w_min"] for v in inst["vertices"]]

@@ -36,8 +36,6 @@ GOOD = PathInstance((0, 2, 5), (1, 2, 1), (3, 2, 4), capacity=2, tau=1)
 def test_basic_properties():
     assert GOOD.n == 2
     assert GOOD.num_vertices == 3
-    assert GOOD.edge_len(0) == 2
-    assert GOOD.edge_len(1) == 3
     GOOD.require_valid()
 
 
@@ -125,6 +123,10 @@ def test_plan_roundtrip(tmp_path):
     assert kind == "evac_time"
     with pytest.raises(ValueError):
         plan_to_obj(plan, 0, "speed")
+    obj = plan_to_obj(plan, 0, "max_regret")
+    obj["objective_kind"] = "speed"
+    with pytest.raises(ValueError):
+        plan_from_obj(obj)
     obj = plan_to_obj(plan, 0, "max_regret")
     obj["parts"][1]["l"] = 0  # overlapping parts
     with pytest.raises(ValueError):

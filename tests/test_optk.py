@@ -16,6 +16,8 @@ from pathevac.model import (
 )
 from pathevac.optk import (
     SubpathTracker,
+    _FastTracker,
+    _prefix_weights,
     optimal_k_sink,
     optimal_one_sink,
     solve_optimal_k_sink,
@@ -90,26 +92,33 @@ def test_counters_bounded_linearly():
         assert res.counters["sink_moves"] <= 3 * k * (n + 1)
 
 
-def test_with_table_reconstruction():
+def test_value_non_increasing_in_k():
     rng = random.Random(23)
-    inst = rand_instance(rng, 12)
-    s = rand_scenario(rng, inst)
-    res = solve_optimal_k_sink(inst, s, 3, CostModel.DISCRETE, with_table=True)
-    assert res.table is not None
-    assert res.table.T[2][inst.n] == res.value
-    # table rows are the best q-part values for every prefix; they improve with q
-    for q in (1, 2):
-        for i in range(inst.n + 1):
-            assert res.table.T[q][i] <= res.table.T[q - 1][i]
+    for _ in range(10):
+        inst = rand_instance(rng, 12)
+        s = rand_scenario(rng, inst)
+        for cm in (CostModel.DISCRETE, CostModel.SIMPLIFIED):
+            values = [solve_optimal_k_sink(inst, s, k, cm).value for k in range(1, 14)]
+            assert values == sorted(values, reverse=True), (inst, s, cm)
+            assert values[-1] == 0  # one sink per vertex
 
 
-def test_tracker_window_matches_direct_eval():
+def _fast_tracker(inst, s, cm):
+    return _FastTracker(inst, s, cm == CostModel.DISCRETE, 0, _prefix_weights(s))
+
+
+@pytest.mark.parametrize("make", [SubpathTracker, _fast_tracker],
+                         ids=["SubpathTracker", "_FastTracker"])
+def test_tracker_window_matches_direct_eval(make):
     rng = random.Random(24)
     for _ in range(40):
         inst = rand_instance(rng, rng.randint(1, 10))
         s = rand_scenario(rng, inst)
         cm = rng.choice([CostModel.DISCRETE, CostModel.SIMPLIFIED])
-        tr = SubpathTracker(inst, s, cm)
+        if make is _fast_tracker and cm == CostModel.DISCRETE:
+            # the fast tracker's discrete model is the unit-capacity one
+            inst = PathInstance(inst.coords, inst.wminus, inst.wplus, tau=inst.tau)
+        tr = make(inst, s, cm)
         n = inst.n
         # grow to the full path, then shrink from the left
         for i in range(n + 1):

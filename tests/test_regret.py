@@ -16,7 +16,6 @@ from pathevac.model import (
     CostModel,
     PathInstance,
     Plan,
-    Scenario,
     ScenarioDescriptor,
     realize_scenario,
 )
@@ -26,11 +25,6 @@ from pathevac.regret import (
     build_lookup_tables,
     build_scenario_opt_cache,
     compute_rji,
-    detect_descriptor,
-    dump_opt_cache,
-    dump_rji,
-    load_opt_cache,
-    load_rji,
     max_regret_of_plan,
     regret_of_plan,
 )
@@ -56,7 +50,7 @@ def test_cache_batch_equals_reference_engine():
         k = rng.randint(1, min(3, inst.n + 1))
         a = build_scenario_opt_cache(inst, k, engine="batch")
         b = build_scenario_opt_cache(inst, k, engine="reference")
-        assert np.array_equal(a.array, b.array)
+        assert np.array_equal(a.values, b.values)
 
 
 def test_anchor_path_equals_plain_chunks(monkeypatch):
@@ -109,7 +103,7 @@ def test_optimum_monotone_and_delta_bounded(data):
     inst = PathInstance(tuple(coords), tuple(wminus), tuple(wplus),
                         tau=data.draw(st.integers(1, 3)))
     k = data.draw(st.integers(1, min(3, n + 1)))
-    v = build_scenario_opt_cache(inst, k, engine="reference").array
+    v = build_scenario_opt_cache(inst, k, engine="reference").values
     delta = [hi - lo for lo, hi in zip(wminus, wplus)]
     for t1 in range(n + 2):
         for t2 in range(t1, n + 2):
@@ -132,30 +126,6 @@ def test_cache_lazy_fill_and_get():
         cache.get((0, 5))
     with pytest.raises(ValueError):
         build_scenario_opt_cache(inst, 9)
-
-
-def test_cache_roundtrip(tmp_path):
-    inst = unit_interval_instance()
-    cache = build_scenario_opt_cache(inst, 2)
-    path = str(tmp_path / "cache.bin")
-    dump_opt_cache(cache, path)
-    loaded = load_opt_cache(path, inst)
-    assert loaded.k == 2
-    assert np.array_equal(loaded.values, cache.values)
-    with pytest.raises(ValueError):
-        load_opt_cache(path, rand_instance(random.Random(0), 5))
-
-
-def test_detect_descriptor():
-    inst = unit_interval_instance()
-    for d in [(0, 0), (1, 2), (0, 3), (2, 2)]:
-        dd = ScenarioDescriptor(*d)
-        s = realize_scenario(inst, dd)
-        got = detect_descriptor(inst, s)
-        assert got is not None
-        assert realize_scenario(inst, got) == s
-    assert detect_descriptor(inst, Scenario((2, 1, 1))) is None
-    assert detect_descriptor(inst, Scenario((1, 1))) is None
 
 
 # -- lookup tables -------------------------------------------------------------
@@ -271,11 +241,11 @@ def test_regret_of_plan_definition():
         cache = build_scenario_opt_cache(inst, k)
         d = ScenarioDescriptor(0, inst.n + 1)
         s = realize_scenario(inst, d)
-        got = regret_of_plan(inst, plan, s, cache=cache)
+        got = regret_of_plan(inst, plan, s)
         t, _ = eval_plan(inst, s, plan, CostModel.SIMPLIFIED)
         opt, _ = optimal_k_sink(inst, s, k, CostModel.SIMPLIFIED)
         assert got == t - opt
-        assert got == regret_of_plan(inst, plan, s)  # no cache path
+        assert got == t - cache.get(d)
 
 
 def test_max_regret_witness_is_attained():
@@ -287,7 +257,7 @@ def test_max_regret_witness_is_attained():
         cache = build_scenario_opt_cache(inst, k)
         value, witness = max_regret_of_plan(inst, plan, cache)
         s = realize_scenario(inst, witness)
-        assert regret_of_plan(inst, plan, s, cache=cache, d=witness) == value
+        assert regret_of_plan(inst, plan, s) == value
         assert value >= 0
 
 
@@ -297,6 +267,19 @@ def test_max_regret_rejects_mismatched_cache():
     cache = build_scenario_opt_cache(inst, 2)
     with pytest.raises(ValueError):
         max_regret_of_plan(inst, plan, cache)
+
+
+def test_max_regret_rejects_cache_of_other_instance():
+    rng = random.Random(58)
+    inst = mk_uncertain(rng, 4)
+    other = mk_uncertain(rng, 4)
+    plan = rand_plan(rng, inst, 2)
+    with pytest.raises(ValueError, match="different instance"):
+        max_regret_of_plan(inst, plan, build_scenario_opt_cache(other, 2, fill="lazy"))
+    # an equal instance built separately is the same instance
+    twin = PathInstance(inst.coords, inst.wminus, inst.wplus, inst.capacity, inst.tau)
+    cache = build_scenario_opt_cache(twin, 2, fill="lazy")
+    assert max_regret_of_plan(inst, plan, cache) == max_regret_of_plan(inst, plan)
 
 
 # -- R matrix -------------------------------------------------------------------
@@ -314,25 +297,4 @@ def test_rji_matches_brute_matrix():
         for j in range(n + 1):
             for i in range(j, n + 1):
                 assert got.R[j, i] == want[j][i], (j, i)
-        # accessor bounds
-        with pytest.raises(ValueError):
-            got.regret(1, 0)
 
-
-def test_rji_roundtrip(tmp_path):
-    rng = random.Random(57)
-    inst = mk_uncertain(rng, 6)
-    cache = build_scenario_opt_cache(inst, 2)
-    m = compute_rji(inst, cache)
-    path = str(tmp_path / "rji.bin")
-    dump_rji(m, path)
-    loaded = load_rji(path)
-    assert np.array_equal(loaded.R, m.R)
-    assert np.array_equal(loaded.sink, m.sink)
-    with pytest.raises(OSError):
-        load_rji(str(tmp_path / "cache.bin.missing"))
-    # wrong magic
-    bad = tmp_path / "bad.bin"
-    bad.write_bytes(b"NOTMAGIC" + b"\x00" * 16)
-    with pytest.raises(ValueError):
-        load_rji(str(bad))
