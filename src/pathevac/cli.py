@@ -46,6 +46,11 @@ from .regret import build_scenario_opt_cache, max_regret_of_plan
 __all__ = ["main"]
 
 
+# What reading a malformed input file may raise; RecursionError is the json
+# decoder's answer to deeply nested arrays or objects.
+_BAD_FILE = (OSError, ValueError, KeyError, TypeError, RecursionError)
+
+
 def _fail_bad_input(msg: str) -> int:
     print(msg, file=sys.stderr)
     return 2
@@ -54,7 +59,7 @@ def _fail_bad_input(msg: str) -> int:
 def _load_instance_checked(path: str) -> Optional[PathInstance]:
     try:
         inst = load_instance(path)
-    except (OSError, ValueError, KeyError) as exc:
+    except _BAD_FILE as exc:
         print(f"cannot read instance {path}: {exc}", file=sys.stderr)
         return None
     problems = validate_instance(inst)
@@ -80,7 +85,7 @@ def _scenario_from_args(inst: PathInstance, args) -> Optional[Scenario]:
             with open(args.scenario, "r", encoding="utf-8") as f:
                 obj = json.load(f)
             s = Scenario(tuple(require_int(v, "w") for v in obj["w"]))
-        except (OSError, ValueError, KeyError, TypeError) as exc:
+        except _BAD_FILE as exc:
             print(f"cannot read scenario {args.scenario}: {exc}", file=sys.stderr)
             return None
         if len(s.weights) != inst.num_vertices:
@@ -191,7 +196,7 @@ def _cmd_verify(args) -> int:
         return 2
     try:
         plan, objective, kind = load_plan(args.plan)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except _BAD_FILE as exc:
         print(f"cannot read plan {args.plan}: {exc}", file=sys.stderr)
         return 2
     problems = validate_plan(inst, plan)
@@ -266,6 +271,10 @@ def _cmd_bench(args) -> int:
         return _fail_bad_input("--n-list/--k-list must be comma-separated integers")
     if not n_list or not k_list:
         return _fail_bad_input("--n-list and --k-list must be non-empty")
+    if min(n_list) < 0:
+        return _fail_bad_input("--n-list entries must be >= 0")
+    if args.w_max < 1:
+        return _fail_bad_input("--w-max must be >= 1")
     for n in n_list:
         for k in k_list:
             if not 1 <= k <= n + 1:

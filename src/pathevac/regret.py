@@ -12,7 +12,8 @@ Main pieces:
   batch engine or by the per-scenario dynamic program.
 * :func:`regret_of_plan` / :func:`max_regret_of_plan` — regret of a plan
   under one scenario (optimum from the fixed-scenario DP), and its worst
-  case over all candidate scenarios (optima from the cache).
+  case over all candidate scenarios (plan times from the batch engine's
+  side times, optima from the cache).
 * :class:`EvacLookupTables` / :func:`build_lookup_tables` — three O(n^2)
   tables into which the worst-case regret of every part and sink
   separates, built from the cache's values and its batch engine's side
@@ -42,6 +43,7 @@ from .model import (
     Scenario,
     ScenarioDescriptor,
     realize_scenario,
+    validate_plan,
 )
 from .optk import optimal_k_sink
 from .scenario_gen import enumerate_partition_candidates
@@ -190,8 +192,10 @@ def max_regret_of_plan(
     """Worst-case regret of ``plan`` over all candidate scenarios.
 
     Returns ``(value, witness)`` where ``witness`` is the first candidate
-    descriptor (in per-part enumeration order) attaining the maximum.  A
-    given ``cache`` must be built for ``inst`` and ``plan.k`` (else ValueError).
+    descriptor (in per-part enumeration order) attaining the maximum.  The
+    plan's time under every candidate comes from the side times of the
+    cache's batch engine, its optimum from the cache.  A given ``cache``
+    must be built for ``inst`` and ``plan.k`` (else ValueError).
     """
     cands = enumerate_partition_candidates(inst, plan.boundaries)
     if cache is None:
@@ -199,19 +203,22 @@ def max_regret_of_plan(
     elif cache.k != plan.k:
         raise ValueError(f"cache built for k={cache.k}, plan has k={plan.k}")
     _require_cache_for(inst, cache)
-    cache.ensure(
-        np.array([d.t1 for _, d in cands], dtype=np.int64),
-        np.array([d.t2 for _, d in cands], dtype=np.int64),
-    )
-    best: Optional[int] = None
-    witness: Optional[ScenarioDescriptor] = None
-    for _part, d in cands:
-        s = realize_scenario(inst, d)
-        time, _ = eval_plan(inst, s, plan, CostModel.SIMPLIFIED)
-        reg = time - cache.get(d)
-        if best is None or reg > best:
-            best, witness = reg, d
-    return best, witness
+    t1 = np.array([d.t1 for _, d in cands], dtype=np.int64)
+    t2 = np.array([d.t2 for _, d in cands], dtype=np.int64)
+    cache.ensure(t1, t2)
+    violations = validate_plan(inst, plan)
+    if violations:
+        raise ValueError("; ".join(violations))
+    # Per candidate lane, the plan time: the max over parts of both side
+    # times of the part's sink (all positive, so 0 is a neutral start).
+    eng = cache._batch_engine()
+    time = np.zeros(t1.shape[0], dtype=np.int64)
+    for (l, r), y in zip(plan.parts(), plan.sinks):
+        time = np.maximum(time, eng.theta_l(l, y, t1, t2))
+        time = np.maximum(time, eng.theta_r(y, r, t1, t2))
+    regret = time - cache.values[t1, t2]
+    best = int(np.argmax(regret))
+    return int(regret[best]), cands[best][1]
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +313,6 @@ class RjiMatrix:
 def compute_rji(
     inst: PathInstance,
     cache: ScenarioOptCache,
-    check_invariants: bool = False,
 ) -> RjiMatrix:
     """Compute the full matrix of minimal worst-case subpath regrets.
 
@@ -335,11 +341,6 @@ def compute_rji(
     Per row l the minimizing sink only moves right as r grows; a
     tie-advancing sweep keeps the rightmost minimizer, so total sink
     movement is O(n) per row.
-
-    ``check_invariants=True`` additionally verifies, per cell, that the
-    swept sink attains the true minimum over all sinks, and that R is
-    monotone under part growth (small inputs only — O(n^3) work); a
-    violation raises ``RuntimeError``.
     """
     inst.require_valid()
     n = inst.n
@@ -375,30 +376,6 @@ def compute_rji(
                     break
             R[l, r] = cur
             sink[l, r] = t
-
-        if check_invariants:
-            for r in range(l, n + 1):
-                full = [part_regret(tt, r) for tt in range(l, r + 1)]
-                if R[l, r] != min(full):
-                    raise RuntimeError(
-                        f"R[{l}, {r}] = {R[l, r]} is not the minimum of {full}"
-                    )
-                if full[int(sink[l, r]) - l] != R[l, r]:
-                    raise RuntimeError(f"sink {sink[l, r]} does not attain R[{l}, {r}]")
-
-    if check_invariants:
-        for j in range(n + 1):
-            for i in range(j, n):
-                if R[j, i] > R[j, i + 1]:
-                    raise RuntimeError(f"R shrinks when part ({j}, {i}) grows right")
-        for j in range(1, n + 1):
-            for i in range(j, n + 1):
-                if R[j, i] > R[j - 1, i]:
-                    raise RuntimeError(f"R shrinks when part ({j}, {i}) grows left")
-        for j in range(n + 1):
-            for i in range(j, n):
-                if sink[j, i] > sink[j, i + 1]:
-                    raise RuntimeError(f"sink moves left when part ({j}, {i}) grows right")
 
     counters = {"sink_evals": evals, "sink_moves": moves, "rows": n + 1}
     return RjiMatrix(R=R, sink=sink, counters=counters)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 
 from pathevac.model import PathInstance
+from pathevac.regret import build_lookup_tables
 
 ACCEPTANCE_RESULTS: dict[int, tuple[str, bool, str]] = {}
 
@@ -74,3 +75,42 @@ def rand_plan(rng: random.Random, inst: PathInstance, k: int):
         sinks.append(rng.randint(lo, e))
         lo = e + 1
     return Plan(tuple(ends), tuple(sinks))
+
+
+def check_rji_invariants(inst: PathInstance, cache, rji) -> None:
+    """Assert the sweep invariants of ``compute_rji``'s result ``rji``.
+
+    Per cell, the swept sink attains the minimum over all sinks of the part
+    regret max(A[l, t], rminus[t, r] - v[0, 0]) (also max'ed with B[t, r]
+    when t < r); R does not shrink when a part grows left or right; and the
+    sink never moves left when a part grows right.  O(n^3): small inputs only.
+    """
+    n = inst.n
+    tables = build_lookup_tables(inst, cache)
+    v00 = cache.values[0, 0]
+    R, sink = rji.R, rji.sink
+
+    def part_regret(l: int, t: int, r: int) -> int:
+        best = max(tables.A[l, t], tables.rminus[t, r] - v00)
+        if t < r:
+            best = max(best, tables.B[t, r])
+        return best
+
+    for l in range(n + 1):
+        for r in range(l, n + 1):
+            full = [part_regret(l, t, r) for t in range(l, r + 1)]
+            assert R[l, r] == min(full), f"R[{l}, {r}] = {R[l, r]} is not the minimum of {full}"
+            assert full[int(sink[l, r]) - l] == R[l, r], (
+                f"sink {sink[l, r]} does not attain R[{l}, {r}]"
+            )
+    for j in range(n + 1):
+        for i in range(j, n):
+            assert R[j, i] <= R[j, i + 1], f"R shrinks when part ({j}, {i}) grows right"
+    for j in range(1, n + 1):
+        for i in range(j, n + 1):
+            assert R[j, i] <= R[j - 1, i], f"R shrinks when part ({j}, {i}) grows left"
+    for j in range(n + 1):
+        for i in range(j, n):
+            assert sink[j, i] <= sink[j, i + 1], (
+                f"sink moves left when part ({j}, {i}) grows right"
+            )

@@ -27,7 +27,13 @@ from pathevac.oracle import (
 )
 from pathevac.regret import build_scenario_opt_cache, compute_rji, max_regret_of_plan
 
-from conftest import rand_instance, rand_plan, rand_scenario, record_criterion
+from conftest import (
+    check_rji_invariants,
+    rand_instance,
+    rand_plan,
+    rand_scenario,
+    record_criterion,
+)
 from test_biheap import random_ops, replay
 
 
@@ -168,7 +174,8 @@ def test_criterion_5_rji_matches_brute():
                                  capacities=(1,), taus=(1, 2))
             k = rng.randint(1, min(3, inst.n + 1))
             cache = build_scenario_opt_cache(inst, k)
-            got = compute_rji(inst, cache, check_invariants=True)
+            got = compute_rji(inst, cache)
+            check_rji_invariants(inst, cache, got)
             want = brute_rji_matrix(inst, k)
             for j in range(inst.n + 1):
                 for i in range(j, inst.n + 1):

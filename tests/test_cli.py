@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import copy
 import json
+import os
 import subprocess
 import sys
+import tempfile
+from dataclasses import dataclass
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathevac.cli import main
 
@@ -250,3 +256,139 @@ def test_plan_rejects_non_integer(tmp_path, inst_path, capsys, field, value):
     capsys.readouterr()
     assert run_cli("verify", inst_path, plan_path) == 2
     assert f"{field} must be an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--n-list", "3", "--w-max", "0"], "--w-max must be >= 1"),
+    (["--n-list=-3,2"], "--n-list entries must be >= 0"),
+], ids=["w_max", "n_list"])
+def test_bench_rejects_bad_args(capsys, args, message):
+    assert run_cli("bench", "--algo", "optk", "--k-list", "1", *args) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+
+
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("kind", ["instance", "plan", "scenario"])
+def test_deeply_nested_file_exits_2(tmp_path, inst_path, capsys, kind):
+    deep_path = str(tmp_path / "deep.json")
+    with open(deep_path, "w") as fh:
+        fh.write(DEEP)
+    argv = {
+        "instance": ["solve-opt", deep_path, "--k", "1"],
+        "plan": ["verify", inst_path, deep_path],
+        "scenario": ["solve-opt", inst_path, "--k", "1", "--scenario", deep_path],
+    }[kind]
+    capsys.readouterr()
+    assert run_cli(*argv) == 2
+    assert f"cannot read {kind} {deep_path}" in capsys.readouterr().err
+
+
+# -- fuzzing of malformed files ------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Raw:
+    """JSON text spliced into a file as is (for values json.dumps cannot write)."""
+
+    text: str
+
+
+_RAW_MARK = "\u0000raw\u0000"
+
+_JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.floats(),
+    st.text(max_size=6),
+    st.lists(st.integers(-3, 12), max_size=4),
+    st.dictionaries(st.sampled_from(["x", "w", "r", "l"]), st.integers(-3, 12), max_size=2),
+    st.sampled_from([1 << 63, -(1 << 63) - 1, 10 ** 40, -(10 ** 40)]),
+    st.sampled_from([_Raw("9" * 5000), _Raw("[" * 3000 + "]" * 3000),
+                     _Raw('{"a":' * 3000 + "0" + "}" * 3000), _Raw("[[[[1]]]]")]),
+)
+
+# For each file kind, the fields a value may replace: () is the whole file,
+# "*" one element of the list at that point.
+_FIELDS = {
+    "instance": [(), ("vertices",), ("vertices", "*"), ("vertices", "*", "x"),
+                 ("vertices", "*", "w_min"), ("vertices", "*", "w_max"),
+                 ("capacity",), ("tau",)],
+    "plan": [(), ("parts",), ("parts", "*"), ("parts", "*", "l"), ("parts", "*", "r"),
+             ("parts", "*", "sink"), ("objective",), ("objective_kind",)],
+    "scenario": [(), ("w",), ("w", "*")],
+}
+
+
+def _put(obj, path, value, index):
+    if not path:
+        return value
+    key = index % len(obj) if path[0] == "*" else path[0]
+    obj[key] = _put(obj[key], path[1:], value, index)
+    return obj
+
+
+def _dump_with_raw(obj) -> str:
+    raw = []
+
+    def default(v):
+        raw.append(v.text)
+        return _RAW_MARK
+
+    text = json.dumps(obj, default=default)
+    for piece in raw:
+        text = text.replace(json.dumps(_RAW_MARK), piece, 1)
+    return text
+
+
+@pytest.fixture(scope="module")
+def fuzz_base(tmp_path_factory):
+    """A valid small instance with a minmax-regret plan, an evacuation-time
+    plan and a scenario, as JSON objects."""
+    d = tmp_path_factory.mktemp("fuzz")
+    paths = {name: str(d / f"{name}.json") for name in ("instance", "mmr", "opt")}
+    assert main(["gen", "--n", "5", "--coord-max", "30", "--w-max", "6",
+                 "--seed", "4", "-o", paths["instance"]]) == 0
+    assert main(["solve-mmr", paths["instance"], "--k", "2", "-o", paths["mmr"]]) == 0
+    assert main(["solve-opt", paths["instance"], "--k", "2", "-o", paths["opt"]]) == 0
+    objs = {name: json.load(open(path)) for name, path in paths.items()}
+    objs["scenario"] = {"w": [v["w_min"] for v in objs["instance"]["vertices"]]}
+    return objs
+
+
+# Per file kind, the commands that read it (f maps a file name to its path).
+_READERS = {
+    "instance": lambda f: [["solve-opt", f["instance"], "--k", "2"],
+                           ["solve-mmr", f["instance"], "--k", "2"],
+                           ["verify", f["instance"], f["mmr"]]],
+    "mmr": lambda f: [["verify", f["instance"], f["mmr"]]],
+    "opt": lambda f: [["verify", f["instance"], f["opt"]]],
+    "scenario": lambda f: [["solve-opt", f["instance"], "--k", "2", "--scenario", f["scenario"]],
+                           ["verify", f["instance"], f["opt"], "--scenario", f["scenario"]]],
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    target=st.sampled_from(sorted(_READERS)),
+    data=st.data(),
+    value=_JUNK,
+    index=st.integers(0, 10),
+)
+def test_malformed_file_fields_exit_cleanly(fuzz_base, target, data, value, index):
+    """One junk value in one field of one input file: the CLI exits 0, 1 or 2."""
+    kind = "plan" if target in ("mmr", "opt") else target
+    path = data.draw(st.sampled_from(_FIELDS[kind]))
+    with tempfile.TemporaryDirectory() as d:
+        f = {name: os.path.join(d, f"{name}.json") for name in fuzz_base}
+        for name, obj in fuzz_base.items():
+            obj = copy.deepcopy(obj)
+            if name == target:
+                obj = _put(obj, path, value, index)
+            with open(f[name], "w") as fh:
+                fh.write(_dump_with_raw(obj))
+        argv = data.draw(st.sampled_from(_READERS[target](f)))
+        assert main(argv) in (0, 1, 2)

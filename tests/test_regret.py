@@ -28,8 +28,9 @@ from pathevac.regret import (
     max_regret_of_plan,
     regret_of_plan,
 )
+from pathevac.scenario_gen import enumerate_partition_candidates
 
-from conftest import rand_instance, rand_plan
+from conftest import check_rji_invariants, rand_instance, rand_plan
 
 
 def unit_interval_instance():
@@ -261,6 +262,47 @@ def test_max_regret_witness_is_attained():
         assert value >= 0
 
 
+def _max_regret_per_candidate(inst, plan, cache):
+    """Worst-case regret by realizing every candidate and evaluating the plan
+    on it; the first maximum wins."""
+    best = witness = None
+    for _part, d in enumerate_partition_candidates(inst, plan.boundaries):
+        s = realize_scenario(inst, d)
+        time, _ = eval_plan(inst, s, plan, CostModel.SIMPLIFIED)
+        reg = time - cache.get(d)
+        if best is None or reg > best:
+            best, witness = reg, d
+    return best, witness
+
+
+def test_max_regret_matches_per_candidate_loop():
+    rng = random.Random(57)
+    for trial in range(320):
+        n = rng.randint(0, 14)
+        coords = sorted(rng.sample(range(4 * n + 2), n + 1))
+        wminus = [rng.randint(1, 9) for _ in range(n + 1)]
+        wplus = [lo if rng.random() < 0.2 else lo + rng.randint(1, 8) for lo in wminus]
+        inst = PathInstance(tuple(coords), tuple(wminus), tuple(wplus),
+                            capacity=rng.randint(1, 3), tau=rng.randint(1, 3))
+        k = rng.randint(1, n + 1)
+        plan = rand_plan(rng, inst, k)
+        engine = "reference" if trial % 4 == 0 else "batch"
+        fill = "all" if trial % 2 else "lazy"
+        cache = build_scenario_opt_cache(inst, k, engine=engine, fill=fill)
+        got = max_regret_of_plan(inst, plan, cache)
+        want = _max_regret_per_candidate(inst, plan, cache)
+        assert got == want, (inst, plan, engine, fill)
+        assert type(got[0]) is int
+
+
+def test_max_regret_rejects_sink_outside_part():
+    rng = random.Random(59)
+    inst = mk_uncertain(rng, 6)
+    cache = build_scenario_opt_cache(inst, 2, fill="lazy")
+    with pytest.raises(ValueError, match="sink of part 0 lies outside the part"):
+        max_regret_of_plan(inst, Plan((2, 6), (3, 4)), cache)
+
+
 def test_max_regret_rejects_mismatched_cache():
     inst = unit_interval_instance()
     plan = Plan((2,), (1,))
@@ -291,7 +333,8 @@ def test_rji_matches_brute_matrix():
         inst = mk_uncertain(rng, rng.randint(0, 7), w_max=6)
         k = rng.randint(1, min(3, inst.n + 1))
         cache = build_scenario_opt_cache(inst, k)
-        got = compute_rji(inst, cache, check_invariants=True)
+        got = compute_rji(inst, cache)
+        check_rji_invariants(inst, cache, got)
         want = brute_rji_matrix(inst, k)
         n = inst.n
         for j in range(n + 1):
