@@ -60,7 +60,9 @@ for k in range(1, 7):
 
 res = solve_optimal_k_sink(inst, s, 4, CostModel.DISCRETE)
 print(f"\nsplit-pointer increments per DP row: "
-      f"{res.counters['j_increments_per_row']} (each bounded by 2n={2 * inst.n})")
+      f"{res.counters['j_increments_per_row']} (each at most n={inst.n}; "
+      f"the last row's count is where the last part starts, "
+      f"{res.plan.boundaries[-2] + 1})")
 
 # --- exhaustive check on a small instance ----------------------------------------
 

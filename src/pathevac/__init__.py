@@ -11,7 +11,7 @@ intervals.  This package computes:
 
 with exact integer arithmetic throughout, plus brute-force oracles, a
 candidate-scenario generator, a vectorized scenario-optimum cache, and a CLI
-(generate / solve / verify / bench).
+(generate / solve / verify).
 """
 
 from .biheap import BiHeap

@@ -7,7 +7,6 @@ Subcommands:
 * ``solve-mmr`` — minmax-regret k-sink plan (``--algo dp`` or ``bs``).
 * ``verify`` — re-check a plan file against its instance (and, for small
   instances, against brute-force optimality); prints PASS or FAIL.
-* ``bench`` — timing runs emitting one JSON record per line.
 
 Instance and plan files are JSON; scenario files are JSON objects with a
 single ``"w"`` array.  Exit status: 0 success / PASS, 1 FAIL, 2 bad input.
@@ -19,7 +18,6 @@ import argparse
 import json
 import random
 import sys
-import time
 from typing import Optional, Sequence
 
 from .evac import eval_plan
@@ -259,49 +257,6 @@ def _cmd_verify(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# bench
-# ---------------------------------------------------------------------------
-
-
-def _cmd_bench(args) -> int:
-    try:
-        n_list = [int(v) for v in args.n_list.split(",") if v]
-        k_list = [int(v) for v in args.k_list.split(",") if v]
-    except ValueError:
-        return _fail_bad_input("--n-list/--k-list must be comma-separated integers")
-    if not n_list or not k_list:
-        return _fail_bad_input("--n-list and --k-list must be non-empty")
-    if min(n_list) < 0:
-        return _fail_bad_input("--n-list entries must be >= 0")
-    if args.w_max < 1:
-        return _fail_bad_input("--w-max must be >= 1")
-    for n in n_list:
-        for k in k_list:
-            if not 1 <= k <= n + 1:
-                continue
-            rng = random.Random(args.seed * 1_000_003 + n * 1_009 + k)
-            inst = _random_instance(rng, n, 10 * n, args.w_max, args.capacity, args.tau)
-            record = {"algo": args.algo, "n": n, "k": k, "seed": args.seed}
-            t0 = time.perf_counter()
-            if args.algo == "optk":
-                s = Scenario(tuple(rng.randint(a, b) for a, b in zip(inst.wminus, inst.wplus)))
-                res = solve_optimal_k_sink(inst, s, k, args.cost_model)
-                record["value"] = res.value
-                record["counters"] = res.counters
-            elif args.algo == "mmr-dp":
-                res = solve_minmax_regret_dp(inst, k)
-                record["value"] = res.value
-                record["counters"] = res.counters
-            else:
-                res = solve_minmax_regret_bs(inst, k)
-                record["value"] = res.value
-                record["counters"] = res.counters
-            record["wall_ms"] = round(1000.0 * (time.perf_counter() - t0), 3)
-            print(json.dumps(record, sort_keys=True))
-    return 0
-
-
-# ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
 
@@ -354,20 +309,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=CostModel.DISCRETE,
     )
     v.set_defaults(func=_cmd_verify)
-
-    b = sub.add_parser("bench", help="timing runs, one JSON record per line")
-    b.add_argument("--algo", choices=["optk", "mmr-dp", "mmr-bs"], required=True)
-    b.add_argument("--n-list", required=True)
-    b.add_argument("--k-list", required=True)
-    b.add_argument("--seed", type=int, default=0)
-    b.add_argument("--w-max", type=int, default=100)
-    b.add_argument("--capacity", type=int, default=1)
-    b.add_argument("--tau", type=int, default=1)
-    b.add_argument(
-        "--cost-model", choices=[CostModel.DISCRETE, CostModel.SIMPLIFIED],
-        default=CostModel.DISCRETE,
-    )
-    b.set_defaults(func=_cmd_bench)
 
     return p
 

@@ -3,9 +3,13 @@
 T(q, i) = min over j of max(T(q-1, j-1), w(j, i)), where w(j, i) is the best
 one-sink evacuation time of the subpath [j, i].  Both w and T are monotone in
 their endpoints, so each DP row is filled with a single left-to-right scan in
-which the candidate split point j only moves right (at most 2n tracker
-increments per row), and w(j, i) values come from incremental subpath trackers
-backed by Bi-Heaps instead of being recomputed.
+which the candidate split point j only moves right (at most n increments per
+row), and w(j, i) comes from one incremental subpath tracker per row, backed by
+Bi-Heaps, instead of being recomputed.  The tracker never has to probe
+w(j+1, i): a subpath finishes no later than a path containing it, so
+w(j+1, i) <= w(j, i) <= cur = max(T(q-1, j-1), w(j, i)), and the next split is
+no worse than the current one exactly when T(q-1, j) <= cur.  Advancing on
+ties lands on the rightmost optimal split.
 
 A tracker maintains the rightmost optimal sink of its subpath: the one-sink
 time is max(theta_L, theta_R) with theta_L non-decreasing and theta_R
@@ -78,7 +82,6 @@ class SubpathTracker:
         inst: PathInstance,
         s: Scenario,
         cm: str,
-        start: int = 0,
         pw: Optional[list[int]] = None,
     ):
         self.x = inst.coords
@@ -87,9 +90,9 @@ class SubpathTracker:
         self.discrete = cm == CostModel.DISCRETE
         self.w = s.weights
         self.pw = pw if pw is not None else _prefix_weights(s)
-        self.j = start
-        self.i = start - 1
-        self.y = start
+        self.j = 0
+        self.i = -1
+        self.y = 0
         self.hl = BiHeap(self.c)
         self.hr = BiHeap(self.c)
         self.hl_handle: dict[int, int] = {}
@@ -181,15 +184,15 @@ class _FastTracker:
         "sink_moves", "drops",
     )
 
-    def __init__(self, inst, s, discrete: bool, start: int, pw: list[int]):
+    def __init__(self, inst, s, discrete: bool, pw: list[int]):
         self.x = inst.coords
         self.tau = inst.tau
         self.w = s.weights
         self.pw = pw
         self.dadj = 1 if discrete else 0
-        self.j = start
-        self.i = start - 1
-        self.y = start
+        self.j = 0
+        self.i = -1
+        self.y = 0
         self.sL = 0
         self.sR = 0
         self.hl: list[tuple[int, int]] = []  # (sideoffset - cost, vertex)
@@ -286,13 +289,14 @@ class _FastTracker:
                 while hr and not ar[hr[0][1]]:
                     heappop(hr)
             tr = (self.sR - hr[0][0] - ell - dadj) if hr else 0
-            if popped is not None:
-                heappush(hr, popped)
             nxt = tl if tl >= tr else tr
             if nxt <= cur:
+                # The move marks y+1 dead, so a popped entry stays out.
                 self._move_right()
                 cur = nxt
             else:
+                if popped is not None:
+                    heappush(hr, popped)
                 break
 
 
@@ -324,51 +328,45 @@ def solve_optimal_k_sink(
     fast = cm == CostModel.SIMPLIFIED or inst.capacity == 1
     discrete = cm == CostModel.DISCRETE
 
-    def new_tracker(start: int):
+    def new_tracker():
         if fast:
-            return _FastTracker(inst, s, discrete, start, pw)
-        return SubpathTracker(inst, s, cm, start, pw)
+            return _FastTracker(inst, s, discrete, pw)
+        return SubpathTracker(inst, s, cm, pw)
 
     # Only the previous row of T is kept; every row of split points is kept
     # for the reconstruction.
-    ta = new_tracker(0)
+    tr = new_tracker()
     tprev = [0] * (n + 1)
     for i in range(n + 1):
-        ta.append(i)
-        tprev[i] = ta.theta()
+        tr.append(i)
+        tprev[i] = tr.theta()
     rows_J: list[list[int]] = [[0] * (n + 1)]
     row_incr = [0]
-    sink_moves = ta.sink_moves
+    sink_moves = tr.sink_moves
 
     for _q in range(2, k + 1):
-        ta = new_tracker(0)
-        tb = new_tracker(1)
+        tr = new_tracker()
         tq = [0] * (n + 1)
         jq = [0] * (n + 1)
         jc = 0
         for i in range(n + 1):
-            ta.append(i)
-            if i:
-                tb.append(i)
-            fc = ta.theta()
+            tr.append(i)
+            fc = tr.theta()
             cur = fc if jc == 0 else max(tprev[jc - 1], fc)
-            while jc < i:
-                fn = tb.theta()
+            # w(jc+1, i) <= w(jc, i) <= cur, so the next split is no worse
+            # exactly when tprev[jc] <= cur.
+            while jc < i and tprev[jc] <= cur:
+                tr.drop_left()
+                fc = tr.theta()
                 tp = tprev[jc]
-                nxt = tp if tp >= fn else fn
-                if nxt <= cur:
-                    ta.drop_left()
-                    tb.drop_left()
-                    jc += 1
-                    cur = nxt
-                else:
-                    break
+                jc += 1
+                cur = tp if tp >= fc else fc
             tq[i] = cur
             jq[i] = jc
         tprev = tq
         rows_J.append(jq)
-        row_incr.append(ta.drops + tb.drops)
-        sink_moves += ta.sink_moves + tb.sink_moves
+        row_incr.append(tr.drops)
+        sink_moves += tr.sink_moves
 
     value = tprev[n]
 

@@ -1,4 +1,4 @@
-"""Command-line interface: generate, solve, verify, bench."""
+"""Command-line interface: generate, solve, verify."""
 
 from __future__ import annotations
 
@@ -178,29 +178,6 @@ def test_int64_overflow_instance_exits_2(tmp_path, capsys):
     assert "int64 headroom" in capsys.readouterr().err
 
 
-def test_bench_emits_json_lines(capsys):
-    rc = run_cli("bench", "--algo", "optk", "--n-list", "8,12", "--k-list",
-                 "1,2", "--seed", "5")
-    out = capsys.readouterr().out
-    assert rc == 0
-    lines = [ln for ln in out.splitlines() if ln.strip()]
-    assert len(lines) == 4
-    for ln in lines:
-        rec = json.loads(ln)
-        assert rec["algo"] == "optk"
-        assert rec["n"] in (8, 12)
-        assert rec["k"] in (1, 2)
-        assert "value" in rec and "wall_ms" in rec and "counters" in rec
-
-
-def test_bench_mmr(capsys):
-    rc = run_cli("bench", "--algo", "mmr-bs", "--n-list", "8", "--k-list", "2")
-    out = capsys.readouterr().out
-    assert rc == 0
-    rec = json.loads(out.splitlines()[0])
-    assert rec["algo"] == "mmr-bs"
-
-
 def test_console_entry_point_runs():
     res = run_cli_subprocess("--help")
     assert res.returncode == 0
@@ -256,17 +233,6 @@ def test_plan_rejects_non_integer(tmp_path, inst_path, capsys, field, value):
     capsys.readouterr()
     assert run_cli("verify", inst_path, plan_path) == 2
     assert f"{field} must be an integer" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("args, message", [
-    (["--n-list", "3", "--w-max", "0"], "--w-max must be >= 1"),
-    (["--n-list=-3,2"], "--n-list entries must be >= 0"),
-], ids=["w_max", "n_list"])
-def test_bench_rejects_bad_args(capsys, args, message):
-    assert run_cli("bench", "--algo", "optk", "--k-list", "1", *args) == 2
-    captured = capsys.readouterr()
-    assert message in captured.err
-    assert captured.out == ""
 
 
 DEEP = "[" * 100_000 + "]" * 100_000

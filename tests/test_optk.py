@@ -88,7 +88,7 @@ def test_counters_bounded_linearly():
         n = inst.n
         assert len(res.counters["j_increments_per_row"]) == k
         for inc in res.counters["j_increments_per_row"]:
-            assert inc <= 2 * n
+            assert inc <= n
         assert res.counters["sink_moves"] <= 3 * k * (n + 1)
 
 
@@ -104,7 +104,7 @@ def test_value_non_increasing_in_k():
 
 
 def _fast_tracker(inst, s, cm):
-    return _FastTracker(inst, s, cm == CostModel.DISCRETE, 0, _prefix_weights(s))
+    return _FastTracker(inst, s, cm == CostModel.DISCRETE, _prefix_weights(s))
 
 
 @pytest.mark.parametrize("make", [SubpathTracker, _fast_tracker],
@@ -129,3 +129,116 @@ def test_tracker_window_matches_direct_eval(make):
             tr.drop_left()
             want, _ = optimal_one_sink(inst, s, j + 1, n, cm)
             assert tr.theta() == want, ("shrink", inst, s, cm, j)
+
+
+def _two_tracker_reference(inst, s, k, cm):
+    """The DP row loop with a second tracker on [j+1, i] that probes w(j+1, i)
+    before each split advance; returns (value, plan, increments per row,
+    sink moves)."""
+    n = inst.n
+    pw = _prefix_weights(s)
+    fast = cm == CostModel.SIMPLIFIED or inst.capacity == 1
+
+    def new_tracker():
+        if fast:
+            return _FastTracker(inst, s, cm == CostModel.DISCRETE, pw)
+        return SubpathTracker(inst, s, cm, pw)
+
+    ta = new_tracker()
+    tprev = []
+    for i in range(n + 1):
+        ta.append(i)
+        tprev.append(ta.theta())
+    rows_J = [[0] * (n + 1)]
+    row_incr = [0]
+    sink_moves = ta.sink_moves
+    for _q in range(2, k + 1):
+        ta, tb = new_tracker(), new_tracker()
+        tb.append(0)
+        tb.drop_left()  # tb now tracks the empty subpath starting at 1
+        tq, jq = [0] * (n + 1), [0] * (n + 1)
+        jc = 0
+        for i in range(n + 1):
+            ta.append(i)
+            if i:
+                tb.append(i)
+            cur = ta.theta() if jc == 0 else max(tprev[jc - 1], ta.theta())
+            while jc < i:
+                nxt = max(tprev[jc], tb.theta())
+                if nxt > cur:
+                    break
+                ta.drop_left()
+                tb.drop_left()
+                jc += 1
+                cur = nxt
+            tq[i], jq[i] = cur, jc
+        tprev = tq
+        rows_J.append(jq)
+        row_incr.append(ta.drops + tb.drops - 1)
+        sink_moves += ta.sink_moves + tb.sink_moves
+    bounds, sinks = [], []
+    i = n
+    for q in range(k, 0, -1):
+        j = rows_J[q - 1][i]
+        bounds.append(i)
+        sinks.append(optimal_one_sink(inst, s, j, i, cm)[1])
+        i = j - 1
+    plan = Plan(tuple(reversed(bounds)), tuple(reversed(sinks)))
+    return tprev[n], plan, row_incr, sink_moves
+
+
+def test_one_tracker_rows_match_two_tracker_reference():
+    rng = random.Random(25)
+    for trial in range(300):
+        n = rng.randint(0, 30)
+        if trial % 3 == 0:
+            # few distinct weights and gaps, so that ties are common
+            inst = rand_instance(rng, n, w_max=2, gap_max=1, taus=(1, 2, 3))
+        else:
+            inst = rand_instance(rng, n, taus=(1, 2, 3))
+        s = rand_scenario(rng, inst)
+        k = rng.randint(1, n + 1)
+        for cm in (CostModel.DISCRETE, CostModel.SIMPLIFIED):
+            want_v, want_plan, want_incr, want_moves = _two_tracker_reference(
+                inst, s, k, cm)
+            res = solve_optimal_k_sink(inst, s, k, cm)
+            assert res.value == want_v, (inst, s, k, cm)
+            assert res.plan.boundaries == want_plan.boundaries, (inst, s, k, cm)
+            assert res.plan.sinks == want_plan.sinks, (inst, s, k, cm)
+            assert res.counters["sink_moves"] <= want_moves
+            incr = res.counters["j_increments_per_row"]
+            assert len(incr) == len(want_incr) == k
+            assert all(a <= b for a, b in zip(incr, want_incr)), (incr, want_incr)
+
+
+def _prefix(inst, s, j):
+    """Instance and scenario restricted to the vertices [0, j-1]."""
+    sub = PathInstance(inst.coords[:j], inst.wminus[:j], inst.wplus[:j],
+                       capacity=inst.capacity, tau=inst.tau)
+    return sub, Scenario(s.weights[:j])
+
+
+def test_last_part_starts_at_rightmost_optimal_split():
+    rng = random.Random(26)
+    for trial in range(200):
+        n = rng.randint(1, 9)
+        if trial % 2 == 0:
+            inst = rand_instance(rng, n, w_max=2, gap_max=1, taus=(1, 2, 3))
+        else:
+            inst = rand_instance(rng, n, taus=(1, 2, 3))
+        s = rand_scenario(rng, inst)
+        cm = rng.choice([CostModel.DISCRETE, CostModel.SIMPLIFIED])
+        for k in range(2, min(5, n + 1) + 1):
+            # f(j): best plan whose last part is [j, n]; the prefix [0, j-1]
+            # needs at least k-1 vertices.
+            f = {}
+            for j in range(k - 1, n + 1):
+                head, _ = brute_optimal_k_sink(*_prefix(inst, s, j), k - 1, cm)
+                f[j] = max(head, optimal_one_sink(inst, s, j, n, cm)[0])
+            best = min(f.values())
+            j_star = max(j for j, v in f.items() if v == best)
+            res = solve_optimal_k_sink(inst, s, k, cm)
+            assert res.value == best, (inst, s, k, cm)
+            assert res.plan.boundaries[-2] + 1 == j_star, (inst, s, k, cm)
+            assert res.counters["j_increments_per_row"][-1] == (
+                res.plan.boundaries[-2] + 1)
