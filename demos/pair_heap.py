@@ -5,13 +5,15 @@ A max-heap for ceil(W/c) + L costs under uniform shifts
 The k-sink dynamic program repeatedly asks: over all vertices currently in a
 part, what is the largest ceil(weight-ahead / capacity) + distance-cost?
 As the part slides, every weight-ahead and every distance shifts by the same
-amount — so the heap supports AddW / AddL bulk shifts in (amortized)
-logarithmic time instead of rebuilding.
+amount — so the heap supports AddW / AddL bulk shifts in O(1) instead of
+rebuilding.
 
 Internally, pairs are grouped by weight residue modulo the capacity: within
-a residue class the order never changes under shifts, and a shift only
-re-ranks the O(1) classes whose ceiling rounds over a boundary — found in a
-small balanced tree.
+a residue class the order never changes under shifts.  A shift only moves
+the threshold residue at which the ceiling rounds up by one more, so a max
+tree over the residues, read once at that threshold, gives the answer.
+Inserts and deletes rewrite one leaf-to-root path of that tree, at most
+ceil(log2 c) + 1 nodes; shifts touch none.
 
 This demo drives it against a naive recompute-everything mirror.
 """
@@ -32,11 +34,11 @@ print(f"max is handle {top} at cost {cost}")
 assert (cost, top) == (6, a)
 
 h.add_w(2)  # everyone gains 2 weight: costs 7 and 6
-print(f"after AddW(2): max cost {h.max_cost()}")
-assert h.max_cost() == 7
+print(f"after AddW(2): max cost {h.max_entry()[0]}")
+assert h.max_entry()[0] == 7
 
 h.add_l(3)  # everyone gains 3 distance-cost
-assert h.max_cost() == 10
+assert h.max_entry()[0] == 10
 
 h.delete(a)
 assert h.max_entry()[0] == ceil_div(4, 2) + 7
@@ -77,7 +79,8 @@ for c in (1, 3, 8):
             heap.add_w(op[1])
         else:
             heap.add_l(op[1])
-        answers.append(heap.max_cost())
+        entry = heap.max_entry()
+        answers.append(None if entry is None else entry[0])
         peak_touches = max(peak_touches, heap.last_op_tree_touches)
 
     assert answers == naive_biheap_mirror(ops, c)

@@ -90,14 +90,12 @@ def solve_minmax_regret_dp(inst: PathInstance, k: int) -> MmrResult:
         inc = 0
         for i in range(q - 1, n + 1):
             cur = max(int(prev[jc - 1]), int(R[jc, i]))
-            while jc < i:
-                nxt = max(int(prev[jc]), int(R[jc + 1, i]))
-                if nxt <= cur:
-                    jc += 1
-                    cur = nxt
-                    inc += 1
-                else:
-                    break
+            # R[jc+1, i] <= R[jc, i] <= cur, so the next split is no worse
+            # exactly when M(q-1, jc) <= cur.
+            while jc < i and prev[jc] <= cur:
+                jc += 1
+                inc += 1
+                cur = max(int(prev[jc - 1]), int(R[jc, i]))
             M[q, i] = cur
             argJ[q, i] = jc
         increments.append(inc)

@@ -313,7 +313,7 @@ def solve_optimal_k_sink(
     k: int,
     cm: str = CostModel.DISCRETE,
 ) -> OptKResult:
-    """Optimal k-sink plan for a fixed scenario; O(k n log n)."""
+    """Optimal k-sink plan for a fixed scenario; O(k n (log n + log c))."""
     CostModel.check(cm)
     violations = validate_instance(inst)
     if violations:

@@ -50,11 +50,13 @@ def replay(ops, c: int):
             h.add_w(op[1])
         else:
             h.add_l(op[1])
-        out.append(h.max_cost())
+        entry = h.max_entry()
+        out.append(None if entry is None else entry[0])
     return out
 
 
-@pytest.mark.parametrize("c", [1, 2, 3, 7, 16])
+# 2**40 + 3: negative w_abs puts labels at deep right leaves of the tree.
+@pytest.mark.parametrize("c", [1, 2, 3, 5, 7, 16, 1000, 2**40 + 3])
 def test_matches_mirror_after_every_op(c):
     rng = random.Random(1000 + c)
     for seed in range(4):
@@ -74,17 +76,16 @@ def test_shift_example():
     h = BiHeap(2)
     h.insert(1, 5)
     h.insert(2, 4)
-    assert h.max_cost() == 6  # ceil(1/2)+5 = 6, ceil(2/2)+4 = 5
+    assert h.max_entry()[0] == 6  # ceil(1/2)+5 = 6, ceil(2/2)+4 = 5
     h.add_w(2)  # weights 3 and 4
-    assert h.max_cost() == 7  # ceil(3/2)+5 = 7, ceil(4/2)+4 = 6
+    assert h.max_entry()[0] == 7  # ceil(3/2)+5 = 7, ceil(4/2)+4 = 6
     h.add_l(3)
-    assert h.max_cost() == 10
+    assert h.max_entry()[0] == 10
 
 
 def test_empty_heap():
     h = BiHeap(3)
     assert h.max_entry() is None
-    assert h.max_cost() is None
     assert len(h) == 0
 
 
@@ -118,21 +119,27 @@ def test_counters_present():
 
 
 def test_tree_touch_counter_logarithmic():
-    # Root-path refreshes touch O(log size) nodes per operation.
+    # Inserts and deletes refresh at most one leaf-to-root path of the label
+    # tree, whose depth is ceil(log2 c); shifts touch no tree node.
     rng = random.Random(77)
     c = 7
     h = BiHeap(c)
+    bound = (c - 1).bit_length() + 1
     handles = []
     for i in range(512):
         handles.append(h.insert(rng.randint(0, 10_000), rng.randint(0, 500)))
-    size = len(h)
-    bound = 16 * (size.bit_length() + 2)
+        assert h.last_op_tree_touches <= bound
     for _ in range(300):
         r = rng.random()
         if r < 0.4 and handles:
             h.delete(handles.pop(rng.randrange(len(handles))))
-        elif r < 0.8:
+            assert h.last_op_tree_touches <= bound
+        elif r < 0.6:
             h.add_w(rng.randint(-20, 40))
+            assert h.last_op_tree_touches == 0
+        elif r < 0.8:
+            h.add_l(rng.randint(-20, 40))
+            assert h.last_op_tree_touches == 0
         else:
             handles.append(h.insert(rng.randint(0, 10_000), rng.randint(0, 500)))
-        assert h.last_op_tree_touches <= bound
+            assert h.last_op_tree_touches <= bound

@@ -60,22 +60,27 @@ def test_input_validation():
         optimal_k_sink(UNIT, UNIT_S, 4)
 
 
+# Large capacities spread BiHeap labels over deeper label trees.
+CAPACITY_SETS = (((1, 2, 3), 0), ((7, 16, 1000), 100))
+
+
 def test_matches_brute_force_small():
-    rng = random.Random(21)
-    for _ in range(120):
-        inst = rand_instance(rng, rng.randint(0, 9))
-        s = rand_scenario(rng, inst)
-        k = rng.randint(1, min(3, inst.n + 1))
-        for cm in (CostModel.DISCRETE, CostModel.SIMPLIFIED):
-            want, _ = brute_optimal_k_sink(inst, s, k, cm)
-            got, plan = optimal_k_sink(inst, s, k, cm)
-            assert got == want, (inst, s, k, cm)
-            # the returned plan actually achieves the value
-            worst = max(
-                eval_one_sink(inst, s, l, r, y, cm)
-                for (l, r), y in zip(plan.parts(), plan.sinks)
-            )
-            assert worst == got
+    for capacities, seed_shift in CAPACITY_SETS:
+        rng = random.Random(21 + seed_shift)
+        for _ in range(120):
+            inst = rand_instance(rng, rng.randint(0, 9), capacities=capacities)
+            s = rand_scenario(rng, inst)
+            k = rng.randint(1, min(3, inst.n + 1))
+            for cm in (CostModel.DISCRETE, CostModel.SIMPLIFIED):
+                want, _ = brute_optimal_k_sink(inst, s, k, cm)
+                got, plan = optimal_k_sink(inst, s, k, cm)
+                assert got == want, (inst, s, k, cm)
+                # the returned plan actually achieves the value
+                worst = max(
+                    eval_one_sink(inst, s, l, r, y, cm)
+                    for (l, r), y in zip(plan.parts(), plan.sinks)
+                )
+                assert worst == got
 
 
 def test_counters_bounded_linearly():
@@ -110,25 +115,28 @@ def _fast_tracker(inst, s, cm):
 @pytest.mark.parametrize("make", [SubpathTracker, _fast_tracker],
                          ids=["SubpathTracker", "_FastTracker"])
 def test_tracker_window_matches_direct_eval(make):
-    rng = random.Random(24)
-    for _ in range(40):
-        inst = rand_instance(rng, rng.randint(1, 10))
-        s = rand_scenario(rng, inst)
-        cm = rng.choice([CostModel.DISCRETE, CostModel.SIMPLIFIED])
-        if make is _fast_tracker and cm == CostModel.DISCRETE:
-            # the fast tracker's discrete model is the unit-capacity one
-            inst = PathInstance(inst.coords, inst.wminus, inst.wplus, tau=inst.tau)
-        tr = make(inst, s, cm)
-        n = inst.n
-        # grow to the full path, then shrink from the left
-        for i in range(n + 1):
-            tr.append(i)
-            want, _ = optimal_one_sink(inst, s, 0, i, cm)
-            assert tr.theta() == want, ("grow", inst, s, cm, i)
-        for j in range(n):
-            tr.drop_left()
-            want, _ = optimal_one_sink(inst, s, j + 1, n, cm)
-            assert tr.theta() == want, ("shrink", inst, s, cm, j)
+    # the fast tracker ignores capacity, so only the BiHeap tracker needs more
+    sets = CAPACITY_SETS if make is SubpathTracker else CAPACITY_SETS[:1]
+    for capacities, seed_shift in sets:
+        rng = random.Random(24 + seed_shift)
+        for _ in range(40):
+            inst = rand_instance(rng, rng.randint(1, 10), capacities=capacities)
+            s = rand_scenario(rng, inst)
+            cm = rng.choice([CostModel.DISCRETE, CostModel.SIMPLIFIED])
+            if make is _fast_tracker and cm == CostModel.DISCRETE:
+                # the fast tracker's discrete model is the unit-capacity one
+                inst = PathInstance(inst.coords, inst.wminus, inst.wplus, tau=inst.tau)
+            tr = make(inst, s, cm)
+            n = inst.n
+            # grow to the full path, then shrink from the left
+            for i in range(n + 1):
+                tr.append(i)
+                want, _ = optimal_one_sink(inst, s, 0, i, cm)
+                assert tr.theta() == want, ("grow", inst, s, cm, i)
+            for j in range(n):
+                tr.drop_left()
+                want, _ = optimal_one_sink(inst, s, j + 1, n, cm)
+                assert tr.theta() == want, ("shrink", inst, s, cm, j)
 
 
 def _two_tracker_reference(inst, s, k, cm):
