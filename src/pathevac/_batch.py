@@ -17,6 +17,13 @@ static arrays.
   sink meeting v.
 * **Open-lane bisection.**  ``solve`` binary-searches the answer per lane;
   each round probes only the lanes whose bracket is still open.
+* **Position brackets.**  A larger bound v never moves the greedy's sink or
+  part end left, because a part that starts further right is a subpath and
+  finishes no later.  So ``_bisect`` keeps, per open lane and part, both
+  positions from the lane's last infeasible and last feasible probe, and
+  each inner search of the next probe runs between them, for as many rounds
+  as its widest bracket has bits.  Terms fixed for a lane or for a part are
+  computed once per probe, not once per round.
 * **Anchor brackets.**  A call with at least ``_ANCHOR_MIN_LANES`` lanes
   first solves the windows between grid points ``0, 4, 8, ..`` and ``n+1``
   that its lanes need, then bisects each lane inside the narrow bracket
@@ -40,14 +47,20 @@ NEG = -(1 << 62)
 # int64 headroom.  Write X = max(|x_0|, |x_n|) * tau, the largest |x * tau|;
 # S = sum of w+, which bounds every prefix weight and every sum of deltas
 # delta = w+ - w-; and H = X + S.  The four profile arrays lie in [-H, H];
-# segment maxima, shifted by a delta sum, in [-2H, 2H]; side times, the
-# bisection bounds and their sum, the anchor brackets (OPT + S) and the
-# regret tables of ``regret`` (side time - OPT) within 4H in absolute value.
-# The NEG = -2^62 sentinel of an empty segment is shifted by at most S, and
-# a side time over an empty range adds at most 3H more before it is masked.
-# So H < 2^60 keeps every intermediate within 2^62 + 3 * 2^60 < 2^63, keeps
-# every shifted sentinel (at most NEG + S < -2H) below every real segment
-# maximum, and keeps every regret below the 2^62 sentinel of ``minmax``.
+# segment maxima, shifted by a delta sum, in [-2H, 2H].  A part's offset
+# (pw(pos - 1) on the left, x_t*tau + dp0[t1] on the right) lies in [-H, H],
+# so side times, the bisection bounds and their sum, the greedy's bounds
+# v + offset, side times plus offset, the anchor brackets (OPT + S) and the
+# regret tables of ``regret`` (side time - OPT) lie within 4H in absolute
+# value.  The NEG = -2^62 sentinel of an empty segment is shifted by at most
+# S.  The greedy does not mask an empty side (t == pos or e == t): its side
+# time plus offset is NEG-based, in [NEG - H, NEG + 2H], so it lies below
+# every bound v + offset >= -H and passes, as an empty side must;
+# ``theta_l`` / ``theta_r`` subtract the offset (reaching NEG - 2H) and
+# mask it.  So H < 2^60 keeps every intermediate within 2^62 + 2^61 < 2^63,
+# keeps every shifted sentinel (at most NEG + S < -2H) below every real
+# segment maximum, and keeps every regret below the 2^62 sentinel of
+# ``minmax``.
 INT64_HEADROOM = 1 << 60
 
 # Lane count from which ``solve`` brackets lanes by anchor windows, and the
@@ -90,22 +103,51 @@ class _SparseMax:
         self.flat = st.ravel()
         # Indexed by d = b - a, i.e. by range length d + 1: the row holding
         # windows of length 2^lg(d + 1), and that row's offset minus the
-        # shift 2^lg - 1 from b to the right window's start.  The last entry,
-        # reached through numpy's negative indexing by d = -1, serves every
-        # empty range: row 0, read at a and at b + 1.
-        lg = np.zeros(n + 1, dtype=np.int64)
+        # shift 2^lg - 1 from b to the right window's start.  The n + 2
+        # entries past n, reached through numpy's negative indexing by every
+        # d in [-(n + 2), -1], serve the empty ranges: row 0, read at a and
+        # at b + 1.
+        lg = np.zeros(2 * n + 2, dtype=np.int64)
         for j in range(1, levels):
             lg[(1 << j) - 1:n] += 1
         self.row = (lg + 1) * width
         self.row_right = self.row - (np.left_shift(np.int64(1), lg) - 1)
-        self.row[n] = 0
-        self.row_right[n] = 1
+        self.row[n:] = 0
+        self.row_right[n:] = 1
 
     def query(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Elementwise max over [a, b]; NEG where a > b."""
-        d = np.maximum(b - a, -1)
+        d = b - a
         flat = self.flat
         return np.maximum(flat[self.row[d] + a], flat[self.row_right[d] + b])
+
+
+def _largest(lo, hi, test):
+    """Per lane, the largest m in [lo, hi] passing ``test``, which holds on
+    [lo, m] and fails past m.  Runs as many rounds as the widest bracket
+    has bits."""
+    for _ in range(int(np.max(hi - lo, initial=0)).bit_length()):
+        m = (lo + hi + 1) >> 1
+        ok = test(m)
+        lo = np.where(ok, m, lo)
+        hi = np.where(ok, hi, m - 1)
+    return lo
+
+
+class _Lanes:
+    """Terms of the side-time formulas fixed for each lane (t1, t2)."""
+
+    __slots__ = ("t1", "t2", "t1m", "t2m", "t1p", "t2p", "d1", "dd")
+
+    def __init__(self, dp0, t1, t2):
+        self.t1 = t1
+        self.t2 = t2
+        self.t1m = t1 - 1
+        self.t2m = t2 - 1
+        self.t1p = t1 + 1
+        self.t2p = t2 + 1
+        self.d1 = dp0[t1]
+        self.dd = dp0[t2] - self.d1
 
 
 class ScenarioBatchEngine:
@@ -134,93 +176,139 @@ class ScenarioBatchEngine:
         self.stA2 = _SparseMax(pm0[1:] + dp0[1:] - xt)
         self.stB1 = _SparseMax(xt - pm0[:-1])
         self.stB2 = _SparseMax(xt - pm0[:-1] - dp0[:-1])
-        self._rounds = max(1, (n + 1).bit_length())
 
-    # -- scenario-parameterized primitives (all arguments are int64 arrays) --
+    # -- side times -------------------------------------------------------------
+    #
+    # Lane (t1, t2) takes w+ on [t1, t2), so its prefix weight through z is
+    # pm0[z + 1] + dp0[clip(z + 1, t1, t2)] - dp0[t1], and a range maximum
+    # of either profile splits at t1 and t2 into three static queries.  The
+    # terms fixed for a lane (``_Lanes``) or for a part (``_left_part``,
+    # ``_right_part``) are computed once.  A part's last term is its offset:
+    # ``_left_raw`` / ``_right_raw`` return the side time plus that offset,
+    # so the greedy compares them with v + offset.  An empty side (t == pos,
+    # e == t) passes every such bound (see the int64 headroom note);
+    # ``theta_l`` / ``theta_r`` mask it to 0.
 
-    def _pw(self, z, t1, t2):
-        """Prefix weight through vertex z (z may be -1) under scenario (t1, t2)."""
-        zc = np.clip(z, t1 - 1, t2 - 1)
-        return self.pm0[z + 1] + self.dp0[zc + 1] - self.dp0[t1]
+    def _left_part(self, pos, ln):
+        """Left-side terms fixed for a part starting at ``pos``; the offset
+        is its prefix weight through pos - 1."""
+        pw = self.pm0[pos] + self.dp0[np.minimum(np.maximum(pos, ln.t1), ln.t2)] - ln.d1
+        return pos, np.maximum(pos, ln.t1), np.maximum(pos, ln.t2), pw
 
-    def _rmax_a(self, a, b, t1, t2):
-        s1 = self.stA1.query(a, np.minimum(b, t1 - 1))
-        s2 = self.stA2.query(np.maximum(a, t1), np.minimum(b, t2 - 1)) - self.dp0[t1]
-        s3 = self.stA1.query(np.maximum(a, t2), b) + (self.dp0[t2] - self.dp0[t1])
-        return np.maximum(np.maximum(s1, s2), s3)
+    def _left_raw(self, t, part, ln):
+        """Left-side time of sink ``t`` plus the offset of ``part``."""
+        a, a1, a2, _ = part
+        b = t - 1
+        s1 = self.stA1.query(a, np.minimum(b, ln.t1m))
+        s2 = self.stA2.query(a1, np.minimum(b, ln.t2m)) - ln.d1
+        s3 = self.stA1.query(a2, b) + ln.dd
+        return self.xt[t] + np.maximum(np.maximum(s1, s2), s3)
 
-    def _rmax_b(self, a, b, t1, t2):
-        s1 = self.stB1.query(a, np.minimum(b, t1))
-        s2 = self.stB2.query(np.maximum(a, t1 + 1), np.minimum(b, t2)) + self.dp0[t1]
-        s3 = self.stB1.query(np.maximum(a, t2 + 1), b) - (self.dp0[t2] - self.dp0[t1])
-        return np.maximum(np.maximum(s1, s2), s3)
+    def _right_part(self, t, ln):
+        """Right-side terms fixed for sink ``t``; the offset is x_t*tau + dp0[t1]."""
+        a = t + 1
+        return a, np.maximum(a, ln.t1p), np.maximum(a, ln.t2p), self.xt[t] + ln.d1
+
+    def _right_raw(self, e, part, ln):
+        """Right-side time for the part ending at ``e`` plus the offset of ``part``."""
+        a, a1, a2, _ = part
+        s1 = self.stB1.query(a, np.minimum(e, ln.t1))
+        s2 = self.stB2.query(a1, np.minimum(e, ln.t2)) + ln.d1
+        s3 = self.stB1.query(a2, e) - ln.dd
+        z = e + 1
+        pw = self.pm0[z] + self.dp0[np.minimum(np.maximum(z, ln.t1), ln.t2)]
+        return pw + np.maximum(np.maximum(s1, s2), s3)
 
     def theta_l(self, pos, t, t1, t2):
         """Left-side time of sink t for the part starting at pos (0 if t == pos)."""
-        rm = self._rmax_a(pos, t - 1, t1, t2)
-        val = self.xt[t] + rm - self._pw(pos - 1, t1, t2)
-        return np.where(t > pos, val, 0)
+        ln = _Lanes(self.dp0, t1, t2)
+        part = self._left_part(pos, ln)
+        return np.where(t > pos, self._left_raw(t, part, ln) - part[3], 0)
 
     def theta_r(self, t, e, t1, t2):
         """Right-side time of sink t for the part ending at e (0 if e == t)."""
-        rm = self._rmax_b(t + 1, e, t1, t2)
-        val = self._pw(e, t1, t2) - self.xt[t] + rm
-        return np.where(e > t, val, 0)
+        ln = _Lanes(self.dp0, t1, t2)
+        part = self._right_part(t, ln)
+        return np.where(e > t, self._right_raw(e, part, ln) - part[3], 0)
 
     # -- solver ---------------------------------------------------------------
 
-    def _feasible(self, k, v, t1, t2):
-        """Per lane: can k parts each finish within v?  (greedy extension)."""
+    def _feasible(self, v, t1, t2, low, high, idx):
+        """Per lane: can k parts each finish within v?  (greedy extension)
+
+        The records ``low`` and ``high`` hold one column per part, min(k,
+        n + 1) of them: ``low[:, q, idx]`` and ``high[:, q, idx]`` bracket
+        part q's sink and end (rows 0 and 1) from below and above (see
+        ``_bisect``).  Returns the per-lane answer and those positions,
+        shape (2, parts, lanes); a part past the last one reads n.
+        """
         n = self.n
-        size = v.shape[0]
-        pos = np.zeros(size, dtype=np.int64)
-        full_n = np.full(size, n, dtype=np.int64)
-        for _ in range(min(k, n + 1)):
-            active = pos <= n
-            posc = np.where(active, pos, n)
-            # Largest sink t with left side within v (t = posc always works).
-            tlo = posc.copy()
-            thi = full_n.copy()
-            for _r in range(self._rounds):
-                m = (tlo + thi + 1) >> 1
-                ok = self.theta_l(posc, m, t1, t2) <= v
-                tlo = np.where(ok, m, tlo)
-                thi = np.where(ok, thi, m - 1)
-            tl = tlo
-            # Largest part end e whose best sink min(e, tl) meets v on the right.
-            elo = posc.copy()
-            ehi = full_n.copy()
-            for _r in range(self._rounds):
-                m = (elo + ehi + 1) >> 1
-                tp = np.minimum(m, tl)
-                ok = self.theta_r(tp, m, t1, t2) <= v
-                elo = np.where(ok, m, elo)
-                ehi = np.where(ok, ehi, m - 1)
-            pos = np.where(active, elo + 1, pos)
-        return pos > n
+        ln = _Lanes(self.dp0, t1, t2)
+        at = np.empty((2, low.shape[1], v.shape[0]), dtype=low.dtype)
+        pos = np.zeros(v.shape[0], dtype=np.int64)
+        for q in range(low.shape[1]):
+            pos = np.minimum(pos, n)
+            tl = self._last_sink(pos, v, ln, low[0, q, idx], high[0, q, idx])
+            e = self._last_end(tl, v, ln, low[1, q, idx], high[1, q, idx])
+            at[0, q] = tl
+            at[1, q] = e
+            pos = e + 1
+        return pos > n, at
+
+    def _last_sink(self, pos, v, ln, low, high):
+        """Largest sink t in [max(pos, low), high] whose left side, for the
+        part starting at pos, is within v (t = pos always is)."""
+        part = self._left_part(pos, ln)
+        cap = v + part[3]
+        lo = np.maximum(pos, low)
+        return _largest(lo, np.maximum(lo, high),
+                        lambda m: self._left_raw(m, part, ln) <= cap)
+
+    def _last_end(self, tl, v, ln, low, high):
+        """Largest part end e in [max(tl, low), high] whose best sink
+        min(e, tl) meets v on the right: every e <= tl does, and past tl the
+        sink is tl."""
+        part = self._right_part(tl, ln)
+        cap = v + part[3]
+        lo = np.maximum(tl, low)
+        return _largest(lo, np.maximum(lo, high),
+                        lambda m: self._right_raw(m, part, ln) <= cap)
 
     def _upper(self, t1, t2):
         """A feasible time for every lane: the span's travel time plus all weight."""
         n = self.n
-        return (self.xt[n] - self.xt[0]) + self._pw(np.full(t1.shape[0], n), t1, t2)
+        return (self.xt[n] - self.xt[0]) + self.pm0[n + 1] + (self.dp0[t2] - self.dp0[t1])
 
     def _bisect(self, k, t1, t2, lo, hi):
         """Per lane, the least feasible time in [lo, hi] (hi must be feasible).
 
-        Each round probes only the lanes whose bracket is still open.  Works
-        on ``lo`` and ``hi`` in place and returns ``lo``.
+        Each round probes only the lanes whose bracket is still open.  Per
+        open lane and part it keeps the greedy's sink and part end from the
+        lane's last infeasible probe (``low``) and last feasible one
+        (``high``): a larger bound never moves either position left, so the
+        next probe searches between them.  Works on ``lo`` and ``hi`` in
+        place and returns ``lo``.
         """
-        idx = np.flatnonzero(lo < hi)
-        while idx.size:
+        open_ = np.flatnonzero(lo < hi)
+        shape = (2, min(k, self.n + 1), open_.size)
+        kind = np.min_scalar_type(-self.n - 1)  # narrowest signed int for 0..n
+        low = np.zeros(shape, dtype=kind)
+        high = np.full(shape, self.n, dtype=kind)
+        sel = np.arange(open_.size)
+        while sel.size:
+            idx = open_[sel]
             a = lo[idx]
             b = hi[idx]
             v = (a + b) >> 1
-            ok = self._feasible(k, v, t1[idx], t2[idx])
+            ok, at = self._feasible(v, t1[idx], t2[idx], low, high, sel)
+            high[:, :, sel[ok]] = at[:, :, ok]
+            low[:, :, sel[~ok]] = at[:, :, ~ok]
+            del at  # before the next probe allocates its own
             a = np.where(ok, a, v + 1)
             b = np.where(ok, v, b)
             lo[idx] = a
             hi[idx] = b
-            idx = idx[a < b]
+            sel = sel[a < b]
         return lo
 
     def _anchor_brackets(self, k, t1, t2):

@@ -203,12 +203,12 @@ def max_regret_of_plan(
     elif cache.k != plan.k:
         raise ValueError(f"cache built for k={cache.k}, plan has k={plan.k}")
     _require_cache_for(inst, cache)
-    t1 = np.array([d.t1 for _, d in cands], dtype=np.int64)
-    t2 = np.array([d.t2 for _, d in cands], dtype=np.int64)
-    cache.ensure(t1, t2)
     violations = validate_plan(inst, plan)
     if violations:
         raise ValueError("; ".join(violations))
+    t1 = np.array([d.t1 for _, d in cands], dtype=np.int64)
+    t2 = np.array([d.t2 for _, d in cands], dtype=np.int64)
+    cache.ensure(t1, t2)
     # Per candidate lane, the plan time: the max over parts of both side
     # times of the part's sink (all positive, so 0 is a neutral start).
     eng = cache._batch_engine()

@@ -22,6 +22,7 @@ from pathevac.model import (
 from pathevac.optk import optimal_k_sink
 from pathevac.oracle import brute_rji_matrix
 from pathevac.regret import (
+    _UNSET,
     build_lookup_tables,
     build_scenario_opt_cache,
     compute_rji,
@@ -39,6 +40,15 @@ def unit_interval_instance():
 
 def mk_uncertain(rng: random.Random, n: int, w_max: int = 8) -> PathInstance:
     return rand_instance(rng, n, w_max=w_max, capacities=(1,), taus=(1, 2))
+
+
+def mk_interval(rng: random.Random, n: int) -> PathInstance:
+    """Random instance with about a fifth of its weights point intervals."""
+    coords = sorted(rng.sample(range(4 * n + 2), n + 1))
+    wminus = [rng.randint(1, 9) for _ in range(n + 1)]
+    wplus = [lo if rng.random() < 0.2 else lo + rng.randint(1, 8) for lo in wminus]
+    return PathInstance(tuple(coords), tuple(wminus), tuple(wplus),
+                        capacity=rng.randint(1, 3), tau=rng.randint(1, 3))
 
 
 # -- cache -------------------------------------------------------------------
@@ -87,6 +97,51 @@ def test_anchor_path_equals_plain_chunks(monkeypatch):
             want, _ = optimal_k_sink(inst, realize_scenario(inst, d), k,
                                      CostModel.SIMPLIFIED)
             assert full[idx] == want, (k, d)
+
+
+def test_anchor_path_on_every_call_equals_reference_engine(monkeypatch):
+    """Complete fills with anchor brackets on every call, however few its
+    lanes, equal the per-scenario DP."""
+    monkeypatch.setattr(_batch, "_ANCHOR_MIN_LANES", 1)
+    rng = random.Random(60)
+    for _ in range(100):
+        n = rng.randint(0, 25)
+        inst = mk_interval(rng, n)
+        k = rng.randint(1, n + 1)
+        a = build_scenario_opt_cache(inst, k, engine="batch")
+        b = build_scenario_opt_cache(inst, k, engine="reference")
+        assert np.array_equal(a.values, b.values), (inst, k)
+
+
+@settings(deadline=None, max_examples=40)
+@given(data=st.data())
+def test_greedy_positions_monotone_in_bound(data):
+    """The fact behind the position brackets: per lane and part, the greedy's
+    sink and part end at bound v are at most those at v + 1.  Probing v + 1
+    inside the brackets that v and v + 2 give changes nothing."""
+    n = data.draw(st.integers(0, 12))
+    inst = mk_interval(random.Random(data.draw(st.integers(0, 2**32 - 1))), n)
+    k = data.draw(st.integers(1, n + 1))
+    eng = ScenarioBatchEngine(inst)
+    t1, t2 = (a.astype(np.int64) for a in np.triu_indices(n + 2))
+    lanes = np.arange(t1.size)
+    free_low = np.zeros((2, min(k, n + 1), t1.size), dtype=np.int32)
+    free_high = np.full_like(free_low, n)
+
+    def probe(v, low=free_low, high=free_high):
+        return eng._feasible(np.full(t1.size, v, dtype=np.int64), t1, t2,
+                             low, high, lanes)
+
+    for v in data.draw(st.lists(st.integers(0, int(eng._upper(t1, t2).max())),
+                                min_size=1, max_size=4)):
+        runs = [probe(v + i) for i in range(3)]
+        for ok, at in runs:
+            assert np.all(at[0] <= at[1])
+        for (ok0, at0), (ok1, at1) in zip(runs, runs[1:]):
+            assert np.all(at0 <= at1), v
+            assert np.all(ok0 <= ok1), v
+        ok, at = probe(v + 1, runs[0][1], runs[2][1])
+        assert np.array_equal(ok, runs[1][0]) and np.array_equal(at, runs[1][1]), v
 
 
 @settings(deadline=None, max_examples=40)
@@ -279,11 +334,7 @@ def test_max_regret_matches_per_candidate_loop():
     rng = random.Random(57)
     for trial in range(320):
         n = rng.randint(0, 14)
-        coords = sorted(rng.sample(range(4 * n + 2), n + 1))
-        wminus = [rng.randint(1, 9) for _ in range(n + 1)]
-        wplus = [lo if rng.random() < 0.2 else lo + rng.randint(1, 8) for lo in wminus]
-        inst = PathInstance(tuple(coords), tuple(wminus), tuple(wplus),
-                            capacity=rng.randint(1, 3), tau=rng.randint(1, 3))
+        inst = mk_interval(rng, n)
         k = rng.randint(1, n + 1)
         plan = rand_plan(rng, inst, k)
         engine = "reference" if trial % 4 == 0 else "batch"
@@ -301,6 +352,8 @@ def test_max_regret_rejects_sink_outside_part():
     cache = build_scenario_opt_cache(inst, 2, fill="lazy")
     with pytest.raises(ValueError, match="sink of part 0 lies outside the part"):
         max_regret_of_plan(inst, Plan((2, 6), (3, 4)), cache)
+    # the plan is rejected before any scenario optimum is solved
+    assert np.all(cache.values == _UNSET)
 
 
 def test_max_regret_rejects_mismatched_cache():
