@@ -50,17 +50,22 @@ NEG = -(1 << 62)
 # segment maxima, shifted by a delta sum, in [-2H, 2H].  A part's offset
 # (pw(pos - 1) on the left, x_t*tau + dp0[t1] on the right) lies in [-H, H],
 # so side times, the bisection bounds and their sum, the greedy's bounds
-# v + offset, side times plus offset, the anchor brackets (OPT + S) and the
-# regret tables of ``regret`` (side time - OPT) lie within 4H in absolute
-# value.  The NEG = -2^62 sentinel of an empty segment is shifted by at most
-# S.  The greedy does not mask an empty side (t == pos or e == t): its side
-# time plus offset is NEG-based, in [NEG - H, NEG + 2H], so it lies below
-# every bound v + offset >= -H and passes, as an empty side must;
-# ``theta_l`` / ``theta_r`` subtract the offset (reaching NEG - 2H) and
-# mask it.  So H < 2^60 keeps every intermediate within 2^62 + 2^61 < 2^63,
-# keeps every shifted sentinel (at most NEG + S < -2H) below every real
-# segment maximum, and keeps every regret below the 2^62 sentinel of
-# ``minmax``.
+# v + offset, side times plus offset and the anchor brackets (OPT + S) lie
+# within 4H in absolute value.  The NEG = -2^62 sentinel of an empty
+# segment is shifted by at most S.  The greedy does not mask an empty side
+# (t == pos or e == t): its side time plus offset is NEG-based, in
+# [NEG - H, NEG + 2H], so it lies below every bound v + offset >= -H and
+# passes, as an empty side must; ``theta_l`` / ``theta_r`` subtract the
+# offset (reaching NEG - 2H) and mask it.  The regret tables of ``regret``
+# take running maxima of the profile arrays over non-empty ranges only, so
+# no NEG enters them.  With side times and OPT in [0, 2H], each running
+# maximum there (a profile entry, or its running maximum, minus OPT, plus
+# at most a prefix sum or one more profile entry) lies in [-4H, 2H], each
+# offset (x_t*tau and a prefix sum) in [-H, H], and each table value
+# (side time - OPT) in [-2H, 2H].  So H < 2^60 keeps every intermediate
+# within 2^62 + 2^61 < 2^63, keeps every shifted sentinel (at most NEG + S
+# < -2H) below every real segment maximum, and keeps every regret below the
+# 2^62 sentinel of ``minmax``.
 INT64_HEADROOM = 1 << 60
 
 # Lane count from which ``solve`` brackets lanes by anchor windows, and the

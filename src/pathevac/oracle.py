@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from typing import Optional, Sequence
 
-from .evac import ceil_div, eval_one_sink
+from .evac import eval_one_sink
 from .model import CostModel, PathInstance, Plan, Scenario
 
 __all__ = [
@@ -259,6 +259,10 @@ def naive_biheap_mirror(ops: Sequence[tuple], c: int) -> list[Optional[int]]:
     ("addw", w) and ("addl", l) applied eagerly to every live pair.  The
     answer after each op is max(ceil(W/c) + L) over live pairs, or None when
     empty.  Deleting a dead or unknown id raises ValueError.
+
+    Each answer rescans every live pair, with the ceiling written inline as
+    ceil(W/c) = -floor(-W/c): the rescan is most of the mirror's time, and
+    a function call per pair made the mirror a third slower.
     """
     if c < 1:
         raise ValueError("capacity must be >= 1")
@@ -283,7 +287,7 @@ def naive_biheap_mirror(ops: Sequence[tuple], c: int) -> list[Optional[int]]:
         else:
             raise ValueError(f"unknown op: {op!r}")
         if pairs:
-            answers.append(max(ceil_div(w, c) + l for w, l in pairs.values()))
+            answers.append(max(l - (-w // c) for w, l in pairs.values()))
         else:
             answers.append(None)
     return answers

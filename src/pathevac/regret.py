@@ -16,8 +16,8 @@ Main pieces:
   side times, optima from the cache).
 * :class:`EvacLookupTables` / :func:`build_lookup_tables` — three O(n^2)
   tables into which the worst-case regret of every part and sink
-  separates, built from the cache's values and its batch engine's side
-  times.
+  separates, built in O(n^2) time from running maxima over the cache's
+  values and the batch engine's static profile arrays.
 * :func:`compute_rji` — the matrix R[j, i] of minimal worst-case regrets of
   single-sink subpaths [j, i], with the minimizing sink per cell: the
   regret of part [l, r] with sink t is max(A[l, t], rminus[t, r] - v[0, 0]),
@@ -252,40 +252,81 @@ class EvacLookupTables:
 def build_lookup_tables(inst: PathInstance, cache: ScenarioOptCache) -> EvacLookupTables:
     """Build :class:`EvacLookupTables` from a scenario-optimum cache.
 
-    Completes the cache, then evaluates every side time with the cache's
-    batch engine: one call for ``rminus``, one per part start l for ``A``
-    and one per sink t for ``B``, so that no call has more lanes than the
-    cache's complete fill.
+    Completes the cache, then fills each row of ``rminus`` and ``A`` and
+    each column of ``B`` with a few running maxima (``np.maximum.accumulate``)
+    over the four static profile arrays behind the batch engine's range
+    maxima: O(n^2) work in O(n) numpy calls, with O(n) extra memory.
+
+    Write v for the cache values, xt = x*tau, pm0 and dp0 for the prefix
+    sums of w- and of w+ - w- (pm0[z] and dp0[z] sum vertices below z), and
+
+        a1 = pm0[1:] - xt,   a2 = a1 + dp0[1:],
+        b1 = xt - pm0[:-1],  b2 = b1 - dp0[:-1].
+
+    Lane (l, m) takes w+ on [l, m), so the left profile of the part starting
+    at l is a2[z] - dp0[l] for z < m and a1[z] + dp0[m] - dp0[l] for z >= m,
+    and the left side time of sink t > l is
+
+        theta_l(l, t, l, m) = xt[t] - pm0[l] - dp0[l]
+                              + max(max a2[l..m-1], dp0[m] + max a1[m..t-1]).
+
+    The first range is empty at m = l and the second at m = t, so for
+    t > l, A[l, t] - (xt[t] - pm0[l] - dp0[l]) is the larger of
+
+        T1[t] = max over m in [l+1, t] of max a2[l..m-1] - v[l, m],
+        T2[t] = max over z in [l, t-1] of a1[z] + max over m in [l, z] of
+                (dp0[m] - v[l, m]),
+
+    both prefix maxima along row l; A[l, l] = theta_l(l, l, l, l) - v[l, l]
+    = -v[l, l].  Mirrored, lane (m, r+1) for m in [t+1, r] gives the right
+    side time of sink t < r
+
+        theta_r(t, r, m, r+1) = pm0[r+1] + dp0[r+1] - xt[t]
+                                + max(max b1[t+1..m] - dp0[m], max b2[m..r]),
+
+    so B[t, r] - (pm0[r+1] + dp0[r+1] - xt[t]) is the larger of
+
+        max over z in [t+1, r] of b1[z] + max over m in [z, r] of
+            (-dp0[m] - v[m, r+1]),
+        max over m in [t+1, r] of max b2[m..r] - v[m, r+1],
+
+    both suffix maxima along column r + 1 of v.  Lane (0, 0) takes all
+    lower bounds: rminus[t, r] = pm0[r+1] - xt[t] + max b1[t+1..r] for
+    t < r, a prefix maximum along row t.  Every range maximum is over a
+    non-empty range, so no NEG sentinel enters a table, and only the cells
+    the tables define are written.
     """
     _require_cache_for(inst, cache)
     cache.complete()
     v = cache.values
     eng = cache._batch_engine()
-    size = inst.n + 1
+    xt, pm0, dp0 = eng.xt, eng.pm0, eng.dp0
+    n = inst.n
+    size = n + 1
+    a1 = pm0[1:] - xt
+    a2 = a1 + dp0[1:]
+    b1 = xt - pm0[:-1]
+    b2 = b1 - dp0[:-1]
+    acc = np.maximum.accumulate
     rminus, A, B = (np.zeros((size, size), dtype=np.int64) for _ in range(3))
 
-    lo, hi = np.triu_indices(size)
-    zero = np.zeros_like(lo)
-    rminus[lo, hi] = eng.theta_r(lo, hi, zero, zero)
-
-    # Lanes (row, col) with col <= row, in row order: the first
-    # span(span+1)/2 of them cover rows 0..span-1, and row i starts at i(i+1)/2.
-    row, col = np.tril_indices(size)
-    starts = np.arange(size) * np.arange(1, size + 1) // 2
+    for t in range(n):
+        rminus[t, t + 1 :] = pm0[t + 2 :] - xt[t] + acc(b1[t + 1 :])
+    # Row l: index i of the running maxima is sink t = l + 1 + i, and also
+    # m = l + 1 + i in T1 and z = l + i in T2.
     for l in range(size):
-        span = size - l
-        lanes = span * (span + 1) // 2
-        t, m = l + row[:lanes], l + col[:lanes]
-        pos = np.full(lanes, l, dtype=np.int64)
-        A[l, l:] = np.maximum.reduceat(eng.theta_l(pos, t, pos, m) - v[l, m], starts[:span])
-    for t in range(size - 1):
-        span = size - 1 - t
-        lanes = span * (span + 1) // 2
-        r, m = t + 1 + row[:lanes], t + 1 + col[:lanes]
-        sink = np.full(lanes, t, dtype=np.int64)
-        B[t, t + 1 :] = np.maximum.reduceat(
-            eng.theta_r(sink, r, m, r + 1) - v[m, r + 1], starts[:span]
-        )
+        A[l, l] = -v[l, l]
+        row = v[l, l:size]
+        T1 = acc(a2[l:n]) - row[1:]
+        T2 = a1[l:n] + acc(dp0[l:n] - row[:-1])
+        A[l, l + 1 :] = xt[l + 1 :] - (pm0[l] + dp0[l]) + acc(np.maximum(T1, T2))
+    # Column r, read from r down: index j is m = z = r - j, and after the
+    # suffix maximum and its reversal, index t of the result is sink t.
+    for r in range(1, size):
+        col = v[r:0:-1, r + 1]
+        near = b1[r:0:-1] + acc(-dp0[r:0:-1] - col)
+        far = acc(b2[r:0:-1]) - col
+        B[:r, r] = (pm0[r + 1] + dp0[r + 1]) - xt[:r] + acc(np.maximum(near, far))[::-1]
     return EvacLookupTables(rminus=rminus, A=A, B=B)
 
 

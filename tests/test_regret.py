@@ -285,6 +285,102 @@ def test_tables_match_definition():
             assert np.array_equal(getattr(tables, name), table), name
 
 
+def _side_time_tables(inst, cache):
+    """The lookup tables by direct evaluation of every side time they
+    maximise over: n^3/6 batch-engine lanes each for ``A`` and ``B``, one
+    call per part start l (``A``) and per sink t (``B``)."""
+    cache.complete()
+    v = cache.values
+    eng = ScenarioBatchEngine(inst)
+    size = inst.n + 1
+    rminus, A, B = (np.zeros((size, size), dtype=np.int64) for _ in range(3))
+    lo, hi = np.triu_indices(size)
+    zero = np.zeros_like(lo)
+    rminus[lo, hi] = eng.theta_r(lo, hi, zero, zero)
+    # Lanes (row, col) with col <= row, in row order: the first
+    # span(span+1)/2 of them cover rows 0..span-1, and row i starts at i(i+1)/2.
+    row, col = np.tril_indices(size)
+    starts = np.arange(size) * np.arange(1, size + 1) // 2
+    for l in range(size):
+        span = size - l
+        lanes = span * (span + 1) // 2
+        t, m = l + row[:lanes], l + col[:lanes]
+        pos = np.full(lanes, l, dtype=np.int64)
+        A[l, l:] = np.maximum.reduceat(eng.theta_l(pos, t, pos, m) - v[l, m], starts[:span])
+    for t in range(size - 1):
+        span = size - 1 - t
+        lanes = span * (span + 1) // 2
+        r, m = t + 1 + row[:lanes], t + 1 + col[:lanes]
+        sink = np.full(lanes, t, dtype=np.int64)
+        B[t, t + 1:] = np.maximum.reduceat(
+            eng.theta_r(sink, r, m, r + 1) - v[m, r + 1], starts[:span]
+        )
+    return {"rminus": rminus, "A": A, "B": B}
+
+
+def _assert_tables_equal(got, want, label):
+    for name, table in want.items():
+        assert np.array_equal(getattr(got, name), table), (name, label)
+
+
+def test_tables_match_side_time_build():
+    """The running-maxima tables equal the side-time build cell for cell,
+    also on caches whose values are arbitrary rather than optima."""
+    rng = random.Random(61)
+    for it in range(200):
+        n = rng.randint(0, 40)
+        inst = mk_interval(rng, n)
+        if it % 10 == 0:  # all point intervals
+            inst = PathInstance(inst.coords, inst.wminus, inst.wminus,
+                                inst.capacity, inst.tau)
+        cache = build_scenario_opt_cache(inst, rng.randint(1, n + 1))
+        if it % 5 == 1:
+            # Optima satisfy v[l, m] <= v[l, m + 1] <= v[l, m] + delta_m; the
+            # tables' identities must not lean on that.
+            top = int(cache.values.max())
+            cache.values[:] = [[rng.randint(0, top) for _ in row] for row in cache.values]
+        _assert_tables_equal(build_lookup_tables(inst, cache),
+                             _side_time_tables(inst, cache), (inst, cache.k))
+    # the perfbench mmr shape: gaps 1-10, w- in [1, 50], w+ = w- + [0, 50]
+    n = 120
+    coords = [0]
+    for _ in range(n):
+        coords.append(coords[-1] + rng.randint(1, 10))
+    wminus = [rng.randint(1, 50) for _ in range(n + 1)]
+    wplus = [lo + rng.randint(0, 50) for lo in wminus]
+    inst = PathInstance(tuple(coords), tuple(wminus), tuple(wplus), capacity=1, tau=2)
+    cache = build_scenario_opt_cache(inst, 5)
+    _assert_tables_equal(build_lookup_tables(inst, cache),
+                         _side_time_tables(inst, cache), "mmr shape")
+
+
+def test_tables_at_int64_headroom():
+    """With max|x| * tau + sum(w+) just below 2^60, and coordinates and
+    weights both near it, the tables still equal the side-time build, on a
+    cache equal to the per-scenario DP's."""
+    rng = random.Random(62)
+    for it in range(24):
+        n = rng.randint(1, 6)
+        tau = rng.randint(1, 3)
+        share = (1 << 59) // (n + 1)
+        wminus = [rng.randint(1, share // 2) for _ in range(n + 1)]
+        wplus = [lo if rng.random() < 0.2 else lo + rng.randint(1, share // 2)
+                 for lo in wminus]
+        far = (_batch.INT64_HEADROOM - 1 - rng.randint(0, 1000) - sum(wplus)) // tau
+        xs = sorted(rng.sample(range(1, far), n))
+        xs = [-far] + [x - far for x in xs] if it % 2 else xs + [far]
+        inst = PathInstance(tuple(xs), tuple(wminus), tuple(wplus),
+                            capacity=rng.randint(1, 3), tau=tau)
+        reach = max(abs(xs[0]), abs(xs[-1])) * tau + sum(wplus)
+        assert _batch.INT64_HEADROOM - 2000 - tau < reach < _batch.INT64_HEADROOM
+        k = rng.randint(1, n + 1)
+        cache = build_scenario_opt_cache(inst, k)
+        assert np.array_equal(cache.values,
+                              build_scenario_opt_cache(inst, k, engine="reference").values)
+        _assert_tables_equal(build_lookup_tables(inst, cache),
+                             _side_time_tables(inst, cache), (inst, k))
+
+
 # -- plan regret ---------------------------------------------------------------
 
 
