@@ -70,6 +70,7 @@ for c in (1, 3, 8):
     answers = []
     peak_touches = 0
     for op in ops:
+        touched = heap.counters["tree_nodes_touched"]
         if op[0] == "insert":
             ids[nid] = heap.insert(op[1], op[2])
             nid += 1
@@ -81,10 +82,12 @@ for c in (1, 3, 8):
             heap.add_l(op[1])
         entry = heap.max_entry()
         answers.append(None if entry is None else entry[0])
-        peak_touches = max(peak_touches, heap.last_op_tree_touches)
+        touched = heap.counters["tree_nodes_touched"] - touched
+        peak_touches = max(peak_touches, touched)
 
     assert answers == naive_biheap_mirror(ops, c)
+    inserts = sum(op[0] == "insert" for op in ops)
+    shifts = sum(op[0] == "addw" for op in ops)
     print(f"c={c}: {len(ops)} mixed ops match the naive mirror exactly "
-          f"({heap.counters['inserts']} inserts, "
-          f"{heap.counters['addw']} weight shifts, "
+          f"({inserts} inserts, {shifts} weight shifts, "
           f"at most {peak_touches} tree nodes touched per op)")

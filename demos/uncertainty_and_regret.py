@@ -25,7 +25,6 @@ from pathevac import (
     build_lookup_tables,
     build_scenario_opt_cache,
     compute_rji,
-    enumerate_global_candidates,
     enumerate_partition_candidates,
     eval_plan,
     eval_side,
@@ -50,8 +49,9 @@ print(f"n={n}; weight intervals like {list(zip(wminus, wplus))[:4]} ...")
 
 # --- the candidate scenarios -------------------------------------------------------
 
-cands = enumerate_global_candidates(inst)
-print(f"\n{len(cands)} global candidate scenarios "
+# one per window 0 <= t1 <= t2 <= n+1: the upper triangle of an (n+2)^2 grid
+t1s, t2s = np.triu_indices(n + 2)
+print(f"\n{t1s.size} global candidate scenarios "
       f"(= (n+2)(n+3)/2 = {(n + 2) * (n + 3) // 2})")
 d = ScenarioDescriptor(3, 7)
 s = realize_scenario(inst, d)
@@ -62,9 +62,8 @@ print(f"candidate {tuple(d)} realizes to weights {s.weights}")
 k = 3
 cache = build_scenario_opt_cache(inst, k)  # batch engine over all candidates
 # values[t1, t2] holds the optimum of candidate (t1, t2), for t1 <= t2
-v = cache.values[np.triu_indices(n + 2)]
+v = cache.values[t1s, t2s]
 print(f"\noptimal {k}-sink time per candidate: min {int(v.min())}, max {int(v.max())}")
-assert cache.get((0, 0)) == int(cache.values[0, 0])
 
 # --- regret of one concrete plan -----------------------------------------------------
 
@@ -72,11 +71,11 @@ plan = Plan(boundaries=(4, 9, n), sinks=(2, 7, 11))
 r = regret_of_plan(inst, plan, s)  # the plan's time minus a fresh k-sink optimum
 print(f"\nplan parts {plan.parts()}, sinks {plan.sinks}")
 print(f"regret under candidate {tuple(d)}: {r}")
-assert r == eval_plan(inst, s, plan, CostModel.SIMPLIFIED)[0] - cache.get(d)
+assert r == eval_plan(inst, s, plan, CostModel.SIMPLIFIED)[0] - cache.values[d.t1, d.t2]
 
 value, witness = max_regret_of_plan(inst, plan, cache)
 print(f"worst-case regret {value}, attained by candidate {tuple(witness)}")
-per_part = enumerate_partition_candidates(inst, plan)
+per_part = enumerate_partition_candidates(inst, plan.boundaries)
 print(f"(checked {len(per_part)} part-anchored candidates, not the full box)")
 ws = realize_scenario(inst, witness)
 assert regret_of_plan(inst, plan, ws) == value
@@ -92,7 +91,7 @@ print(f"\nright-side time of sink 0 for each part end, all lower bounds: "
 t_sink = 6
 worst_left = max(
     eval_side(inst, realize_scenario(inst, ScenarioDescriptor(0, m)), 0, t_sink,
-              t_sink, Side.LEFT, CostModel.SIMPLIFIED).time - cache.get((0, m))
+              t_sink, Side.LEFT, CostModel.SIMPLIFIED).time - cache.values[0, m]
     for m in range(t_sink + 1)
 )
 print(f"A[0, {t_sink}] = {int(tables.A[0, t_sink])}")

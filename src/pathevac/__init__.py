@@ -47,14 +47,11 @@ from .model import (
 from .optk import (
     OptKResult,
     SubpathTracker,
-    optimal_k_sink,
     optimal_one_sink,
     solve_optimal_k_sink,
 )
 from .minmax import (
     MmrResult,
-    minmax_regret_bs,
-    minmax_regret_dp,
     solve_minmax_regret_bs,
     solve_minmax_regret_dp,
 )
@@ -74,7 +71,7 @@ from .regret import (
     max_regret_of_plan,
     regret_of_plan,
 )
-from .scenario_gen import enumerate_global_candidates, enumerate_partition_candidates
+from .scenario_gen import enumerate_partition_candidates
 
 __version__ = "0.1.0"
 

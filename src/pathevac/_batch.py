@@ -164,8 +164,7 @@ class ScenarioBatchEngine:
         x = np.asarray(inst.coords, dtype=np.int64)
         wm = np.asarray(inst.wminus, dtype=np.int64)
         wp = np.asarray(inst.wplus, dtype=np.int64)
-        tau = int(inst.tau)
-        xt = x * tau
+        xt = x * inst.tau
         pm0 = np.zeros(n + 2, dtype=np.int64)
         pm0[1:] = np.cumsum(wm)
         dp0 = np.zeros(n + 2, dtype=np.int64)
@@ -177,10 +176,15 @@ class ScenarioBatchEngine:
         # Left profile A_s(z) = (scenario prefix weight through z) - x_z*tau and
         # right profile B_s(z) = x_z*tau - (prefix weight through z-1), each
         # expressed via two static arrays (all-lower / all-upper-so-far).
-        self.stA1 = _SparseMax(pm0[1:] - xt)
-        self.stA2 = _SparseMax(pm0[1:] + dp0[1:] - xt)
-        self.stB1 = _SparseMax(xt - pm0[:-1])
-        self.stB2 = _SparseMax(xt - pm0[:-1] - dp0[:-1])
+        # ``regret.build_lookup_tables`` reads the arrays too.
+        self.a1 = pm0[1:] - xt
+        self.a2 = self.a1 + dp0[1:]
+        self.b1 = xt - pm0[:-1]
+        self.b2 = self.b1 - dp0[:-1]
+        self.stA1 = _SparseMax(self.a1)
+        self.stA2 = _SparseMax(self.a2)
+        self.stB1 = _SparseMax(self.b1)
+        self.stB2 = _SparseMax(self.b2)
 
     # -- side times -------------------------------------------------------------
     #

@@ -30,6 +30,10 @@ then to the smallest handle.  Costs, for m pairs under one label:
   add_l      O(1): moves lbar, touches no tree node
   max_entry  depth + 1 sibling reads on the leaf-to-root path at the threshold
 
+``counters`` keeps two running totals of that work: ``tree_nodes_touched``
+(tree nodes rewritten by inserts and deletes) and ``heap_pops`` (dead tops
+popped by deletes).  The tree holds its root exactly while a pair is live.
+
 With c == 1 every pair has label 0 and the tree is a single leaf.  The k-sink
 DP does not build a BiHeap for unit capacity: ``optk._FastTracker`` keeps
 plain heaps there.
@@ -59,17 +63,7 @@ class BiHeap:
         self._heaps: dict[int, list[tuple[int, int]]] = {}
         self._tree: dict[int, tuple[int, int, int]] = {}
         self._label: list[Optional[int]] = []  # per handle; None once deleted
-        self._live = 0
-        self.counters = {
-            "inserts": 0,
-            "deletes": 0,
-            "addw": 0,
-            "addl": 0,
-            "heap_pushes": 0,
-            "heap_pops": 0,
-            "tree_nodes_touched": 0,
-        }
-        self.last_op_tree_touches = 0
+        self.counters = {"heap_pops": 0, "tree_nodes_touched": 0}
 
     def _refresh(self, label: int) -> None:
         """Rewrite the tree path from `label`'s leaf to the root."""
@@ -89,11 +83,7 @@ class BiHeap:
             else:
                 tree[node] = best
             touched += 1
-        self.last_op_tree_touches = touched
         self.counters["tree_nodes_touched"] += touched
-
-    def __len__(self) -> int:
-        return self._live
 
     def insert(self, W: int, L: int) -> int:
         """Add a pair with current W value W and L value L; returns a handle."""
@@ -102,17 +92,12 @@ class BiHeap:
         key = wa // self.c + L - self.lbar
         slot = len(self._label)
         self._label.append(label)
-        self._live += 1
-        self.counters["inserts"] += 1
-        self.counters["heap_pushes"] += 1
         heap = self._heaps.get(label)
         if heap is None:
             heap = self._heaps[label] = []
         heapq.heappush(heap, (-key, slot))
         if heap[0][1] == slot:
             self._refresh(label)
-        else:
-            self.last_op_tree_touches = 0
         return slot
 
     def delete(self, handle: int) -> None:
@@ -125,11 +110,8 @@ class BiHeap:
             raise ValueError(f"stale or unknown handle: {handle!r}")
         label = self._label[handle]
         self._label[handle] = None
-        self._live -= 1
-        self.counters["deletes"] += 1
         heap = self._heaps[label]
         if heap[0][1] != handle:
-            self.last_op_tree_touches = 0
             return
         while heap and self._label[heap[0][1]] is None:
             heapq.heappop(heap)
@@ -141,20 +123,16 @@ class BiHeap:
     def add_w(self, w: int) -> None:
         """Add w to the W of every pair (w may be negative)."""
         self.wbar += w
-        self.counters["addw"] += 1
-        self.last_op_tree_touches = 0
 
     def add_l(self, l: int) -> None:
         """Add l to the L of every pair (l may be negative)."""
         self.lbar += l
-        self.counters["addl"] += 1
-        self.last_op_tree_touches = 0
 
     def max_entry(self) -> Optional[tuple[int, int]]:
         """(best current cost, handle attaining it), or None when empty."""
-        if self._live == 0:
-            return None
         tree = self._tree
+        if 1 not in tree:
+            return None
         q, r = divmod(self.wbar - 1, self.c)
         if r == 0:
             best, bump = tree[1], 0

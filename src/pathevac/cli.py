@@ -30,7 +30,6 @@ from .model import (
     Scenario,
     load_instance,
     load_plan,
-    require_int,
     save_instance,
     save_plan,
     scenario_within_bounds,
@@ -82,7 +81,7 @@ def _scenario_from_args(inst: PathInstance, args) -> Optional[Scenario]:
         try:
             with open(args.scenario, "r", encoding="utf-8") as f:
                 obj = json.load(f)
-            s = Scenario(tuple(require_int(v, "w") for v in obj["w"]))
+            s = Scenario(obj["w"])
         except _BAD_FILE as exc:
             print(f"cannot read scenario {args.scenario}: {exc}", file=sys.stderr)
             return None

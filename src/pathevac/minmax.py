@@ -3,19 +3,20 @@
 Two independent solvers compute a plan minimizing worst-case regret over the
 candidate scenario set:
 
-* :func:`minmax_regret_dp` — dynamic programming over part right-ends on top
-  of the precomputed subpath-regret matrix R[j, i] (see
+* :func:`solve_minmax_regret_dp` — dynamic programming over part right-ends
+  on top of the precomputed subpath-regret matrix R[j, i] (see
   :func:`pathevac.regret.compute_rji`).  Row scans exploit that the
   minimizing split point only moves right as the subpath grows, so each DP
   row costs O(n) pointer movement.
-* :func:`minmax_regret_bs` — nested binary search.  The value of an optimal
-  ``i``-part cover of a prefix is non-decreasing in the prefix end, while
-  the regret of the final part is non-increasing in its left end, so the
-  optimal split bracketing can be found by bisection at every level.  Its
-  subpath regrets are computed from scratch (per-scenario evaluation folds),
-  making it a structurally different cross-check for the DP solver.
+* :func:`solve_minmax_regret_bs` — nested binary search.  The value of an
+  optimal ``i``-part cover of a prefix is non-decreasing in the prefix end,
+  while the regret of the final part is non-increasing in its left end, so
+  the optimal split bracketing can be found by bisection at every level.
+  Its subpath regrets are computed from scratch (per-scenario evaluation
+  folds), making it a structurally different cross-check for the DP solver.
 
-Both return exact integer values and concrete plans.
+Both return an :class:`MmrResult`: the exact integer value, a concrete
+plan and the solver's work counters.
 """
 
 from __future__ import annotations
@@ -33,15 +34,13 @@ from .model import (
     ScenarioDescriptor,
     realize_scenario,
 )
-from .optk import optimal_k_sink
+from .optk import solve_optimal_k_sink
 from .regret import build_scenario_opt_cache, compute_rji
 
 __all__ = [
     "MmrResult",
     "solve_minmax_regret_dp",
-    "minmax_regret_dp",
     "solve_minmax_regret_bs",
-    "minmax_regret_bs",
 ]
 
 _POS = np.int64(1 << 62)
@@ -136,12 +135,6 @@ def solve_minmax_regret_dp(inst: PathInstance, k: int) -> MmrResult:
     return MmrResult(value=value, plan=plan, counters=counters)
 
 
-def minmax_regret_dp(inst: PathInstance, k: int) -> tuple[int, Plan]:
-    """Minmax-regret value and plan (dynamic-programming solver)."""
-    res = solve_minmax_regret_dp(inst, k)
-    return res.value, res.plan
-
-
 # ---------------------------------------------------------------------------
 # Nested binary-search solver
 # ---------------------------------------------------------------------------
@@ -165,7 +158,7 @@ def solve_minmax_regret_bs(inst: PathInstance, k: int) -> MmrResult:
         v = opt_memo.get(d)
         if v is None:
             s = realize_scenario(inst, d)
-            v, _ = optimal_k_sink(inst, s, k, CostModel.SIMPLIFIED)
+            v = solve_optimal_k_sink(inst, s, k, CostModel.SIMPLIFIED).value
             counters["opt_scenarios"] += 1
             opt_memo[d] = v
         return v
@@ -240,8 +233,3 @@ def solve_minmax_regret_bs(inst: PathInstance, k: int) -> MmrResult:
     plan = Plan(ends, sinks)
     return MmrResult(value=value, plan=plan, counters=dict(counters))
 
-
-def minmax_regret_bs(inst: PathInstance, k: int) -> tuple[int, Plan]:
-    """Minmax-regret value and plan (nested binary-search solver)."""
-    res = solve_minmax_regret_bs(inst, k)
-    return res.value, res.plan

@@ -10,6 +10,7 @@ integer arithmetic; no floats are used anywhere in the algorithms.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -61,6 +62,26 @@ class InvalidInstanceError(ValueError):
     """Raised when an operation receives an instance that fails validation."""
 
 
+def require_int(value, name: str) -> int:
+    """``value`` as an ``int`` if it is an integer; else ValueError.
+
+    An ``int`` or a numpy integer is accepted (through ``operator.index``);
+    a ``bool``, float or string is not.  The model constructors and the
+    integer fields of the file formats go through this, so a non-integer is
+    rejected instead of being truncated or coerced.
+    """
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _int_tuple(values, name: str) -> tuple[int, ...]:
+    return tuple(require_int(v, name) for v in values)
+
+
 @dataclass(frozen=True)
 class PathInstance:
     """A dynamic path network with interval-uncertain vertex weights.
@@ -79,9 +100,11 @@ class PathInstance:
     tau: int = 1
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coords", tuple(int(v) for v in self.coords))
-        object.__setattr__(self, "wminus", tuple(int(v) for v in self.wminus))
-        object.__setattr__(self, "wplus", tuple(int(v) for v in self.wplus))
+        object.__setattr__(self, "coords", _int_tuple(self.coords, "x"))
+        object.__setattr__(self, "wminus", _int_tuple(self.wminus, "w_min"))
+        object.__setattr__(self, "wplus", _int_tuple(self.wplus, "w_max"))
+        object.__setattr__(self, "capacity", require_int(self.capacity, "capacity"))
+        object.__setattr__(self, "tau", require_int(self.tau, "tau"))
 
     @property
     def n(self) -> int:
@@ -105,10 +128,7 @@ class Scenario:
     weights: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "weights", tuple(int(v) for v in self.weights))
-
-    def __len__(self) -> int:
-        return len(self.weights)
+        object.__setattr__(self, "weights", _int_tuple(self.weights, "w"))
 
 
 class ScenarioDescriptor(NamedTuple):
@@ -136,8 +156,8 @@ class Plan:
     sinks: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "boundaries", tuple(int(v) for v in self.boundaries))
-        object.__setattr__(self, "sinks", tuple(int(v) for v in self.sinks))
+        object.__setattr__(self, "boundaries", _int_tuple(self.boundaries, "r"))
+        object.__setattr__(self, "sinks", _int_tuple(self.sinks, "sink"))
 
     @property
     def k(self) -> int:
@@ -241,17 +261,6 @@ def instance_to_obj(inst: PathInstance) -> dict:
         "capacity": inst.capacity,
         "tau": inst.tau,
     }
-
-
-def require_int(value, name: str) -> int:
-    """``value`` if it is an ``int`` (a ``bool`` is not); else ValueError.
-
-    Integer fields of the file formats go through this, so a float, string
-    or boolean is rejected instead of being truncated or coerced.
-    """
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return value
 
 
 def instance_from_obj(obj: dict) -> PathInstance:

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Optional
 
 from .biheap import BiHeap
 from .evac import eval_all_sinks
@@ -39,7 +38,6 @@ __all__ = [
     "SubpathTracker",
     "OptKResult",
     "optimal_one_sink",
-    "optimal_k_sink",
     "solve_optimal_k_sink",
 ]
 
@@ -68,28 +66,24 @@ def optimal_one_sink(
 
 
 class SubpathTracker:
-    """w(j, i) under append-right / drop-left updates, general cost model.
+    """w(j, i) under append-right / drop-left updates, discrete cost model.
 
-    Keeps two Bi-Heaps: the left heap holds (prefix weight W(j..t), distance)
-    pairs for vertices t < sink, the right heap (suffix weight W(t..i),
-    distance) pairs for t > sink, so each side's evacuation time is that
-    side's max cost (minus 1 in the discrete model; 0 when empty).  Sink
-    probing is commit-and-undo: move right, re-measure, move back if worse.
+    Keeps two Bi-Heaps over the instance's capacity: the left heap holds
+    (prefix weight W(j..t), distance) pairs for vertices t < sink, the right
+    heap (suffix weight W(t..i), distance) pairs for t > sink, so each side's
+    evacuation time is that side's max cost minus 1 (0 when empty).  ``pw``
+    is the scenario's prefix weights (``_prefix_weights``).  Sink probing is
+    commit-and-undo: move right, re-measure, move back if worse.  The DP
+    uses it for capacity >= 2; ``_FastTracker`` covers unit capacity and the
+    simplified model.
     """
 
-    def __init__(
-        self,
-        inst: PathInstance,
-        s: Scenario,
-        cm: str,
-        pw: Optional[list[int]] = None,
-    ):
+    def __init__(self, inst: PathInstance, s: Scenario, pw: list[int]):
         self.x = inst.coords
         self.tau = inst.tau
-        self.c = 1 if cm == CostModel.SIMPLIFIED else inst.capacity
-        self.discrete = cm == CostModel.DISCRETE
+        self.c = inst.capacity
         self.w = s.weights
-        self.pw = pw if pw is not None else _prefix_weights(s)
+        self.pw = pw
         self.j = 0
         self.i = -1
         self.y = 0
@@ -104,11 +98,10 @@ class SubpathTracker:
         """Current w(j, i): best one-sink time of the tracked subpath."""
         if self.j > self.i:
             return 0
-        d = 1 if self.discrete else 0
         ml = self.hl.max_entry()
         mr = self.hr.max_entry()
-        tl = ml[0] - d if ml is not None else 0
-        tr = mr[0] - d if mr is not None else 0
+        tl = ml[0] - 1 if ml is not None else 0
+        tr = mr[0] - 1 if mr is not None else 0
         return tl if tl >= tr else tr
 
     def append(self, v: int) -> None:
@@ -331,7 +324,7 @@ def solve_optimal_k_sink(
     def new_tracker():
         if fast:
             return _FastTracker(inst, s, discrete, pw)
-        return SubpathTracker(inst, s, cm, pw)
+        return SubpathTracker(inst, s, pw)
 
     # Only the previous row of T is kept; every row of split points is kept
     # for the reconstruction.
@@ -389,13 +382,3 @@ def solve_optimal_k_sink(
     }
     return OptKResult(value, plan, counters)
 
-
-def optimal_k_sink(
-    inst: PathInstance,
-    s: Scenario,
-    k: int,
-    cm: str = CostModel.DISCRETE,
-) -> tuple[int, Plan]:
-    """Minimum k-sink evacuation time for scenario s, with an optimal plan."""
-    res = solve_optimal_k_sink(inst, s, k, cm)
-    return res.value, res.plan

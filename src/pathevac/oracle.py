@@ -84,19 +84,12 @@ def _corner_scenarios(inst: PathInstance) -> list[Scenario]:
     return [Scenario(w) for w in itertools.product(*choices)]
 
 
-def brute_minmax_regret(
-    inst: PathInstance,
-    k: int,
-    *,
-    check_structure: bool = False,
-) -> tuple[int, Plan]:
+def brute_minmax_regret(inst: PathInstance, k: int) -> tuple[int, Plan]:
     """Exhaustive minmax regret: min over all plans of max over corner scenarios.
 
     Size-guarded to n <= 8, k <= 3.  Uses the simplified cost model (the
-    regret pipeline's model).  With check_structure=True, additionally
-    verifies for every plan that the corner max equals the max over the
-    structured per-part candidate scenarios, raising AssertionError on
-    mismatch.
+    regret pipeline's model).  A plan's scan over the corners stops as soon
+    as its regret reaches the best value found so far.
     """
     n = inst.n
     if n > 8 or k > 3:
@@ -133,29 +126,6 @@ def brute_minmax_regret(
         for ci in range(nsc)
     ]
 
-    structured: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-    if check_structure:
-        weights_to_ci = {s.weights: ci for ci, s in enumerate(scenarios)}
-        for bounds in partitions:
-            cis = []
-            lo = 0
-            for r in bounds:
-                seen = set()
-                for t1, t2 in itertools.chain(
-                    ((lo, i) for i in range(lo, r + 2)),
-                    ((i, r + 1) for i in range(lo, r + 2)),
-                ):
-                    if (t1, t2) in seen:
-                        continue
-                    seen.add((t1, t2))
-                    w = tuple(
-                        inst.wplus[v] if t1 <= v < t2 else inst.wminus[v]
-                        for v in range(n + 1)
-                    )
-                    cis.append((weights_to_ci[w], 0))
-                lo = r + 1
-            structured[bounds] = cis
-
     best_val: Optional[int] = None
     best_plan: Optional[Plan] = None
     for bounds in partitions:
@@ -167,23 +137,8 @@ def brute_minmax_regret(
                 reg = max(col[ci] for col in cols) - opt[ci]
                 if worst is None or reg > worst:
                     worst = reg
-                if (
-                    not check_structure
-                    and best_val is not None
-                    and worst >= best_val
-                ):
+                if best_val is not None and worst >= best_val:
                     break
-            else:
-                if check_structure:
-                    smax = max(
-                        max(col[ci] for col in cols) - opt[ci]
-                        for ci, _ in structured[bounds]
-                    )
-                    if smax != worst:
-                        raise AssertionError(
-                            f"structured candidate max {smax} != corner max {worst} "
-                            f"for plan {bounds}/{sinks}"
-                        )
             if best_val is None or worst < best_val:
                 best_val = worst
                 best_plan = Plan(bounds, sinks)

@@ -29,7 +29,7 @@ All quantities are exact int64 integers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Optional
 
 import numpy as np
 
@@ -45,7 +45,7 @@ from .model import (
     realize_scenario,
     validate_plan,
 )
-from .optk import optimal_k_sink
+from .optk import solve_optimal_k_sink
 from .scenario_gen import enumerate_partition_candidates
 
 __all__ = [
@@ -70,9 +70,9 @@ _UNSET = np.int64(NEG)
 class ScenarioOptCache:
     """Optimal k-sink times (simplified model), indexed by scenario descriptor.
 
-    Values are computed lazily per descriptor (or in bulk via
-    :meth:`ensure` / :meth:`complete`) and stored in a dense
-    ``(n+2) x (n+2)`` int64 matrix at ``[t1, t2]``.
+    :meth:`ensure` computes the still-missing values of a batch of
+    descriptors and :meth:`complete` those of all of them; ``values`` is the
+    dense ``(n+2) x (n+2)`` int64 matrix that holds each at ``[t1, t2]``.
 
     ``engine="batch"`` uses the vectorized all-scenario solver;
     ``engine="reference"`` runs the per-scenario dynamic program instead,
@@ -107,15 +107,19 @@ class ScenarioOptCache:
         for idx in range(t1a.shape[0]):
             d = ScenarioDescriptor(int(t1a[idx]), int(t2a[idx]))
             s = realize_scenario(self.inst, d)
-            out[idx], _ = optimal_k_sink(self.inst, s, self.k, CostModel.SIMPLIFIED)
+            res = solve_optimal_k_sink(self.inst, s, self.k, CostModel.SIMPLIFIED)
+            out[idx] = res.value
         return out
 
     # -- public API -----------------------------------------------------------
 
     def ensure(self, t1s, t2s) -> None:
-        """Compute any still-missing entries among the given descriptors."""
+        """Compute any still-missing entries among the descriptors
+        (t1s[i], t2s[i]); ``t1s`` and ``t2s`` must have equal shapes."""
         t1a = np.asarray(t1s, dtype=np.int64)
         t2a = np.asarray(t2s, dtype=np.int64)
+        if t1a.shape != t2a.shape:
+            raise ValueError("t1s and t2s must have equal shapes")
         if t1a.size == 0:
             return
         n = self.inst.n
@@ -136,16 +140,6 @@ class ScenarioOptCache:
         n = self.inst.n
         t1a, t2a = np.triu_indices(n + 2)
         self.ensure(t1a, t2a)
-
-    def get(self, d: Union[ScenarioDescriptor, Sequence[int]]) -> int:
-        """Optimal k-sink time for scenario descriptor ``d``."""
-        t1, t2 = int(d[0]), int(d[1])
-        n = self.inst.n
-        if not 0 <= t1 <= t2 <= n + 1:
-            raise ValueError(f"descriptor ({t1}, {t2}) out of range")
-        if self.values[t1, t2] == _UNSET:
-            self.ensure(np.array([t1]), np.array([t2]))
-        return int(self.values[t1, t2])
 
 
 def build_scenario_opt_cache(
@@ -175,8 +169,7 @@ def regret_of_plan(inst: PathInstance, plan: Plan, s: Scenario) -> int:
     time for the same scenario, computed by the fixed-scenario DP.
     """
     time, _ = eval_plan(inst, s, plan, CostModel.SIMPLIFIED)
-    opt, _ = optimal_k_sink(inst, s, plan.k, CostModel.SIMPLIFIED)
-    return time - opt
+    return time - solve_optimal_k_sink(inst, s, plan.k, CostModel.SIMPLIFIED).value
 
 
 def _require_cache_for(inst: PathInstance, cache: ScenarioOptCache) -> None:
@@ -261,7 +254,9 @@ def build_lookup_tables(inst: PathInstance, cache: ScenarioOptCache) -> EvacLook
     sums of w- and of w+ - w- (pm0[z] and dp0[z] sum vertices below z), and
 
         a1 = pm0[1:] - xt,   a2 = a1 + dp0[1:],
-        b1 = xt - pm0[:-1],  b2 = b1 - dp0[:-1].
+        b1 = xt - pm0[:-1],  b2 = b1 - dp0[:-1],
+
+    all six attributes of the batch engine.
 
     Lane (l, m) takes w+ on [l, m), so the left profile of the part starting
     at l is a2[z] - dp0[l] for z < m and a1[z] + dp0[m] - dp0[l] for z >= m,
@@ -301,12 +296,9 @@ def build_lookup_tables(inst: PathInstance, cache: ScenarioOptCache) -> EvacLook
     v = cache.values
     eng = cache._batch_engine()
     xt, pm0, dp0 = eng.xt, eng.pm0, eng.dp0
+    a1, a2, b1, b2 = eng.a1, eng.a2, eng.b1, eng.b2
     n = inst.n
     size = n + 1
-    a1 = pm0[1:] - xt
-    a2 = a1 + dp0[1:]
-    b1 = xt - pm0[:-1]
-    b2 = b1 - dp0[:-1]
     acc = np.maximum.accumulate
     rminus, A, B = (np.zeros((size, size), dtype=np.int64) for _ in range(3))
 
@@ -418,6 +410,6 @@ def compute_rji(
             R[l, r] = cur
             sink[l, r] = t
 
-    counters = {"sink_evals": evals, "sink_moves": moves, "rows": n + 1}
+    counters = {"sink_evals": evals, "sink_moves": moves}
     return RjiMatrix(R=R, sink=sink, counters=counters)
 

@@ -2,59 +2,37 @@
 
 For interval-uncertain weights, the max regret of any plan is attained on a
 small structured family of scenarios: each takes the upper weight bound on one
-index window [t1, t2) and the lower bound everywhere else.  The global family
-enumerates every window over the whole path; the per-partition family keeps,
-for each part [l, r], the windows growing from the part's left end ((l, i))
-and the windows ending at the part's right end ((i, r+1)).
+index window [t1, t2) and lower bounds everywhere else.  Every window over
+the whole path, 0 <= t1 <= t2 <= n+1, is a descriptor of the scenario-optimum
+cache (``regret.ScenarioOptCache.complete`` fills all of them); this module
+enumerates the per-partition family, which keeps, for each part [l, r], the
+windows growing from the part's left end ((l, i)) and the windows ending at
+the part's right end ((i, r+1)).
 """
 
 from __future__ import annotations
 
-from typing import Sequence, Union
+from typing import Sequence
 
-from .model import PathInstance, Plan, ScenarioDescriptor
+from .model import PathInstance, ScenarioDescriptor
 
-__all__ = [
-    "enumerate_global_candidates",
-    "enumerate_partition_candidates",
-]
-
-
-def enumerate_global_candidates(inst: PathInstance) -> list[ScenarioDescriptor]:
-    """All distinct descriptors (t1, t2), 0 <= t1 <= t2 <= n+1.
-
-    Returns exactly (n+2)(n+3)/2 descriptors in lexicographic order.  Distinct
-    descriptors may realize identical weight vectors (every (t, t) is the
-    all-lower scenario); deduplication is by descriptor identity, not by
-    realized content.
-    """
-    n = inst.n
-    return [
-        ScenarioDescriptor(t1, t2)
-        for t1 in range(n + 2)
-        for t2 in range(t1, n + 2)
-    ]
-
-
-def _boundaries_of(plan_parts: Union[Plan, Sequence[int]]) -> tuple[int, ...]:
-    if isinstance(plan_parts, Plan):
-        return plan_parts.boundaries
-    return tuple(int(b) for b in plan_parts)
+__all__ = ["enumerate_partition_candidates"]
 
 
 def enumerate_partition_candidates(
     inst: PathInstance,
-    plan_parts: Union[Plan, Sequence[int]],
+    boundaries: Sequence[int],
 ) -> list[tuple[int, ScenarioDescriptor]]:
     """Per-part candidate descriptors for a partition, as (part_index, d) pairs.
 
+    ``boundaries`` are the partition's part right ends r_1 < ... < r_k = n,
+    as in ``Plan.boundaries``.
     For part d = [l, r]: the left-anchored family {(l, i) : l <= i <= r+1} and
     the right-anchored family {(i, r+1) : l <= i <= r+1}, deduplicated within
     the part by (t1, t2) identity (first occurrence kept, enumeration order
     left family then right family).  The part's max regret over all scenarios
     is attained on this family, so O(n) candidates per part suffice.
     """
-    boundaries = _boundaries_of(plan_parts)
     n = inst.n
     if not boundaries:
         raise ValueError("empty partition")

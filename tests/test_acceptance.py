@@ -12,13 +12,9 @@ import time
 
 from pathevac._batch import ScenarioBatchEngine
 from pathevac.evac import eval_one_sink, eval_plan, simulate_evacuation
-from pathevac.minmax import (
-    minmax_regret_bs,
-    minmax_regret_dp,
-    solve_minmax_regret_dp,
-)
+from pathevac.minmax import solve_minmax_regret_bs, solve_minmax_regret_dp
 from pathevac.model import CostModel, PathInstance, Scenario
-from pathevac.optk import optimal_k_sink, solve_optimal_k_sink
+from pathevac.optk import solve_optimal_k_sink
 from pathevac.oracle import (
     brute_minmax_regret,
     brute_optimal_k_sink,
@@ -144,8 +140,7 @@ def test_criterion_4_candidates_dominate_corners():
             ):
                 s = Scenario(combo)
                 t, _ = eval_plan(inst, s, plan, CostModel.SIMPLIFIED)
-                opt, _ = optimal_k_sink(inst, s, k, CostModel.SIMPLIFIED)
-                reg = t - opt
+                reg = t - solve_optimal_k_sink(inst, s, k, CostModel.SIMPLIFIED).value
                 if corner_best is None or reg > corner_best:
                     corner_best = reg
             assert structured == corner_best, (inst, plan, structured, corner_best)
@@ -205,25 +200,25 @@ def test_criterion_6_minmax_solvers_agree():
                                  capacities=(1,), taus=(1, 2))
             k = rng.randint(1, min(3, inst.n + 1))
             want, _ = brute_minmax_regret(inst, k)
-            dv, dplan = minmax_regret_dp(inst, k)
-            assert dv == want, (inst, k, dv, want)
+            dp = solve_minmax_regret_dp(inst, k)
+            assert dp.value == want, (inst, k, dp.value, want)
             cache = build_scenario_opt_cache(inst, k)
-            rv, _ = max_regret_of_plan(inst, dplan, cache)
-            assert rv == dv
+            rv, _ = max_regret_of_plan(inst, dp.plan, cache)
+            assert rv == dp.value
             small += 1
         medium = 0
         for _ in range(200):
             inst = rand_instance(rng, rng.randint(9, 40), w_max=9,
                                  capacities=(1,), taus=(1, 2))
             k = rng.randint(1, 3)
-            dv, dplan = minmax_regret_dp(inst, k)
-            sv, splan = minmax_regret_bs(inst, k)
-            assert dv == sv, (inst, k, dv, sv)
+            dp = solve_minmax_regret_dp(inst, k)
+            bs = solve_minmax_regret_bs(inst, k)
+            assert dp.value == bs.value, (inst, k, dp.value, bs.value)
             cache = build_scenario_opt_cache(inst, k)
-            rv, _ = max_regret_of_plan(inst, dplan, cache)
-            assert rv == dv
-            rv2, _ = max_regret_of_plan(inst, splan, cache)
-            assert rv2 == sv
+            rv, _ = max_regret_of_plan(inst, dp.plan, cache)
+            assert rv == dp.value
+            rv2, _ = max_regret_of_plan(inst, bs.plan, cache)
+            assert rv2 == bs.value
             medium += 1
         elapsed = time.time() - t0
         detail = f"{small} small vs brute + {medium} medium dp==bs, {elapsed:.1f}s"

@@ -86,7 +86,8 @@ def test_shift_example():
 def test_empty_heap():
     h = BiHeap(3)
     assert h.max_entry() is None
-    assert len(h) == 0
+    h.delete(h.insert(4, 1))
+    assert h.max_entry() is None
 
 
 def test_stale_handle_rejected():
@@ -108,14 +109,15 @@ def test_negative_shifts_match_mirror():
 
 def test_counters_present():
     h = BiHeap(4)
-    h.insert(3, 1)
+    a = h.insert(3, 1)
     h.insert(9, 0)
     h.add_w(5)
     h.add_l(2)
-    for key in ("inserts", "deletes", "addw", "addl"):
-        assert key in h.counters
-    assert h.counters["inserts"] == 2
-    assert h.counters["addw"] == 1
+    assert set(h.counters) == {"tree_nodes_touched", "heap_pops"}
+    # both inserts became their label's top: one leaf-to-root path each
+    assert h.counters["tree_nodes_touched"] == 2 * 3
+    h.delete(a)
+    assert h.counters["heap_pops"] == 1
 
 
 def test_tree_touch_counter_logarithmic():
@@ -125,21 +127,29 @@ def test_tree_touch_counter_logarithmic():
     c = 7
     h = BiHeap(c)
     bound = (c - 1).bit_length() + 1
+
+    def touches(op, *args):
+        before = h.counters["tree_nodes_touched"]
+        out = op(*args)
+        return out, h.counters["tree_nodes_touched"] - before
+
     handles = []
     for i in range(512):
-        handles.append(h.insert(rng.randint(0, 10_000), rng.randint(0, 500)))
-        assert h.last_op_tree_touches <= bound
+        hd, touched = touches(h.insert, rng.randint(0, 10_000), rng.randint(0, 500))
+        handles.append(hd)
+        assert touched <= bound
     for _ in range(300):
         r = rng.random()
         if r < 0.4 and handles:
-            h.delete(handles.pop(rng.randrange(len(handles))))
-            assert h.last_op_tree_touches <= bound
+            _, touched = touches(h.delete, handles.pop(rng.randrange(len(handles))))
+            assert touched <= bound
         elif r < 0.6:
-            h.add_w(rng.randint(-20, 40))
-            assert h.last_op_tree_touches == 0
+            _, touched = touches(h.add_w, rng.randint(-20, 40))
+            assert touched == 0
         elif r < 0.8:
-            h.add_l(rng.randint(-20, 40))
-            assert h.last_op_tree_touches == 0
+            _, touched = touches(h.add_l, rng.randint(-20, 40))
+            assert touched == 0
         else:
-            handles.append(h.insert(rng.randint(0, 10_000), rng.randint(0, 500)))
-            assert h.last_op_tree_touches <= bound
+            hd, touched = touches(h.insert, rng.randint(0, 10_000), rng.randint(0, 500))
+            handles.append(hd)
+            assert touched <= bound

@@ -9,12 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathevac._batch import INT64_HEADROOM
-from pathevac.minmax import (
-    minmax_regret_bs,
-    minmax_regret_dp,
-    solve_minmax_regret_bs,
-    solve_minmax_regret_dp,
-)
+from pathevac.minmax import solve_minmax_regret_bs, solve_minmax_regret_dp
 from pathevac.model import InvalidInstanceError, PathInstance, validate_plan
 from pathevac.oracle import brute_minmax_regret
 from pathevac.regret import ScenarioOptCache, build_scenario_opt_cache, max_regret_of_plan
@@ -29,17 +24,17 @@ def mk_uncertain(rng: random.Random, n: int, w_max: int = 8) -> PathInstance:
 def test_certain_weights_zero_regret():
     inst = PathInstance((0, 2, 3, 7), (2, 1, 3, 1), (2, 1, 3, 1))
     for k in (1, 2, 3, 4):
-        dv, dplan = minmax_regret_dp(inst, k)
-        sv, splan = minmax_regret_bs(inst, k)
-        assert dv == sv == 0
-        assert validate_plan(inst, dplan) == []
-        assert validate_plan(inst, splan) == []
+        dp = solve_minmax_regret_dp(inst, k)
+        bs = solve_minmax_regret_bs(inst, k)
+        assert dp.value == bs.value == 0
+        assert validate_plan(inst, dp.plan) == []
+        assert validate_plan(inst, bs.plan) == []
 
 
 def test_single_vertex():
     inst = PathInstance((0,), (2,), (5,))
-    assert minmax_regret_dp(inst, 1)[0] == 0
-    assert minmax_regret_bs(inst, 1)[0] == 0
+    assert solve_minmax_regret_dp(inst, 1).value == 0
+    assert solve_minmax_regret_bs(inst, 1).value == 0
 
 
 def test_matches_brute_force():
@@ -48,13 +43,13 @@ def test_matches_brute_force():
         inst = mk_uncertain(rng, rng.randint(0, 7), w_max=6)
         k = rng.randint(1, min(3, inst.n + 1))
         want, _ = brute_minmax_regret(inst, k)
-        dv, dplan = minmax_regret_dp(inst, k)
-        sv, splan = minmax_regret_bs(inst, k)
-        assert dv == want, (inst, k)
-        assert sv == want, (inst, k)
+        dp = solve_minmax_regret_dp(inst, k)
+        bs = solve_minmax_regret_bs(inst, k)
+        assert dp.value == want, (inst, k)
+        assert bs.value == want, (inst, k)
         cache = build_scenario_opt_cache(inst, k)
-        assert max_regret_of_plan(inst, dplan, cache)[0] == dv
-        assert max_regret_of_plan(inst, splan, cache)[0] == sv
+        assert max_regret_of_plan(inst, dp.plan, cache)[0] == dp.value
+        assert max_regret_of_plan(inst, bs.plan, cache)[0] == bs.value
 
 
 def test_dp_equals_bs_medium():
@@ -62,17 +57,16 @@ def test_dp_equals_bs_medium():
     for _ in range(15):
         inst = mk_uncertain(rng, rng.randint(8, 25))
         k = rng.randint(1, 3)
-        dv, dplan = minmax_regret_dp(inst, k)
-        sv, _ = minmax_regret_bs(inst, k)
-        assert dv == sv, (inst, k)
-        assert validate_plan(inst, dplan) == []
+        dp = solve_minmax_regret_dp(inst, k)
+        assert dp.value == solve_minmax_regret_bs(inst, k).value, (inst, k)
+        assert validate_plan(inst, dp.plan) == []
 
 
 def test_solvers_are_deterministic():
     rng = random.Random(63)
     inst = mk_uncertain(rng, 15)
-    assert minmax_regret_dp(inst, 3) == minmax_regret_dp(inst, 3)
-    assert minmax_regret_bs(inst, 3) == minmax_regret_bs(inst, 3)
+    assert solve_minmax_regret_dp(inst, 3) == solve_minmax_regret_dp(inst, 3)
+    assert solve_minmax_regret_bs(inst, 3) == solve_minmax_regret_bs(inst, 3)
 
 
 def test_dp_counters_and_no_better_random_plan():
@@ -104,11 +98,11 @@ def test_bs_counters_present():
 def test_k_validation():
     inst = PathInstance((0, 1), (1, 1), (2, 2))
     with pytest.raises(ValueError):
-        minmax_regret_dp(inst, 0)
+        solve_minmax_regret_dp(inst, 0)
     with pytest.raises(ValueError):
-        minmax_regret_dp(inst, 3)
+        solve_minmax_regret_dp(inst, 3)
     with pytest.raises(ValueError):
-        minmax_regret_bs(inst, 3)
+        solve_minmax_regret_bs(inst, 3)
 
 
 @settings(deadline=None, max_examples=60)
@@ -137,7 +131,7 @@ def test_int64_headroom_boundary(data):
 
     below = placed((INT64_HEADROOM - 1 - slack - total) // tau)
     above = placed(-(-(INT64_HEADROOM + slack - total) // tau))
-    assert minmax_regret_dp(below, k)[0] == minmax_regret_bs(below, k)[0]
+    assert solve_minmax_regret_dp(below, k).value == solve_minmax_regret_bs(below, k).value
     with pytest.raises(InvalidInstanceError):
         ScenarioOptCache(above, k)
     with pytest.raises(InvalidInstanceError):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from pathevac.model import (
@@ -58,6 +59,36 @@ def test_require_valid_raises():
     bad = PathInstance((0, 0), (1, 1), (1, 1))
     with pytest.raises(InvalidInstanceError):
         bad.require_valid()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: PathInstance((0, 1.7, 3.2), (1, 1, 1), (1, 1, 1)),
+    lambda: PathInstance((0, 1, 3), (1, 1.5, 1), (1, 2, 1)),
+    lambda: PathInstance((0, 1, 3), (1, 1, 1), (1, 2.0, 1)),
+    lambda: PathInstance((0, 1, 3), (1, 1, 1), (1, 1, 1), capacity=1.5),
+    lambda: PathInstance((0, 1, 3), (1, 1, 1), (1, 1, 1), tau=2.0),
+    lambda: PathInstance((0, 1, 3), (1, 1, 1), (1, 1, 1), capacity=True),
+    lambda: PathInstance((0, True, 3), (1, 1, 1), (1, 1, 1)),
+    lambda: Scenario((1, 2.5)),
+    lambda: Scenario((1, False)),
+    lambda: Plan((0, 1.0), (0, 1)),
+    lambda: Plan((0, 1), (0, 1.9)),
+    lambda: Plan((0, 1), ("0", 1)),
+], ids=["coord", "w_min", "w_max", "capacity", "tau", "capacity-bool", "coord-bool",
+        "weight", "weight-bool", "boundary", "sink", "sink-str"])
+def test_constructors_reject_non_integers(make):
+    # a float is not truncated and a bool is not taken for 0 or 1
+    with pytest.raises(ValueError, match="must be an integer, got"):
+        make()
+
+
+def test_constructors_accept_numpy_integers():
+    inst = PathInstance(np.array([0, 2, 5]), np.array([1, 2, 1]), np.array([3, 2, 4]),
+                        capacity=np.int64(2), tau=np.int32(1))
+    assert inst == GOOD
+    assert all(type(v) is int for v in inst.coords + (inst.capacity, inst.tau))
+    assert Scenario(np.array([1, 2])).weights == (1, 2)
+    assert Plan(np.array([0, 2]), np.array([0, 1])) == Plan((0, 2), (0, 1))
 
 
 def test_cost_model_check():

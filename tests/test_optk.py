@@ -18,7 +18,6 @@ from pathevac.optk import (
     SubpathTracker,
     _FastTracker,
     _prefix_weights,
-    optimal_k_sink,
     optimal_one_sink,
     solve_optimal_k_sink,
 )
@@ -38,26 +37,26 @@ def test_one_sink_examples():
 
 
 def test_two_sinks_example():
-    value, plan = optimal_k_sink(UNIT, UNIT_S, 2, CostModel.SIMPLIFIED)
-    assert value == 2
-    assert plan == Plan((1, 2), (0, 2))
+    res = solve_optimal_k_sink(UNIT, UNIT_S, 2, CostModel.SIMPLIFIED)
+    assert res.value == 2
+    assert res.plan == Plan((1, 2), (0, 2))
 
 
 def test_one_sink_per_vertex_is_free():
-    value, plan = optimal_k_sink(UNIT, UNIT_S, 3, CostModel.SIMPLIFIED)
-    assert value == 0
-    assert plan == Plan((0, 1, 2), (0, 1, 2))
+    res = solve_optimal_k_sink(UNIT, UNIT_S, 3, CostModel.SIMPLIFIED)
+    assert res.value == 0
+    assert res.plan == Plan((0, 1, 2), (0, 1, 2))
 
 
 def test_input_validation():
     with pytest.raises(InvalidInstanceError):
-        optimal_k_sink(PathInstance((0, 0), (1, 1), (1, 1)), Scenario((1, 1)), 1)
+        solve_optimal_k_sink(PathInstance((0, 0), (1, 1), (1, 1)), Scenario((1, 1)), 1)
     with pytest.raises(ValueError):
-        optimal_k_sink(UNIT, Scenario((1, 1)), 1)
+        solve_optimal_k_sink(UNIT, Scenario((1, 1)), 1)
     with pytest.raises(ValueError):
-        optimal_k_sink(UNIT, UNIT_S, 0)
+        solve_optimal_k_sink(UNIT, UNIT_S, 0)
     with pytest.raises(ValueError):
-        optimal_k_sink(UNIT, UNIT_S, 4)
+        solve_optimal_k_sink(UNIT, UNIT_S, 4)
 
 
 # Large capacities spread BiHeap labels over deeper label trees.
@@ -73,7 +72,8 @@ def test_matches_brute_force_small():
             k = rng.randint(1, min(3, inst.n + 1))
             for cm in (CostModel.DISCRETE, CostModel.SIMPLIFIED):
                 want, _ = brute_optimal_k_sink(inst, s, k, cm)
-                got, plan = optimal_k_sink(inst, s, k, cm)
+                res = solve_optimal_k_sink(inst, s, k, cm)
+                got, plan = res.value, res.plan
                 assert got == want, (inst, s, k, cm)
                 # the returned plan actually achieves the value
                 worst = max(
@@ -108,24 +108,33 @@ def test_value_non_increasing_in_k():
             assert values[-1] == 0  # one sink per vertex
 
 
+def _biheap_tracker(inst, s, cm):
+    return SubpathTracker(inst, s, _prefix_weights(s))
+
+
 def _fast_tracker(inst, s, cm):
     return _FastTracker(inst, s, cm == CostModel.DISCRETE, _prefix_weights(s))
 
 
-@pytest.mark.parametrize("make", [SubpathTracker, _fast_tracker],
+@pytest.mark.parametrize("make", [_biheap_tracker, _fast_tracker],
                          ids=["SubpathTracker", "_FastTracker"])
 def test_tracker_window_matches_direct_eval(make):
-    # the fast tracker ignores capacity, so only the BiHeap tracker needs more
-    sets = CAPACITY_SETS if make is SubpathTracker else CAPACITY_SETS[:1]
+    # The BiHeap tracker serves the discrete model at any capacity; the fast
+    # tracker ignores capacity, so it needs no capacity spread.
+    biheap = make is _biheap_tracker
+    sets = CAPACITY_SETS if biheap else CAPACITY_SETS[:1]
     for capacities, seed_shift in sets:
         rng = random.Random(24 + seed_shift)
         for _ in range(40):
             inst = rand_instance(rng, rng.randint(1, 10), capacities=capacities)
             s = rand_scenario(rng, inst)
-            cm = rng.choice([CostModel.DISCRETE, CostModel.SIMPLIFIED])
-            if make is _fast_tracker and cm == CostModel.DISCRETE:
-                # the fast tracker's discrete model is the unit-capacity one
-                inst = PathInstance(inst.coords, inst.wminus, inst.wplus, tau=inst.tau)
+            cm = CostModel.DISCRETE
+            if not biheap:
+                cm = rng.choice([CostModel.DISCRETE, CostModel.SIMPLIFIED])
+                if cm == CostModel.DISCRETE:
+                    # the fast tracker's discrete model is the unit-capacity one
+                    inst = PathInstance(inst.coords, inst.wminus, inst.wplus,
+                                        tau=inst.tau)
             tr = make(inst, s, cm)
             n = inst.n
             # grow to the full path, then shrink from the left
@@ -150,7 +159,7 @@ def _two_tracker_reference(inst, s, k, cm):
     def new_tracker():
         if fast:
             return _FastTracker(inst, s, cm == CostModel.DISCRETE, pw)
-        return SubpathTracker(inst, s, cm, pw)
+        return SubpathTracker(inst, s, pw)
 
     ta = new_tracker()
     tprev = []

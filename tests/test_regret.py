@@ -19,7 +19,7 @@ from pathevac.model import (
     ScenarioDescriptor,
     realize_scenario,
 )
-from pathevac.optk import optimal_k_sink
+from pathevac.optk import solve_optimal_k_sink
 from pathevac.oracle import brute_rji_matrix
 from pathevac.regret import (
     _UNSET,
@@ -94,8 +94,8 @@ def test_anchor_path_equals_plain_chunks(monkeypatch):
         assert np.array_equal(full, np.concatenate(parts))
         for idx in rng.sample(range(t1.size), 8):
             d = ScenarioDescriptor(int(t1[idx]), int(t2[idx]))
-            want, _ = optimal_k_sink(inst, realize_scenario(inst, d), k,
-                                     CostModel.SIMPLIFIED)
+            want = solve_optimal_k_sink(inst, realize_scenario(inst, d), k,
+                                        CostModel.SIMPLIFIED).value
             assert full[idx] == want, (k, d)
 
 
@@ -169,19 +169,31 @@ def test_optimum_monotone_and_delta_bounded(data):
                 assert v[t1, t2] <= v[t1 - 1, t2] <= v[t1, t2] + delta[t1 - 1]
 
 
-def test_cache_lazy_fill_and_get():
+def test_cache_lazy_fill_and_ensure():
     inst = unit_interval_instance()
     cache = build_scenario_opt_cache(inst, 1, fill="lazy")
+    assert np.all(cache.values == _UNSET)
     d = ScenarioDescriptor(0, 3)
+    cache.ensure([d.t1], [d.t2])
     s = realize_scenario(inst, d)
-    want, _ = optimal_k_sink(inst, s, 1, CostModel.SIMPLIFIED)
-    assert cache.get(d) == want
+    want = solve_optimal_k_sink(inst, s, 1, CostModel.SIMPLIFIED).value
+    assert cache.values[d.t1, d.t2] == want
+    assert np.count_nonzero(cache.values != _UNSET) == 1
     with pytest.raises(ValueError):
-        cache.get((2, 1))
+        cache.ensure([2], [1])
     with pytest.raises(ValueError):
-        cache.get((0, 5))
+        cache.ensure([0], [5])
     with pytest.raises(ValueError):
         build_scenario_opt_cache(inst, 9)
+
+
+def test_cache_ensure_rejects_unequal_shapes():
+    cache = build_scenario_opt_cache(unit_interval_instance(), 1, fill="lazy")
+    with pytest.raises(ValueError, match="t1s and t2s must have equal shapes"):
+        cache.ensure([0, 1], [2])
+    with pytest.raises(ValueError, match="t1s and t2s must have equal shapes"):
+        cache.ensure([[0], [1]], [2, 2])
+    assert np.all(cache.values == _UNSET)
 
 
 # -- lookup tables -------------------------------------------------------------
@@ -214,7 +226,7 @@ def test_table_values_small_example():
     tables = build_lookup_tables(inst, cache)
     assert tables.rminus[0, 2] == 3
     # A[0, 2] = max over m of theta_l(0, 2, 0, m) - v[0, m] = max(3-2, 5-3, 7-4)
-    assert [cache.get((0, m)) for m in range(3)] == [2, 3, 4]
+    assert cache.values[0, :3].tolist() == [2, 3, 4]
     assert tables.A[0, 2] == 3
 
 
@@ -260,7 +272,8 @@ def test_tables_match_definition():
 
         want = {name: np.zeros((n + 1, n + 1), dtype=np.int64)
                 for name in ("rminus", "A", "B")}
-        v00 = cache.get((0, 0))
+        v = cache.values  # complete: the tables fill it
+        v00 = v[0, 0]
         for i in range(n + 1):
             for j in range(i, n + 1):
                 # left side of sink j in part [i, j], right side of sink i in [i, j]
@@ -268,18 +281,18 @@ def test_tables_match_definition():
                 want["rminus"][i, j] = side((0, 0), i, j, i, Side.RIGHT)
                 left = range(i, j + 1)
                 want["A"][i, j] = max(
-                    side((i, m), i, j, j, Side.LEFT) - cache.get((i, m)) for m in left
+                    side((i, m), i, j, j, Side.LEFT) - v[i, m] for m in left
                 )
                 # the dropped terms: min_m v[i, m] is v[0, 0], and
                 # lminus - min_m v[m, j+1] never exceeds A[i, j]
-                assert min(cache.get((i, m)) for m in left) == v00
+                assert min(v[i, m] for m in left) == v00
                 if i < j:
                     right = range(i + 1, j + 1)
                     want["B"][i, j] = max(
-                        side((m, j + 1), i, j, i, Side.RIGHT) - cache.get((m, j + 1))
+                        side((m, j + 1), i, j, i, Side.RIGHT) - v[m, j + 1]
                         for m in right
                     )
-                    c = min(cache.get((m, j + 1)) for m in right)
+                    c = min(v[m, j + 1] for m in right)
                     assert lminus - c <= want["A"][i, j]
         for name, table in want.items():
             assert np.array_equal(getattr(tables, name), table), name
@@ -395,9 +408,9 @@ def test_regret_of_plan_definition():
         s = realize_scenario(inst, d)
         got = regret_of_plan(inst, plan, s)
         t, _ = eval_plan(inst, s, plan, CostModel.SIMPLIFIED)
-        opt, _ = optimal_k_sink(inst, s, k, CostModel.SIMPLIFIED)
+        opt = solve_optimal_k_sink(inst, s, k, CostModel.SIMPLIFIED).value
         assert got == t - opt
-        assert got == t - cache.get(d)
+        assert got == t - cache.values[d.t1, d.t2]
 
 
 def test_max_regret_witness_is_attained():
@@ -417,10 +430,12 @@ def _max_regret_per_candidate(inst, plan, cache):
     """Worst-case regret by realizing every candidate and evaluating the plan
     on it; the first maximum wins."""
     best = witness = None
-    for _part, d in enumerate_partition_candidates(inst, plan.boundaries):
+    cands = [d for _part, d in enumerate_partition_candidates(inst, plan.boundaries)]
+    cache.ensure([d.t1 for d in cands], [d.t2 for d in cands])
+    for d in cands:
         s = realize_scenario(inst, d)
         time, _ = eval_plan(inst, s, plan, CostModel.SIMPLIFIED)
-        reg = time - cache.get(d)
+        reg = time - int(cache.values[d.t1, d.t2])
         if best is None or reg > best:
             best, witness = reg, d
     return best, witness

@@ -1,43 +1,22 @@
-"""Candidate scenario enumeration (global and per-part families)."""
+"""Candidate scenario enumeration (the per-part family)."""
 
 from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from pathevac.model import PathInstance, Plan, ScenarioDescriptor
-from pathevac.scenario_gen import (
-    enumerate_global_candidates,
-    enumerate_partition_candidates,
-)
+from pathevac.scenario_gen import enumerate_partition_candidates
 
 from conftest import rand_instance, rand_plan
-
-
-def test_global_count_and_order():
-    inst = PathInstance((0, 1, 2), (1, 1, 1), (2, 2, 2))
-    cands = enumerate_global_candidates(inst)
-    n = inst.n
-    assert len(cands) == (n + 2) * (n + 3) // 2
-    assert cands == sorted(cands)
-    assert cands[0] == ScenarioDescriptor(0, 0)
-    assert cands[-1] == ScenarioDescriptor(n + 1, n + 1)
-    assert len(set(cands)) == len(cands)
-
-
-def test_global_count_random_sizes():
-    rng = random.Random(31)
-    for _ in range(20):
-        inst = rand_instance(rng, rng.randint(0, 12))
-        n = inst.n
-        assert len(enumerate_global_candidates(inst)) == (n + 2) * (n + 3) // 2
 
 
 def test_partition_candidates_structure():
     inst = PathInstance((0, 1, 2, 4), (1,) * 4, (2,) * 4)
     plan = Plan((1, 3), (0, 2))
-    cands = enumerate_partition_candidates(inst, plan)
+    cands = enumerate_partition_candidates(inst, plan.boundaries)
     # all under valid global bounds, part indices correct, no dup per part
     seen = set()
     for part, d in cands:
@@ -59,9 +38,8 @@ def test_partition_candidates_structure():
 def test_partition_candidates_accepts_boundaries_sequence():
     inst = PathInstance((0, 1, 2, 4), (1,) * 4, (2,) * 4)
     plan = Plan((1, 3), (0, 2))
-    assert enumerate_partition_candidates(inst, plan) == enumerate_partition_candidates(
-        inst, (1, 3)
-    )
+    assert enumerate_partition_candidates(inst, plan.boundaries) == (
+        enumerate_partition_candidates(inst, [1, 3]))
 
 
 def test_singleton_part_candidates_collapse():
@@ -98,6 +76,7 @@ def test_partition_candidates_subset_of_global():
         inst = rand_instance(rng, rng.randint(0, 9))
         k = rng.randint(1, min(4, inst.n + 1))
         plan = rand_plan(rng, inst, k)
-        global_set = set(enumerate_global_candidates(inst))
-        for _part, d in enumerate_partition_candidates(inst, plan):
+        # the global family: every window 0 <= t1 <= t2 <= n+1
+        global_set = set(zip(*(t.tolist() for t in np.triu_indices(inst.n + 2))))
+        for _part, d in enumerate_partition_candidates(inst, plan.boundaries):
             assert d in global_set
