@@ -5,7 +5,7 @@ capacity, and integer per-vertex weights (evacuee counts) known only up to
 intervals.  This package computes:
 
 * exact evacuation times for sinks, parts, and whole plans (two cost models),
-* optimal k-sink plans for a fixed scenario in O(k n log n),
+* optimal k-sink plans for a fixed scenario in O(k n (log n + log c)),
 * minmax-regret k-sink plans over all interval scenarios (DP and
   nested-search solvers),
 

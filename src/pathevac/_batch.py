@@ -63,9 +63,8 @@ NEG = -(1 << 62)
 # at most a prefix sum or one more profile entry) lies in [-4H, 2H], each
 # offset (x_t*tau and a prefix sum) in [-H, H], and each table value
 # (side time - OPT) in [-2H, 2H].  So H < 2^60 keeps every intermediate
-# within 2^62 + 2^61 < 2^63, keeps every shifted sentinel (at most NEG + S
-# < -2H) below every real segment maximum, and keeps every regret below the
-# 2^62 sentinel of ``minmax``.
+# within 2^62 + 2^61 < 2^63 and keeps every shifted sentinel (at most
+# NEG + S < -2H) below every real segment maximum.
 INT64_HEADROOM = 1 << 60
 
 # Lane count from which ``solve`` brackets lanes by anchor windows, and the
@@ -82,6 +81,22 @@ def check_int64_headroom(inst: PathInstance) -> None:
             f"max |x| * tau + sum of w_max is {reach}, beyond the int64 "
             f"headroom 2^60 of the scenario-optimum engine"
         )
+
+
+def descriptor_arrays(t1s, t2s, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Descriptors (t1s[i], t2s[i]) as contiguous int64 arrays.  ValueError
+    for entries that are not integers (never truncated or parsed), unequal
+    shapes, or a descriptor outside 0 <= t1 <= t2 <= n + 1."""
+    t1, t2 = np.asarray(t1s), np.asarray(t2s)
+    if any(a.size and a.dtype.kind not in "iu" for a in (t1, t2)):
+        raise ValueError(f"descriptors must be integers, got {t1.dtype} and {t2.dtype}")
+    if t1.shape != t2.shape:
+        raise ValueError("t1s and t2s must have equal shapes")
+    t1 = np.ascontiguousarray(t1, dtype=np.int64)
+    t2 = np.ascontiguousarray(t2, dtype=np.int64)
+    if np.any((t1 < 0) | (t1 > t2) | (t2 > n + 1)):
+        raise ValueError("descriptor out of range")
+    return t1, t2
 
 
 class _SparseMax:
@@ -361,14 +376,7 @@ class ScenarioBatchEngine:
 
     def solve(self, k: int, t1s, t2s) -> np.ndarray:
         """Optimal k-sink time (simplified model) for every lane (t1, t2)."""
-        t1 = np.ascontiguousarray(np.asarray(t1s, dtype=np.int64))
-        t2 = np.ascontiguousarray(np.asarray(t2s, dtype=np.int64))
-        if t1.shape != t2.shape:
-            raise ValueError("t1s and t2s must have equal shapes")
-        if t1.size == 0:
-            return np.zeros(0, dtype=np.int64)
-        if np.any((t1 < 0) | (t1 > t2) | (t2 > self.n + 1)):
-            raise ValueError("descriptor out of range")
+        t1, t2 = descriptor_arrays(t1s, t2s, self.n)
         if t1.shape[0] >= _ANCHOR_MIN_LANES:
             lo, hi = self._anchor_brackets(k, t1, t2)
         else:

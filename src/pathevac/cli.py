@@ -38,7 +38,7 @@ from .model import (
 )
 from .optk import solve_optimal_k_sink
 from .oracle import brute_minmax_regret, brute_optimal_k_sink
-from .regret import build_scenario_opt_cache, max_regret_of_plan
+from .regret import max_regret_of_plan
 
 __all__ = ["main"]
 
@@ -232,8 +232,7 @@ def _cmd_verify(args) -> int:
         return 0
 
     # kind == "max_regret": load_plan accepts no other kind.
-    cache = build_scenario_opt_cache(inst, plan.k, fill="lazy")
-    got, witness = max_regret_of_plan(inst, plan, cache)
+    got, witness = max_regret_of_plan(inst, plan)
     if got != objective:
         print(f"FAIL: plan has max regret {got}, file claims {objective}")
         return 1

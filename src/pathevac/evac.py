@@ -50,6 +50,13 @@ class EvacSideResult:
     argmax_index: Optional[int]
 
 
+def require_scenario_length(inst: PathInstance, s: Scenario) -> None:
+    """ValueError unless ``s`` has one weight per vertex of ``inst``."""
+    if len(s.weights) != inst.num_vertices:
+        raise ValueError(f"scenario has {len(s.weights)} weights, "
+                         f"instance has {inst.num_vertices} vertices")
+
+
 def ceil_div(a: int, b: int) -> int:
     """Exact ceiling division for integers (b > 0; a may be negative)."""
     return -((-a) // b)
@@ -66,6 +73,7 @@ def eval_side(
 ) -> EvacSideResult:
     """Evacuation time of one side of `sink` within the part [lo, hi]."""
     CostModel.check(cm)
+    require_scenario_length(inst, s)
     if not (0 <= lo <= sink <= hi <= inst.n):
         raise ValueError(f"bad subpath/sink: lo={lo} sink={sink} hi={hi}")
     x = inst.coords
@@ -127,6 +135,7 @@ def eval_plan(
     The plan time is the max over parts; the dominant part is the smallest
     part index attaining it.
     """
+    require_scenario_length(inst, s)
     violations = validate_plan(inst, plan)
     if violations:
         raise ValueError("; ".join(violations))
@@ -154,6 +163,7 @@ def eval_all_sinks(
     just left.
     """
     CostModel.check(cm)
+    require_scenario_length(inst, s)
     if not (0 <= lo <= hi <= inst.n):
         raise ValueError(f"bad subpath: lo={lo} hi={hi}")
     x = inst.coords
@@ -216,6 +226,7 @@ def simulate_evacuation(
     (0 if nothing needs to move).  Within a merged flow, arrivals join the
     queue of the intermediate vertex and are re-dispatched with its queue.
     """
+    require_scenario_length(inst, s)
     if not (0 <= lo <= sink <= hi <= inst.n):
         raise ValueError(f"bad subpath/sink: lo={lo} sink={sink} hi={hi}")
     x = inst.coords

@@ -5,9 +5,8 @@ candidate scenario set:
 
 * :func:`solve_minmax_regret_dp` — dynamic programming over part right-ends
   on top of the precomputed subpath-regret matrix R[j, i] (see
-  :func:`pathevac.regret.compute_rji`).  Row scans exploit that the
-  minimizing split point only moves right as the subpath grows, so each DP
-  row costs O(n) pointer movement.
+  :func:`pathevac.regret.compute_rji`), run by the split DP of
+  :mod:`pathevac.optk` with R as the part cost: O(n) pointer moves per row.
 * :func:`solve_minmax_regret_bs` — nested binary search.  The value of an
   optimal ``i``-part cover of a prefix is non-decreasing in the prefix end,
   while the regret of the final part is non-increasing in its left end, so
@@ -24,8 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-import numpy as np
-
 from .evac import eval_all_sinks
 from .model import (
     CostModel,
@@ -34,16 +31,14 @@ from .model import (
     ScenarioDescriptor,
     realize_scenario,
 )
-from .optk import solve_optimal_k_sink
-from .regret import build_scenario_opt_cache, compute_rji
+from .optk import _plan_from_splits, _split_dp, solve_optimal_k_sink
+from .regret import ScenarioOptCache, compute_rji
 
 __all__ = [
     "MmrResult",
     "solve_minmax_regret_dp",
     "solve_minmax_regret_bs",
 ]
-
-_POS = np.int64(1 << 62)
 
 
 @dataclass
@@ -64,71 +59,50 @@ def _validate(inst: PathInstance, k: int) -> None:
 # ---------------------------------------------------------------------------
 
 
+class _RegretRow:
+    """R[j, i] as a row of ``optk._split_dp``; R, like w, never grows as a part shrinks."""
+
+    sink_moves = 0
+
+    def __init__(self, R):
+        self.R = R
+        self.j = self.drops = 0
+
+    def append(self, i: int) -> None:
+        self.i = i
+
+    def drop_left(self) -> None:
+        self.j += 1
+        self.drops += 1
+
+    def theta(self) -> int:
+        return int(self.R[self.j, self.i])
+
+
 def solve_minmax_regret_dp(inst: PathInstance, k: int) -> MmrResult:
     """Minmax-regret plan via dynamic programming over the R matrix.
 
     M(q, i), the best worst-case regret of q parts covering [0, i], is the
-    min over j in [q-1, i] of max(M(q-1, j-1), R[j, i]), with
-    M(1, i) = R[0, i].  The inner objective is the max of a non-decreasing
-    and a non-increasing sequence in j, so the rightmost minimizing j is
-    found by advancing a per-row pointer that never retreats (ties advance).
+    min over j of max(M(q-1, j-1), R[j, i]), with M(1, i) = R[0, i]: the
+    k-sink recurrence of :mod:`pathevac.optk` with R as the part cost, so
+    it runs on that module's DP, which keeps the rightmost optimal split.
+    Sinks come from the R matrix sweep.
     """
     _validate(inst, k)
     n = inst.n
-    rji = compute_rji(inst, build_scenario_opt_cache(inst, k))
+    rji = compute_rji(inst, ScenarioOptCache(inst, k))
     R = rji.R
-
-    M = np.full((k + 1, n + 1), _POS, dtype=np.int64)
-    argJ = np.full((k + 1, n + 1), -1, dtype=np.int64)
-    M[1] = R[0]
-    argJ[1] = 0
-    increments = [0]
-    for q in range(2, k + 1):
-        jc = q - 1
-        prev = M[q - 1]
-        inc = 0
-        for i in range(q - 1, n + 1):
-            cur = max(int(prev[jc - 1]), int(R[jc, i]))
-            # R[jc+1, i] <= R[jc, i] <= cur, so the next split is no worse
-            # exactly when M(q-1, jc) <= cur.
-            while jc < i and prev[jc] <= cur:
-                jc += 1
-                inc += 1
-                cur = max(int(prev[jc - 1]), int(R[jc, i]))
-            M[q, i] = cur
-            argJ[q, i] = jc
-        increments.append(inc)
-
-    value = int(M[k, n])
-
-    # Reconstruct the partition right-to-left, sinks from the R matrix sweep.
-    ends: list[int] = []
-    sinks: list[int] = []
-    i = n
-    for q in range(k, 0, -1):
-        j = int(argJ[q, i])
-        ends.append(i)
-        sinks.append(int(rji.sink[j, i]))
-        i = j - 1
-    if i != -1:
-        raise RuntimeError("partition reconstruction did not consume the path")
-    ends.reverse()
-    sinks.reverse()
-    plan = Plan(tuple(ends), tuple(sinks))
+    value, splits, drops, _ = _split_dp(n, k, lambda: _RegretRow(R))
+    plan = _plan_from_splits(n, splits, lambda j, i: int(rji.sink[j, i]))
 
     # Internal consistency: the plan's parts must reproduce the DP value.
-    lo = 0
-    worst = None
-    for e, _y in zip(ends, sinks):
-        rv = int(R[lo, e])
-        worst = rv if worst is None else max(worst, rv)
-        lo = e + 1
+    worst = max(int(R[l, r]) for l, r in plan.parts())
     if worst != value:
         raise RuntimeError(f"plan's worst part regret {worst} != DP value {value}")
 
     counters = {
-        "j_increments_per_row": increments,
-        "j_increments_total": sum(increments),
+        "j_increments_per_row": drops,
+        "j_increments_total": sum(drops),
         "rji_sink_evals": rji.counters.get("sink_evals"),
         "rji_sink_moves": rji.counters.get("sink_moves"),
     }

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 
 from .biheap import BiHeap
-from .evac import eval_all_sinks
+from .evac import eval_all_sinks, require_scenario_length
 from .model import (
     CostModel,
     InvalidInstanceError,
@@ -293,6 +293,66 @@ class _FastTracker:
                 break
 
 
+def _split_dp(n, k, new_row):
+    """T(k, n) of T(q, i) = min over j of max(T(q-1, j-1), w(j, i)).
+
+    Each ``new_row()`` tracks w(j, i) from j = 0 under ``append(i)`` and
+    ``drop_left()``, like the trackers above.  Returns T(k, n), the split
+    rows (``splits[q-1][i]`` starts the last part of the best q-part cover
+    of [0, i]; ties keep the rightmost), the drops per row and the total
+    sink moves.
+    """
+    row = new_row()
+    tprev = [0] * (n + 1)
+    for i in range(n + 1):
+        row.append(i)
+        tprev[i] = row.theta()
+    splits: list[list[int]] = [[0] * (n + 1)]
+    drops = [row.drops]
+    sink_moves = row.sink_moves
+
+    for _q in range(2, k + 1):
+        row = new_row()
+        tq = [0] * (n + 1)
+        jq = [0] * (n + 1)
+        jc = 0
+        for i in range(n + 1):
+            row.append(i)
+            fc = row.theta()
+            cur = fc if jc == 0 else max(tprev[jc - 1], fc)
+            # w(jc+1, i) <= w(jc, i) <= cur, so the next split is no worse
+            # exactly when tprev[jc] <= cur.
+            while jc < i and tprev[jc] <= cur:
+                row.drop_left()
+                fc = row.theta()
+                tp = tprev[jc]
+                jc += 1
+                cur = tp if tp >= fc else fc
+            tq[i] = cur
+            jq[i] = jc
+        tprev = tq
+        splits.append(jq)
+        drops.append(row.drops)
+        sink_moves += row.sink_moves
+    return tprev[n], splits, drops, sink_moves
+
+
+def _plan_from_splits(n, splits, sink_of) -> Plan:
+    """The plan given by ``_split_dp``'s split rows; part [j, i] gets the
+    sink ``sink_of(j, i)``."""
+    bounds: list[int] = []
+    sinks: list[int] = []
+    i = n
+    for row in reversed(splits):
+        j = row[i]
+        bounds.append(i)
+        sinks.append(sink_of(j, i))
+        i = j - 1
+    if i != -1:
+        raise RuntimeError("DP reconstruction did not consume the whole path")
+    return Plan(tuple(reversed(bounds)), tuple(reversed(sinks)))
+
+
 @dataclass
 class OptKResult:
     value: int
@@ -311,9 +371,8 @@ def solve_optimal_k_sink(
     violations = validate_instance(inst)
     if violations:
         raise InvalidInstanceError("; ".join(violations))
+    require_scenario_length(inst, s)
     n = inst.n
-    if len(s.weights) != n + 1:
-        raise ValueError("scenario length does not match instance")
     if not (1 <= k <= n + 1):
         raise ValueError(f"k out of range: k={k}, n={n}")
 
@@ -326,58 +385,11 @@ def solve_optimal_k_sink(
             return _FastTracker(inst, s, discrete, pw)
         return SubpathTracker(inst, s, pw)
 
-    # Only the previous row of T is kept; every row of split points is kept
-    # for the reconstruction.
-    tr = new_tracker()
-    tprev = [0] * (n + 1)
-    for i in range(n + 1):
-        tr.append(i)
-        tprev[i] = tr.theta()
-    rows_J: list[list[int]] = [[0] * (n + 1)]
-    row_incr = [0]
-    sink_moves = tr.sink_moves
-
-    for _q in range(2, k + 1):
-        tr = new_tracker()
-        tq = [0] * (n + 1)
-        jq = [0] * (n + 1)
-        jc = 0
-        for i in range(n + 1):
-            tr.append(i)
-            fc = tr.theta()
-            cur = fc if jc == 0 else max(tprev[jc - 1], fc)
-            # w(jc+1, i) <= w(jc, i) <= cur, so the next split is no worse
-            # exactly when tprev[jc] <= cur.
-            while jc < i and tprev[jc] <= cur:
-                tr.drop_left()
-                fc = tr.theta()
-                tp = tprev[jc]
-                jc += 1
-                cur = tp if tp >= fc else fc
-            tq[i] = cur
-            jq[i] = jc
-        tprev = tq
-        rows_J.append(jq)
-        row_incr.append(tr.drops)
-        sink_moves += tr.sink_moves
-
-    value = tprev[n]
-
-    bounds: list[int] = []
-    sinks: list[int] = []
-    i = n
-    for q in range(k, 0, -1):
-        j = rows_J[q - 1][i]
-        _t, y = optimal_one_sink(inst, s, j, i, cm)
-        bounds.append(i)
-        sinks.append(y)
-        i = j - 1
-    if i != -1:
-        raise RuntimeError("DP reconstruction did not consume the whole path")
-    plan = Plan(tuple(reversed(bounds)), tuple(reversed(sinks)))
-
+    value, splits, drops, sink_moves = _split_dp(n, k, new_tracker)
+    plan = _plan_from_splits(
+        n, splits, lambda j, i: optimal_one_sink(inst, s, j, i, cm)[1])
     counters = {
-        "j_increments_per_row": row_incr,
+        "j_increments_per_row": drops,
         "sink_moves": sink_moves,
     }
     return OptKResult(value, plan, counters)

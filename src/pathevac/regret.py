@@ -33,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._batch import NEG, ScenarioBatchEngine, check_int64_headroom
+from ._batch import NEG, ScenarioBatchEngine, check_int64_headroom, descriptor_arrays
 from .evac import eval_plan
 from .evac import eval_side  # noqa: F401  (unused; perfbench/layers.py traces regret.eval_side)
 from .model import (
@@ -115,16 +115,10 @@ class ScenarioOptCache:
 
     def ensure(self, t1s, t2s) -> None:
         """Compute any still-missing entries among the descriptors
-        (t1s[i], t2s[i]); ``t1s`` and ``t2s`` must have equal shapes."""
-        t1a = np.asarray(t1s, dtype=np.int64)
-        t2a = np.asarray(t2s, dtype=np.int64)
-        if t1a.shape != t2a.shape:
-            raise ValueError("t1s and t2s must have equal shapes")
-        if t1a.size == 0:
-            return
+        (t1s[i], t2s[i]); ``t1s`` and ``t2s`` must be integer arrays of
+        equal shapes (see ``_batch.descriptor_arrays``)."""
         n = self.inst.n
-        if np.any((t1a < 0) | (t1a > t2a) | (t2a > n + 1)):
-            raise ValueError("descriptor out of range")
+        t1a, t2a = descriptor_arrays(t1s, t2s, n)
         missing = self.values[t1a, t2a] == _UNSET
         if not np.any(missing):
             return

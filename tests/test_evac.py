@@ -77,6 +77,22 @@ def test_eval_plan_rejects_invalid():
         eval_plan(UNIT, UNIT_S, Plan((1,), (0,)), CostModel.SIMPLIFIED)
 
 
+@pytest.mark.parametrize("weights", [(1, 1), (1, 1, 1, 1)], ids=["short", "long"])
+@pytest.mark.parametrize("call", [
+    lambda s: eval_plan(UNIT, s, Plan((2,), (1,)), CostModel.SIMPLIFIED),
+    lambda s: eval_side(UNIT, s, 0, 1, 1, Side.LEFT, CostModel.DISCRETE),
+    lambda s: eval_one_sink(UNIT, s, 0, 1, 0, CostModel.DISCRETE),
+    lambda s: eval_all_sinks(UNIT, s, 0, 1, CostModel.SIMPLIFIED),
+    lambda s: simulate_evacuation(UNIT, s, 0, 1, 0),
+], ids=["eval_plan", "eval_side", "eval_one_sink", "eval_all_sinks", "simulate"])
+def test_scenario_of_wrong_length_rejected(call, weights):
+    """A scenario needs one weight per vertex; neither a shorter one (which
+    would index past its end) nor a longer one (whose extra weights would be
+    ignored) is evaluated."""
+    with pytest.raises(ValueError, match="scenario has .* weights, instance has 3 vertices"):
+        call(Scenario(weights))
+
+
 def test_all_sinks_simplified_example():
     assert eval_all_sinks(UNIT, UNIT_S, 0, 2, CostModel.SIMPLIFIED) == [3, 2, 3]
 

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +14,12 @@ from pathevac._batch import INT64_HEADROOM
 from pathevac.minmax import solve_minmax_regret_bs, solve_minmax_regret_dp
 from pathevac.model import InvalidInstanceError, PathInstance, validate_plan
 from pathevac.oracle import brute_minmax_regret
-from pathevac.regret import ScenarioOptCache, build_scenario_opt_cache, max_regret_of_plan
+from pathevac.regret import (
+    ScenarioOptCache,
+    build_scenario_opt_cache,
+    compute_rji,
+    max_regret_of_plan,
+)
 
 from conftest import rand_instance, rand_plan
 
@@ -84,6 +91,117 @@ def test_dp_counters_and_no_better_random_plan():
     for _ in range(30):
         plan = rand_plan(rng, inst, 4)
         assert max_regret_of_plan(inst, plan, cache)[0] >= res.value
+
+
+def _matrix_reference(R, sink, k):
+    """The DP over R with dense (k+1) x (n+1) value and split matrices, each
+    row's pointer starting at j = q-1 (the first split that leaves q-1
+    vertices to the left); returns (value, ends, sinks, increments per row)."""
+    n = R.shape[0] - 1
+    big = np.int64(1 << 62)
+    M = np.full((k + 1, n + 1), big, dtype=np.int64)
+    argJ = np.full((k + 1, n + 1), -1, dtype=np.int64)
+    M[1] = R[0]
+    argJ[1] = 0
+    increments = [0]
+    for q in range(2, k + 1):
+        jc = q - 1
+        prev = M[q - 1]
+        inc = 0
+        for i in range(q - 1, n + 1):
+            cur = max(int(prev[jc - 1]), int(R[jc, i]))
+            while jc < i and prev[jc] <= cur:
+                jc += 1
+                inc += 1
+                cur = max(int(prev[jc - 1]), int(R[jc, i]))
+            M[q, i] = cur
+            argJ[q, i] = jc
+        increments.append(inc)
+    ends, sinks = [], []
+    i = n
+    for q in range(k, 0, -1):
+        j = int(argJ[q, i])
+        ends.append(i)
+        sinks.append(int(sink[j, i]))
+        i = j - 1
+    assert i == -1
+    return int(M[k, n]), tuple(reversed(ends)), tuple(reversed(sinks)), increments
+
+
+def test_dp_matches_matrix_reference():
+    rng = random.Random(66)
+    for trial in range(300):
+        n = rng.randint(0, 20)
+        if trial % 3 == 0:
+            # few distinct weights and gaps, so that ties are common
+            inst = rand_instance(rng, n, w_max=2, gap_max=1, capacities=(1,), taus=(1, 2))
+        else:
+            inst = mk_uncertain(rng, n)
+        k = rng.randint(1, n + 1)
+        rji = compute_rji(inst, build_scenario_opt_cache(inst, k))
+        want_v, want_ends, want_sinks, want_incr = _matrix_reference(rji.R, rji.sink, k)
+        res = solve_minmax_regret_dp(inst, k)
+        assert res.value == want_v, (inst, k)
+        assert res.plan.boundaries == want_ends, (inst, k)
+        assert res.plan.sinks == want_sinks, (inst, k)
+        # The shared DP's pointer starts at vertex 0, so row q advances it
+        # q - 1 more times than the reference's, which starts at q - 1.
+        incr = res.counters["j_increments_per_row"]
+        assert incr == [w + q for q, w in enumerate(want_incr)], (inst, k)
+        assert res.counters["j_increments_total"] == sum(incr)
+        assert res.counters["rji_sink_evals"] == rji.counters["sink_evals"]
+        assert res.counters["rji_sink_moves"] == rji.counters["sink_moves"]
+
+
+def _best_cover(R, end, parts):
+    """Least worst part regret over all covers of [0, end] by ``parts`` parts."""
+    best = None
+    for cuts in itertools.combinations(range(end), parts - 1):
+        ends = cuts + (end,)
+        lo, worst = 0, None
+        for e in ends:
+            worst = R[lo, e] if worst is None else max(worst, R[lo, e])
+            lo = e + 1
+        best = worst if best is None else min(best, worst)
+    return int(best)
+
+
+def test_last_part_starts_at_rightmost_optimal_split():
+    rng = random.Random(67)
+    for trial in range(120):
+        n = rng.randint(1, 9)
+        if trial % 2 == 0:
+            inst = rand_instance(rng, n, w_max=2, gap_max=1, capacities=(1,), taus=(1, 2))
+        else:
+            inst = mk_uncertain(rng, n)
+        for k in range(2, min(4, n + 1) + 1):
+            R = compute_rji(inst, build_scenario_opt_cache(inst, k)).R
+            # f(j): best plan whose last part is [j, n]; the prefix [0, j-1]
+            # needs at least k-1 vertices.
+            f = {j: max(_best_cover(R, j - 1, k - 1), int(R[j, n]))
+                 for j in range(k - 1, n + 1)}
+            best = min(f.values())
+            j_star = max(j for j, v in f.items() if v == best)
+            res = solve_minmax_regret_dp(inst, k)
+            assert res.value == best, (inst, k)
+            assert res.plan.boundaries[-2] + 1 == j_star, (inst, k)
+            assert res.counters["j_increments_per_row"][-1] == j_star
+
+
+def test_dp_fills_the_cache_once(monkeypatch):
+    """One complete fill: the lookup tables complete the solver's cache, and
+    nothing asks for its entries before or after."""
+    calls = []
+    ensure = ScenarioOptCache.ensure
+
+    def counted(self, t1s, t2s):
+        calls.append(len(t1s))
+        return ensure(self, t1s, t2s)
+
+    monkeypatch.setattr(ScenarioOptCache, "ensure", counted)
+    inst = mk_uncertain(random.Random(68), 12)
+    solve_minmax_regret_dp(inst, 3)
+    assert calls == [(inst.n + 2) * (inst.n + 3) // 2]
 
 
 def test_bs_counters_present():

@@ -51,8 +51,9 @@ def test_one_sink_per_vertex_is_free():
 def test_input_validation():
     with pytest.raises(InvalidInstanceError):
         solve_optimal_k_sink(PathInstance((0, 0), (1, 1), (1, 1)), Scenario((1, 1)), 1)
-    with pytest.raises(ValueError):
-        solve_optimal_k_sink(UNIT, Scenario((1, 1)), 1)
+    for weights in ((1, 1), (1, 1, 1, 1)):
+        with pytest.raises(ValueError, match="scenario has"):
+            solve_optimal_k_sink(UNIT, Scenario(weights), 1)
     with pytest.raises(ValueError):
         solve_optimal_k_sink(UNIT, UNIT_S, 0)
     with pytest.raises(ValueError):

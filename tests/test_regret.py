@@ -196,6 +196,45 @@ def test_cache_ensure_rejects_unequal_shapes():
     assert np.all(cache.values == _UNSET)
 
 
+NON_INTEGER_DESCRIPTORS = [
+    ([0.9], [2.7]),
+    ([0], [2.0]),
+    (["1"], [2]),
+    ([0], ["2"]),
+    ([True], [2]),
+    ([0, 1.5], [2, 2]),
+]
+NON_INTEGER_IDS = ["floats", "float-t2", "string-t1", "string-t2", "bool", "one-float"]
+
+
+@pytest.mark.parametrize("t1s,t2s", NON_INTEGER_DESCRIPTORS, ids=NON_INTEGER_IDS)
+def test_cache_ensure_rejects_non_integer_descriptors(t1s, t2s):
+    cache = build_scenario_opt_cache(unit_interval_instance(), 1, fill="lazy")
+    with pytest.raises(ValueError, match="descriptors must be integers"):
+        cache.ensure(t1s, t2s)
+    assert np.all(cache.values == _UNSET)
+
+
+@pytest.mark.parametrize("t1s,t2s", NON_INTEGER_DESCRIPTORS, ids=NON_INTEGER_IDS)
+def test_batch_solve_rejects_non_integer_descriptors(t1s, t2s):
+    with pytest.raises(ValueError, match="descriptors must be integers"):
+        ScenarioBatchEngine(unit_interval_instance()).solve(1, t1s, t2s)
+
+
+def test_descriptors_accept_integer_dtypes():
+    inst = unit_interval_instance()
+    eng = ScenarioBatchEngine(inst)
+    want = eng.solve(1, [0, 1], [3, 2])
+    for dtype in (np.int8, np.uint16, np.int32, np.uint64):
+        got = eng.solve(1, np.array([0, 1], dtype=dtype), np.array([3, 2], dtype=dtype))
+        assert np.array_equal(got, want)
+    assert eng.solve(1, [], []).shape == (0,)
+    cache = build_scenario_opt_cache(inst, 1, fill="lazy")
+    cache.ensure([], [])
+    cache.ensure(np.array([0], dtype=np.uint8), np.array([3], dtype=np.int16))
+    assert cache.values[0, 3] == want[0]
+
+
 # -- lookup tables -------------------------------------------------------------
 
 
