@@ -30,6 +30,7 @@ from .model import (
     Plan,
     ScenarioDescriptor,
     realize_scenario,
+    require_int,
 )
 from .optk import _plan_from_splits, _split_dp, solve_optimal_k_sink
 from .regret import ScenarioOptCache, compute_rji
@@ -48,10 +49,13 @@ class MmrResult:
     counters: dict = field(default_factory=dict)
 
 
-def _validate(inst: PathInstance, k: int) -> None:
+def _validate(inst: PathInstance, k: int) -> int:
+    """``k`` as an ``int``; ValueError unless ``inst`` is valid and 1 <= k <= n+1."""
     inst.require_valid()
+    k = require_int(k, "k")
     if not 1 <= k <= inst.n + 1:
         raise ValueError(f"k={k} out of range 1..{inst.n + 1}")
+    return k
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +92,7 @@ def solve_minmax_regret_dp(inst: PathInstance, k: int) -> MmrResult:
     it runs on that module's DP, which keeps the rightmost optimal split.
     Sinks come from the R matrix sweep.
     """
-    _validate(inst, k)
+    k = _validate(inst, k)
     n = inst.n
     rji = compute_rji(inst, ScenarioOptCache(inst, k))
     R = rji.R
@@ -122,7 +126,7 @@ def solve_minmax_regret_bs(inst: PathInstance, k: int) -> MmrResult:
     take the minimum over sinks.  Scenario optima come from per-scenario
     dynamic-program runs, independent of the batch cache.
     """
-    _validate(inst, k)
+    k = _validate(inst, k)
     n = inst.n
     counters = {"rlr_evals": 0, "solve_evals": 0, "probe_steps": 0, "opt_scenarios": 0}
 

@@ -230,6 +230,7 @@ def realize_scenario(inst: PathInstance, d: ScenarioDescriptor) -> Scenario:
     """Materialize a descriptor: upper bounds on [t1, t2), lower bounds elsewhere."""
     n = inst.n
     t1, t2 = d
+    t1, t2 = require_int(t1, "t1"), require_int(t2, "t2")
     if not (0 <= t1 <= t2 <= n + 1):
         raise ValueError(f"descriptor out of range: {d}")
     weights = [
@@ -264,16 +265,18 @@ def instance_to_obj(inst: PathInstance) -> dict:
 
 
 def instance_from_obj(obj: dict) -> PathInstance:
+    # The constructor checks that every field is an integer.
     try:
         vertices = obj["vertices"]
-        coords = tuple(require_int(v["x"], "x") for v in vertices)
-        wminus = tuple(require_int(v["w_min"], "w_min") for v in vertices)
-        wplus = tuple(require_int(v["w_max"], "w_max") for v in vertices)
-        capacity = require_int(obj["capacity"], "capacity")
-        tau = require_int(obj["tau"], "tau")
+        return PathInstance(
+            tuple(v["x"] for v in vertices),
+            tuple(v["w_min"] for v in vertices),
+            tuple(v["w_max"] for v in vertices),
+            obj["capacity"],
+            obj["tau"],
+        )
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInstanceError(f"malformed instance object: {exc}") from exc
-    return PathInstance(coords, wminus, wplus, capacity, tau)
 
 
 def save_instance(inst: PathInstance, path: str) -> None:
@@ -306,11 +309,10 @@ def plan_to_obj(plan: Plan, objective: int, objective_kind: str) -> dict:
 
 def plan_from_obj(obj: dict) -> tuple[Plan, int, str]:
     parts = obj["parts"]
-    boundaries = tuple(require_int(p["r"], "r") for p in parts)
-    sinks = tuple(require_int(p["sink"], "sink") for p in parts)
-    plan = Plan(boundaries, sinks)
+    # The constructor checks that every r and sink is an integer.
+    plan = Plan(tuple(p["r"] for p in parts), tuple(p["sink"] for p in parts))
     expect_l = 0
-    for p, r in zip(parts, boundaries):
+    for p, r in zip(parts, plan.boundaries):
         if require_int(p["l"], "l") != expect_l:
             raise ValueError("plan parts are not consecutive")
         expect_l = r + 1

@@ -31,6 +31,7 @@ from .model import (
     PathInstance,
     Plan,
     Scenario,
+    require_int,
     validate_instance,
 )
 
@@ -373,6 +374,7 @@ def solve_optimal_k_sink(
         raise InvalidInstanceError("; ".join(violations))
     require_scenario_length(inst, s)
     n = inst.n
+    k = require_int(k, "k")
     if not (1 <= k <= n + 1):
         raise ValueError(f"k out of range: k={k}, n={n}")
 

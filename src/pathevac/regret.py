@@ -24,16 +24,20 @@ Main pieces:
   also max'ed with B[t, r] when t < r.
 
 All quantities are exact int64 integers.
+
+numpy and the batch engine (``_batch``) are imported inside the functions
+and methods that use them, so importing this module, or the package, does
+not load numpy: the fixed-scenario solver, the brute-force oracles and the
+CLI's ``gen``, ``solve-opt`` and evac-time ``verify`` never need it.  It
+loads on the first cache, ``max_regret_of_plan``, ``build_lookup_tables``
+or ``compute_rji`` call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-import numpy as np
-
-from ._batch import NEG, ScenarioBatchEngine, check_int64_headroom, descriptor_arrays
 from .evac import eval_plan
 from .evac import eval_side  # noqa: F401  (unused; perfbench/layers.py traces regret.eval_side)
 from .model import (
@@ -43,10 +47,16 @@ from .model import (
     Scenario,
     ScenarioDescriptor,
     realize_scenario,
+    require_int,
     validate_plan,
 )
 from .optk import solve_optimal_k_sink
 from .scenario_gen import enumerate_partition_candidates
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from ._batch import ScenarioBatchEngine
 
 __all__ = [
     "ScenarioOptCache",
@@ -59,7 +69,8 @@ __all__ = [
     "compute_rji",
 ]
 
-_UNSET = np.int64(NEG)
+# Cache cell not computed yet: below every optimum time, which is >= 0.
+_UNSET = -(1 << 62)
 
 
 # ---------------------------------------------------------------------------
@@ -80,8 +91,13 @@ class ScenarioOptCache:
     """
 
     def __init__(self, inst: PathInstance, k: int, engine: str = "batch"):
+        import numpy as np
+
+        from ._batch import check_int64_headroom
+
         inst.require_valid()
         check_int64_headroom(inst)
+        k = require_int(k, "k")
         if not 1 <= k <= inst.n + 1:
             raise ValueError(f"k={k} out of range 1..{inst.n + 1}")
         if engine not in ("batch", "reference"):
@@ -96,11 +112,15 @@ class ScenarioOptCache:
     # -- internals ----------------------------------------------------------
 
     def _batch_engine(self) -> ScenarioBatchEngine:
+        from ._batch import ScenarioBatchEngine
+
         if self._batch is None:
             self._batch = ScenarioBatchEngine(self.inst)
         return self._batch
 
     def _compute(self, t1a: np.ndarray, t2a: np.ndarray) -> np.ndarray:
+        import numpy as np
+
         if self.engine == "batch":
             return self._batch_engine().solve(self.k, t1a, t2a)
         out = np.empty(t1a.shape[0], dtype=np.int64)
@@ -117,6 +137,10 @@ class ScenarioOptCache:
         """Compute any still-missing entries among the descriptors
         (t1s[i], t2s[i]); ``t1s`` and ``t2s`` must be integer arrays of
         equal shapes (see ``_batch.descriptor_arrays``)."""
+        import numpy as np
+
+        from ._batch import descriptor_arrays
+
         n = self.inst.n
         t1a, t2a = descriptor_arrays(t1s, t2s, n)
         missing = self.values[t1a, t2a] == _UNSET
@@ -131,6 +155,8 @@ class ScenarioOptCache:
 
     def complete(self) -> None:
         """Fill every valid descriptor (all t1 <= t2)."""
+        import numpy as np
+
         n = self.inst.n
         t1a, t2a = np.triu_indices(n + 2)
         self.ensure(t1a, t2a)
@@ -184,6 +210,8 @@ def max_regret_of_plan(
     cache's batch engine, its optimum from the cache.  A given ``cache``
     must be built for ``inst`` and ``plan.k`` (else ValueError).
     """
+    import numpy as np
+
     cands = enumerate_partition_candidates(inst, plan.boundaries)
     if cache is None:
         cache = ScenarioOptCache(inst, plan.k, engine="batch")
@@ -285,6 +313,8 @@ def build_lookup_tables(inst: PathInstance, cache: ScenarioOptCache) -> EvacLook
     non-empty range, so no NEG sentinel enters a table, and only the cells
     the tables define are written.
     """
+    import numpy as np
+
     _require_cache_for(inst, cache)
     cache.complete()
     v = cache.values
@@ -369,6 +399,10 @@ def compute_rji(
     tie-advancing sweep keeps the rightmost minimizer, so total sink
     movement is O(n) per row.
     """
+    import numpy as np
+
+    from ._batch import NEG
+
     inst.require_valid()
     n = inst.n
     tables = build_lookup_tables(inst, cache)

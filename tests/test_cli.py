@@ -184,6 +184,38 @@ def test_console_entry_point_runs():
     assert "solve-mmr" in res.stdout
 
 
+# Runs the CLI in a process in which importing numpy fails.
+WITHOUT_NUMPY = """
+import sys
+sys.modules["numpy"] = None
+import pathevac, pathevac.cli
+sys.exit(pathevac.cli.main(sys.argv[1:]))
+"""
+
+
+def test_import_does_not_load_numpy():
+    # A module once loaded stays in sys.modules, so this covers ``import pathevac`` too.
+    code = ("import sys, pathevac, pathevac.cli; "
+            "print([m for m in ('numpy', 'pathevac._batch') if m in sys.modules])")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
+
+
+def test_gen_solve_opt_verify_run_without_numpy(tmp_path):
+    inst = str(tmp_path / "inst.json")
+    plan = str(tmp_path / "plan.json")
+    runs = [
+        ["gen", "--n", "6", "--coord-max", "40", "--w-max", "9", "--seed", "5", "-o", inst],
+        ["solve-opt", inst, "--k", "2", "--all-plus", "-o", plan],
+        ["verify", inst, plan, "--all-plus"],
+    ]
+    results = [subprocess.run([sys.executable, "-c", WITHOUT_NUMPY, *args],
+                              capture_output=True, text=True) for args in runs]
+    assert [r.returncode for r in results] == [0, 0, 0], [r.stderr for r in results]
+    assert results[2].stdout.startswith("PASS")
+
+
 BAD_INTS = [1.7, "5", True, float("inf"), float("nan")]
 
 

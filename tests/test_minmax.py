@@ -223,6 +223,23 @@ def test_k_validation():
         solve_minmax_regret_bs(inst, 3)
 
 
+@pytest.mark.parametrize("solve", [solve_minmax_regret_dp, solve_minmax_regret_bs],
+                         ids=["dp", "bs"])
+@pytest.mark.parametrize("k", [True, 2.0, "2", None], ids=repr)
+def test_k_must_be_an_integer(solve, k):
+    # True was solved as k = 1 by bs and failed with a TypeError in dp
+    inst = PathInstance((0, 1, 3), (1, 1, 2), (2, 3, 2))
+    with pytest.raises(ValueError, match="k must be an integer, got"):
+        solve(inst, k)
+
+
+@pytest.mark.parametrize("solve", [solve_minmax_regret_dp, solve_minmax_regret_bs],
+                         ids=["dp", "bs"])
+def test_k_accepts_numpy_integers(solve):
+    inst = PathInstance((0, 1, 3), (1, 1, 2), (2, 3, 2))
+    assert solve(inst, np.int64(2)) == solve(inst, 2)
+
+
 @settings(deadline=None, max_examples=60)
 @given(data=st.data())
 def test_int64_headroom_boundary(data):

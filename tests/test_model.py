@@ -116,6 +116,7 @@ def test_realize_scenario_and_bounds():
     d = ScenarioDescriptor(1, 2)
     s = realize_scenario(GOOD, d)
     assert s.weights == (1, 2, 1)
+    assert realize_scenario(GOOD, ScenarioDescriptor(np.int64(1), np.int32(2))) == s
     assert scenario_within_bounds(GOOD, s)
     assert realize_scenario(GOOD, ScenarioDescriptor(0, 0)).weights == GOOD.wminus
     assert realize_scenario(GOOD, ScenarioDescriptor(0, 3)).weights == GOOD.wplus
@@ -125,6 +126,14 @@ def test_realize_scenario_and_bounds():
         realize_scenario(GOOD, ScenarioDescriptor(2, 1))
     with pytest.raises(ValueError):
         realize_scenario(GOOD, ScenarioDescriptor(0, 4))
+
+
+@pytest.mark.parametrize("d", [(0.5, 2.5), (0, 2.0), (True, 2), (0, True), ("1", 2)],
+                         ids=["floats", "float-t2", "bool-t1", "bool-t2", "string"])
+def test_realize_scenario_rejects_non_integer_descriptors(d):
+    # (0.5, 2.5) would realize upper bounds on [1, 3), and True would act as 1
+    with pytest.raises(ValueError, match="t[12] must be an integer, got"):
+        realize_scenario(GOOD, ScenarioDescriptor(*d))
 
 
 def test_instance_roundtrip_is_deterministic(tmp_path):
@@ -142,6 +151,28 @@ def test_instance_from_obj_rejects_malformed():
         instance_from_obj({"vertices": 3, "capacity": 1, "tau": 1})
     with pytest.raises(InvalidInstanceError):
         instance_from_obj({"capacity": 1, "tau": 1})
+
+
+@pytest.mark.parametrize("field", ["x", "w_min", "w_max", "capacity", "tau"])
+def test_instance_from_obj_names_the_non_integer_field(field):
+    obj = instance_to_obj(GOOD)
+    if field in ("capacity", "tau"):
+        obj[field] = 1.5
+    else:
+        obj["vertices"][1][field] = 1.5
+    with pytest.raises(InvalidInstanceError) as exc:
+        instance_from_obj(obj)
+    assert str(exc.value) == f"malformed instance object: {field} must be an integer, got 1.5"
+
+
+@pytest.mark.parametrize("field", ["r", "sink"])
+def test_plan_from_obj_names_the_non_integer_field(field):
+    obj = plan_to_obj(Plan((1, 2), (0, 2)), 7, "evac_time")
+    obj["parts"][0][field] = 1.5
+    with pytest.raises(ValueError) as exc:
+        plan_from_obj(obj)
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == f"{field} must be an integer, got 1.5"
 
 
 def test_plan_roundtrip(tmp_path):

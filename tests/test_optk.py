@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from pathevac.evac import eval_one_sink
@@ -58,6 +59,18 @@ def test_input_validation():
         solve_optimal_k_sink(UNIT, UNIT_S, 0)
     with pytest.raises(ValueError):
         solve_optimal_k_sink(UNIT, UNIT_S, 4)
+
+
+@pytest.mark.parametrize("k", [True, 2.0, "2", None], ids=repr)
+def test_k_must_be_an_integer(k):
+    # True was solved as k = 1 and 2.0 failed in range() with a TypeError
+    with pytest.raises(ValueError, match="k must be an integer, got"):
+        solve_optimal_k_sink(UNIT, UNIT_S, k)
+
+
+def test_k_accepts_numpy_integers():
+    want = solve_optimal_k_sink(UNIT, UNIT_S, 2)
+    assert solve_optimal_k_sink(UNIT, UNIT_S, np.int64(2)) == want
 
 
 # Large capacities spread BiHeap labels over deeper label trees.

@@ -23,6 +23,7 @@ from pathevac.optk import solve_optimal_k_sink
 from pathevac.oracle import brute_rji_matrix
 from pathevac.regret import (
     _UNSET,
+    ScenarioOptCache,
     build_lookup_tables,
     build_scenario_opt_cache,
     compute_rji,
@@ -185,6 +186,20 @@ def test_cache_lazy_fill_and_ensure():
         cache.ensure([0], [5])
     with pytest.raises(ValueError):
         build_scenario_opt_cache(inst, 9)
+
+
+@pytest.mark.parametrize("k", [True, 2.0, "2", None], ids=repr)
+def test_cache_rejects_non_integer_k(k):
+    # True was accepted here and failed with a TypeError at fill
+    with pytest.raises(ValueError, match="k must be an integer, got"):
+        ScenarioOptCache(unit_interval_instance(), k)
+
+
+def test_cache_accepts_numpy_integer_k():
+    inst = unit_interval_instance()
+    cache = build_scenario_opt_cache(inst, np.int64(2))
+    assert cache.k == 2 and type(cache.k) is int
+    assert np.array_equal(cache.values, build_scenario_opt_cache(inst, 2).values)
 
 
 def test_cache_ensure_rejects_unequal_shapes():
