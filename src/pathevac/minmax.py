@@ -72,14 +72,13 @@ class _RegretRow:
         self.R = R
         self.j = self.drops = 0
 
-    def append(self, i: int) -> None:
+    def append(self, i: int) -> int:
         self.i = i
+        return int(self.R[self.j, i])
 
-    def drop_left(self) -> None:
+    def drop_left(self) -> int:
         self.j += 1
         self.drops += 1
-
-    def theta(self) -> int:
         return int(self.R[self.j, self.i])
 
 

@@ -11,11 +11,25 @@ w(j+1, i) <= w(j, i) <= cur = max(T(q-1, j-1), w(j, i)), and the next split is
 no worse than the current one exactly when T(q-1, j) <= cur.  Advancing on
 ties lands on the rightmost optimal split.
 
+Rows stop at a bound.  Cutting the path into k parts of equal vertex count is
+a feasible plan, so its worst one-sink time U is at least T(k, n).  Every T
+the answer or its reconstruction reads is at most T(k, n) <= U, so a row ends
+at its first value above U and the rest of it reads as infinity.  This is
+exact: within a position's scan, cur never grows and T(q-1, .) never falls,
+so a scan that advances the split onto an entry above U ends above U; a
+value at most U therefore reads only entries at most U, exactly as without
+the bound.  A value above U stays above U (or becomes infinite) when entries
+above U read as infinity, so the row stops where the unbounded row first
+exceeds U, and each truncated row runs a prefix of the unbounded row's
+operations.  The last row never exceeds U and is never cut.
+
 A tracker maintains the rightmost optimal sink of its subpath: the one-sink
 time is max(theta_L, theta_R) with theta_L non-decreasing and theta_R
 non-increasing in the sink position, so advancing the sink while the next
 position is no worse (ties included) lands exactly on the rightmost minimizer,
-and appends/left-drops only ever push that minimizer further right.
+and appends/left-drops only ever push that minimizer further right.  Both
+trackers measure the next position from the side maxima without moving the
+sink, and commit only accepted moves.
 """
 
 from __future__ import annotations
@@ -73,10 +87,12 @@ class SubpathTracker:
     (prefix weight W(j..t), distance) pairs for vertices t < sink, the right
     heap (suffix weight W(t..i), distance) pairs for t > sink, so each side's
     evacuation time is that side's max cost minus 1 (0 when empty).  ``pw``
-    is the scenario's prefix weights (``_prefix_weights``).  Sink probing is
-    commit-and-undo: move right, re-measure, move back if worse.  The DP
-    uses it for capacity >= 2; ``_FastTracker`` covers unit capacity and the
-    simplified model.
+    is the scenario's prefix weights (``_prefix_weights``).  ``append`` and
+    ``drop_left`` return the new w(j, i).  A sink probe reads the side maxima
+    as they would be after the move, removing the next vertex's pair from
+    the right heap only when it is that heap's top; ``sink_moves`` counts
+    committed moves.  The DP uses it for capacity >= 2; ``_FastTracker``
+    covers unit capacity and the simplified model.
     """
 
     def __init__(self, inst: PathInstance, s: Scenario, pw: list[int]):
@@ -105,63 +121,79 @@ class SubpathTracker:
         tr = mr[0] - 1 if mr is not None else 0
         return tl if tl >= tr else tr
 
-    def append(self, v: int) -> None:
+    def append(self, v: int) -> int:
         """Extend the subpath to [j, v] (v must be the next vertex, i+1)."""
         if self.j > self.i:
             self.i = v
             self.y = v
-            return
+            return 0
         self.i = v
         self.hr.add_w(self.w[v])
         self.hr_handle[v] = self.hr.insert(
             self.w[v], (self.x[v] - self.x[self.y]) * self.tau
         )
-        self._settle()
+        return self._settle()
 
-    def drop_left(self) -> None:
+    def drop_left(self) -> int:
         """Shrink the subpath to [j+1, i]."""
         self.drops += 1
         if self.j > self.i:
             raise RuntimeError("drop_left on an empty tracker")
         if self.j == self.i:
             self.j += 1
-            return
+            return 0
         if self.y == self.j:
             self._move_right()
         self.hl.delete(self.hl_handle.pop(self.j))
         self.hl.add_w(-self.w[self.j])
         self.j += 1
-        self._settle()
+        return self._settle()
 
     def _move_right(self) -> None:
         y = self.y
         ell = (self.x[y + 1] - self.x[y]) * self.tau
         self.hl.add_l(ell)
         self.hl_handle[y] = self.hl.insert(self.pw[y + 1] - self.pw[self.j], ell)
-        self.hr.delete(self.hr_handle.pop(y + 1))
+        # An accepted probe has already taken y+1's pair out if it was the top.
+        handle = self.hr_handle.pop(y + 1, None)
+        if handle is not None:
+            self.hr.delete(handle)
         self.hr.add_l(-ell)
         self.y = y + 1
         self.sink_moves += 1
 
-    def _move_left(self) -> None:
-        y = self.y
-        ell = (self.x[y] - self.x[y - 1]) * self.tau
-        self.hl.delete(self.hl_handle.pop(y - 1))
-        self.hl.add_l(-ell)
-        self.hr.add_l(ell)
-        self.hr_handle[y] = self.hr.insert(self.pw[self.i + 1] - self.pw[y], ell)
-        self.y = y - 1
-
-    def _settle(self) -> None:
+    def _settle(self) -> int:
         cur = self.theta()
+        x, tau, c, pw = self.x, self.tau, self.c, self.pw
+        hl, hr, hr_handle = self.hl, self.hr, self.hr_handle
         while self.y < self.i:
-            self._move_right()
-            nxt = self.theta()
+            y = self.y
+            ell = (x[y + 1] - x[y]) * tau
+            # Left side if the sink moved to y+1: every pair's L grows by
+            # ell and vertex y joins with W(j..y) at distance ell.
+            tl = -(-(pw[y + 1] - pw[self.j]) // c) + ell
+            ml = hl.max_entry()
+            if ml is not None and ml[0] + ell > tl:
+                tl = ml[0] + ell
+            tl -= 1
+            # Right side if the sink moved: y+1's pair leaves, the rest's L
+            # shrinks by ell.  Only the top pair can change the maximum.
+            removed = None
+            mr = hr.max_entry()
+            if mr[1] == hr_handle[y + 1]:
+                hr.delete(hr_handle.pop(y + 1))
+                removed = mr
+                mr = hr.max_entry()
+            tr = mr[0] - ell - 1 if mr is not None else 0
+            nxt = tl if tl >= tr else tr
             if nxt <= cur:
+                self._move_right()
                 cur = nxt
             else:
-                self._move_left()
+                if removed is not None:
+                    hr_handle[y + 1] = hr.insert(pw[self.i + 1] - pw[y + 1], ell)
                 break
+        return cur
 
 
 class _FastTracker:
@@ -212,31 +244,31 @@ class _FastTracker:
         tr = (self.sR - hr[0][0] - self.dadj) if hr else 0
         return tl if tl >= tr else tr
 
-    def append(self, v: int) -> None:
+    def append(self, v: int) -> int:
         if self.j > self.i:
             self.i = v
             self.y = v
-            return
+            return 0
         self.i = v
         self.sR += self.w[v]
         cost = self.w[v] + (self.x[v] - self.x[self.y]) * self.tau
         heappush(self.hr, (self.sR - cost, v))
         self.aliveR[v] = 1
-        self._settle()
+        return self._settle()
 
-    def drop_left(self) -> None:
+    def drop_left(self) -> int:
         self.drops += 1
         if self.j > self.i:
             raise RuntimeError("drop_left on an empty tracker")
         if self.j == self.i:
             self.j += 1
-            return
+            return 0
         if self.y == self.j:
             self._move_right()
         self.aliveL[self.j] = 0
         self.sL -= self.w[self.j]
         self.j += 1
-        self._settle()
+        return self._settle()
 
     def _move_right(self) -> None:
         x = self.x
@@ -251,7 +283,7 @@ class _FastTracker:
         self.y = y + 1
         self.sink_moves += 1
 
-    def _settle(self) -> None:
+    def _settle(self) -> int:
         cur = self.theta()
         x = self.x
         tau = self.tau
@@ -292,43 +324,60 @@ class _FastTracker:
                 if popped is not None:
                     heappush(hr, popped)
                 break
+        return cur
 
 
-def _split_dp(n, k, new_row):
+def _equal_parts_bound(inst, s, k, cm) -> int:
+    """The worst one-sink time over the k parts of equal vertex count; part q
+    is [q(n+1)//k, (q+1)(n+1)//k - 1].  A feasible plan, so >= T(k, n)."""
+    n1 = inst.n + 1
+    return max(
+        optimal_one_sink(inst, s, q * n1 // k, (q + 1) * n1 // k - 1, cm)[0]
+        for q in range(k)
+    )
+
+
+def _split_dp(n, k, new_row, bound=float("inf")):
     """T(k, n) of T(q, i) = min over j of max(T(q-1, j-1), w(j, i)).
 
     Each ``new_row()`` tracks w(j, i) from j = 0 under ``append(i)`` and
-    ``drop_left()``, like the trackers above.  Returns T(k, n), the split
-    rows (``splits[q-1][i]`` starts the last part of the best q-part cover
-    of [0, i]; ties keep the rightmost), the drops per row and the total
-    sink moves.
+    ``drop_left()``, which return the new w(j, i), like the trackers above.
+    A row stops at its first value above ``bound`` and reads as infinity
+    from there on; ``bound`` must be at least T(k, n) (see the module
+    docstring), and the default bound cuts nothing.  Returns T(k, n), the
+    split rows (``splits[q-1][i]`` starts the last part of the best q-part
+    cover of [0, i]; ties keep the rightmost), the drops per row and the
+    total sink moves.
     """
+    inf = float("inf")
     row = new_row()
-    tprev = [0] * (n + 1)
+    tprev = [inf] * (n + 1)
     for i in range(n + 1):
-        row.append(i)
-        tprev[i] = row.theta()
+        fc = row.append(i)
+        if fc > bound:
+            break
+        tprev[i] = fc
     splits: list[list[int]] = [[0] * (n + 1)]
     drops = [row.drops]
     sink_moves = row.sink_moves
 
     for _q in range(2, k + 1):
         row = new_row()
-        tq = [0] * (n + 1)
+        tq = [inf] * (n + 1)
         jq = [0] * (n + 1)
         jc = 0
         for i in range(n + 1):
-            row.append(i)
-            fc = row.theta()
+            fc = row.append(i)
             cur = fc if jc == 0 else max(tprev[jc - 1], fc)
             # w(jc+1, i) <= w(jc, i) <= cur, so the next split is no worse
             # exactly when tprev[jc] <= cur.
             while jc < i and tprev[jc] <= cur:
-                row.drop_left()
-                fc = row.theta()
+                fc = row.drop_left()
                 tp = tprev[jc]
                 jc += 1
                 cur = tp if tp >= fc else fc
+            if cur > bound:
+                break
             tq[i] = cur
             jq[i] = jc
         tprev = tq
@@ -387,7 +436,11 @@ def solve_optimal_k_sink(
             return _FastTracker(inst, s, discrete, pw)
         return SubpathTracker(inst, s, pw)
 
-    value, splits, drops, sink_moves = _split_dp(n, k, new_tracker)
+    bound = _equal_parts_bound(inst, s, k, cm)
+    value, splits, drops, sink_moves = _split_dp(n, k, new_tracker, bound)
+    if value > bound:
+        raise RuntimeError(
+            f"k-sink DP value {value} exceeds the equal-parts bound {bound}")
     plan = _plan_from_splits(
         n, splits, lambda j, i: optimal_one_sink(inst, s, j, i, cm)[1])
     counters = {

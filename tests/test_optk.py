@@ -7,7 +7,7 @@ import random
 import numpy as np
 import pytest
 
-from pathevac.evac import eval_one_sink
+from pathevac.evac import eval_all_sinks, eval_one_sink
 from pathevac.model import (
     CostModel,
     InvalidInstanceError,
@@ -17,8 +17,11 @@ from pathevac.model import (
 )
 from pathevac.optk import (
     SubpathTracker,
+    _equal_parts_bound,
     _FastTracker,
+    _plan_from_splits,
     _prefix_weights,
+    _split_dp,
     optimal_one_sink,
     solve_optimal_k_sink,
 )
@@ -151,15 +154,20 @@ def test_tracker_window_matches_direct_eval(make):
                                         tau=inst.tau)
             tr = make(inst, s, cm)
             n = inst.n
+
+            def check(got, lo, hi, what):
+                want, _ = optimal_one_sink(inst, s, lo, hi, cm)
+                assert got == tr.theta() == want, (what, inst, s, cm, lo, hi)
+                # the sink probes advance on ties: rightmost optimal sink
+                times = eval_all_sinks(inst, s, lo, hi, cm)
+                rightmost = hi - times[::-1].index(want)
+                assert tr.y == rightmost, (what, inst, s, cm, lo, hi)
+
             # grow to the full path, then shrink from the left
             for i in range(n + 1):
-                tr.append(i)
-                want, _ = optimal_one_sink(inst, s, 0, i, cm)
-                assert tr.theta() == want, ("grow", inst, s, cm, i)
+                check(tr.append(i), 0, i, "grow")
             for j in range(n):
-                tr.drop_left()
-                want, _ = optimal_one_sink(inst, s, j + 1, n, cm)
-                assert tr.theta() == want, ("shrink", inst, s, cm, j)
+                check(tr.drop_left(), j + 1, n, "shrink")
 
 
 def _two_tracker_reference(inst, s, k, cm):
@@ -273,3 +281,62 @@ def test_last_part_starts_at_rightmost_optimal_split():
             assert res.plan.boundaries[-2] + 1 == j_star, (inst, s, k, cm)
             assert res.counters["j_increments_per_row"][-1] == (
                 res.plan.boundaries[-2] + 1)
+
+
+def _direct_rows(inst, s, k, cm):
+    """T(q, i) for q = 1..k straight from the recurrence, O(k n^2)."""
+    n = inst.n
+    w = {(j, i): optimal_one_sink(inst, s, j, i, cm)[0]
+         for i in range(n + 1) for j in range(i + 1)}
+    rows = [[w[0, i] for i in range(n + 1)]]
+    for _q in range(2, k + 1):
+        prev = rows[-1]
+        rows.append([
+            min([w[0, i]] + [max(prev[j - 1], w[j, i]) for j in range(1, i + 1)])
+            for i in range(n + 1)
+        ])
+    return rows
+
+
+def test_bounded_rows_match_unbounded():
+    rng = random.Random(27)
+    for trial in range(240):
+        n = rng.randint(0, 24)
+        kind = trial % 3
+        if kind == 0:
+            # few distinct weights and gaps, so that ties are common
+            inst = rand_instance(rng, n, w_max=2, gap_max=1, taus=(1, 2, 3))
+        else:
+            inst = rand_instance(rng, n, taus=(1, 2, 3))
+        s = rand_scenario(rng, inst)
+        if kind == 1:
+            # one heavy vertex: its equal part's time makes a loose bound
+            weights = list(s.weights)
+            weights[rng.randrange(n + 1)] = rng.randint(300, 3000)
+            s = Scenario(tuple(weights))
+        k = n + 1 if trial % 5 == 0 else rng.randint(1, n + 1)
+        cm = rng.choice([CostModel.DISCRETE, CostModel.SIMPLIFIED])
+        pw = _prefix_weights(s)
+
+        def new_row():
+            if cm == CostModel.SIMPLIFIED or inst.capacity == 1:
+                return _FastTracker(inst, s, cm == CostModel.DISCRETE, pw)
+            return SubpathTracker(inst, s, pw)
+
+        rows = _direct_rows(inst, s, k, cm)
+        value, splits, drops, moves = _split_dp(n, k, new_row)
+        assert value == rows[-1][n], (inst, s, k, cm)
+        # the equal-parts bound, and the tightest bound allowed
+        for bound in (_equal_parts_bound(inst, s, k, cm), value):
+            assert bound >= value
+            b_value, b_splits, b_drops, b_moves = _split_dp(n, k, new_row, bound)
+            assert b_value == value, (inst, s, k, cm, bound)
+            for q in range(k):
+                for i in range(n + 1):
+                    if rows[q][i] <= bound:
+                        assert b_splits[q][i] == splits[q][i], (inst, s, k, q, i)
+            assert all(a <= b for a, b in zip(b_drops, drops)), (b_drops, drops)
+            assert b_drops[-1] == drops[-1]
+            assert b_moves <= moves
+            assert (_plan_from_splits(n, b_splits, lambda j, i: j)
+                    == _plan_from_splits(n, splits, lambda j, i: j))
