@@ -82,20 +82,31 @@ assert regret_of_plan(inst, plan, ws) == value
 
 # --- the lookup tables behind the fast path ------------------------------------------
 
-# The worst-case regret of a part separates into three O(n^2) tables of
-# side times and scenario optima; e.g. A[l, t] is the worst regret of sink
-# t's left side over the candidates that raise a run starting at l.
+# The worst-case regret of part [l, r] with sink t is max(A[l, t], C[t, r]),
+# two O(n^2) tables of side times and scenario optima: A[l, t] is the worst
+# regret of sink t's left side over the candidates that raise a run
+# starting at l, C[t, r] that of its right side over the runs ending at r.
 tables = build_lookup_tables(inst, cache)
-print(f"\nright-side time of sink 0 for each part end, all lower bounds: "
-      f"{[int(v) for v in tables.rminus[0]]}")
 t_sink = 6
 worst_left = max(
     eval_side(inst, realize_scenario(inst, ScenarioDescriptor(0, m)), 0, t_sink,
               t_sink, Side.LEFT, CostModel.SIMPLIFIED).time - cache.values[0, m]
     for m in range(t_sink + 1)
 )
-print(f"A[0, {t_sink}] = {int(tables.A[0, t_sink])}")
+print(f"\nA[0, {t_sink}] = {int(tables.A[0, t_sink])}")
 assert tables.A[0, t_sink] == worst_left
+print(f"right-side worst regret of sink 0 for each part end, C[0, r]: "
+      f"{[int(v) for v in tables.C[0]]}")
+r_end = 9
+# the run (r_end + 1, r_end + 1) is empty: all lower bounds
+worst_right = max(
+    eval_side(inst, realize_scenario(inst, ScenarioDescriptor(m, r_end + 1)), t_sink,
+              r_end, t_sink, Side.RIGHT, CostModel.SIMPLIFIED).time
+    - cache.values[m, r_end + 1]
+    for m in range(t_sink + 1, r_end + 2)
+)
+print(f"C[{t_sink}, {r_end}] = {int(tables.C[t_sink, r_end])}")
+assert tables.C[t_sink, r_end] == worst_right
 
 # --- minimal worst-case regret of every subpath ---------------------------------------
 
@@ -103,5 +114,5 @@ rji = compute_rji(inst, cache)
 print(f"\nR[j, i] holds the best single-sink worst-case regret of each "
       f"subpath; R[0, {n}] = {int(rji.R[0, n])} "
       f"(best sink {int(rji.sink[0, n])})")
-print(f"sweep work: {rji.counters['sink_evals']} sink evaluations, "
-      f"{rji.counters['sink_moves']} pointer moves")
+print(f"sink search: {rji.counters['sink_evals']} reads of C (one per cell "
+      f"plus one per move), {rji.counters['sink_moves']} sink moves")

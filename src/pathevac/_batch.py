@@ -58,13 +58,15 @@ NEG = -(1 << 62)
 # passes, as an empty side must; ``theta_l`` / ``theta_r`` subtract the
 # offset (reaching NEG - 2H) and mask it.  The regret tables of ``regret``
 # take running maxima of the profile arrays over non-empty ranges only, so
-# no NEG enters them.  With side times and OPT in [0, 2H], each running
-# maximum there (a profile entry, or its running maximum, minus OPT, plus
-# at most a prefix sum or one more profile entry) lies in [-4H, 2H], each
-# offset (x_t*tau and a prefix sum) in [-H, H], and each table value
-# (side time - OPT) in [-2H, 2H].  So H < 2^60 keeps every intermediate
-# within 2^62 + 2^61 < 2^63 and keeps every shifted sentinel (at most
-# NEG + S < -2H) below every real segment maximum.
+# no NEG enters them.  With side times and OPT in [0, 2H], each operand of
+# a running maximum there lies in [-4H, 2H]: a profile entry or its running
+# maximum minus OPT (b1 - v included) in [-3H, H]; a1 or b1 plus a running
+# maximum of +-dp0 - OPT in [-4H, 2H]; and dp0[r+1] + max(near, far) adds
+# at most S to a value in [-4H, H].  Each offset (x_t*tau and a prefix
+# sum) lies in [-H, H], and each table value (side time - OPT) in
+# [-2H, 2H].  So H < 2^60 keeps every intermediate within 2^62 + 2^61 <
+# 2^63 and keeps every shifted sentinel (at most NEG + S < -2H) below
+# every real segment maximum.
 INT64_HEADROOM = 1 << 60
 
 # Lane count from which ``solve`` brackets lanes by anchor windows, and the

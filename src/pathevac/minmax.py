@@ -32,7 +32,7 @@ from .model import (
     realize_scenario,
     require_int,
 )
-from .optk import _plan_from_splits, _split_dp, solve_optimal_k_sink
+from .optk import _MatrixRow, _plan_from_splits, _split_dp, solve_optimal_k_sink
 from .regret import ScenarioOptCache, compute_rji
 
 __all__ = [
@@ -63,25 +63,6 @@ def _validate(inst: PathInstance, k: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-class _RegretRow:
-    """R[j, i] as a row of ``optk._split_dp``; R, like w, never grows as a part shrinks."""
-
-    sink_moves = 0
-
-    def __init__(self, R):
-        self.R = R
-        self.j = self.drops = 0
-
-    def append(self, i: int) -> int:
-        self.i = i
-        return int(self.R[self.j, i])
-
-    def drop_left(self) -> int:
-        self.j += 1
-        self.drops += 1
-        return int(self.R[self.j, self.i])
-
-
 def solve_minmax_regret_dp(inst: PathInstance, k: int) -> MmrResult:
     """Minmax-regret plan via dynamic programming over the R matrix.
 
@@ -89,13 +70,13 @@ def solve_minmax_regret_dp(inst: PathInstance, k: int) -> MmrResult:
     min over j of max(M(q-1, j-1), R[j, i]), with M(1, i) = R[0, i]: the
     k-sink recurrence of :mod:`pathevac.optk` with R as the part cost, so
     it runs on that module's DP, which keeps the rightmost optimal split.
-    Sinks come from the R matrix sweep.
+    Sinks are the ones :func:`~pathevac.regret.compute_rji` picked for R.
     """
     k = _validate(inst, k)
     n = inst.n
     rji = compute_rji(inst, ScenarioOptCache(inst, k))
     R = rji.R
-    value, splits, drops, _ = _split_dp(n, k, lambda: _RegretRow(R))
+    value, splits, drops, _ = _split_dp(n, k, lambda: _MatrixRow(R))
     plan = _plan_from_splits(n, splits, lambda j, i: int(rji.sink[j, i]))
 
     # Internal consistency: the plan's parts must reproduce the DP value.

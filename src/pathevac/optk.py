@@ -11,6 +11,10 @@ w(j+1, i) <= w(j, i) <= cur = max(T(q-1, j-1), w(j, i)), and the next split is
 no worse than the current one exactly when T(q-1, j) <= cur.  Advancing on
 ties lands on the rightmost optimal split.
 
+That scan, ``_split_row``, is the package's one copy of the loop.  It has
+three callers: this DP, the minmax DP over R (``_MatrixRow``) and the rows
+of R themselves (``regret.compute_rji``).
+
 Rows stop at a bound.  Cutting the path into k parts of equal vertex count is
 a feasible plan, so its worst one-sink time U is at least T(k, n).  Every T
 the answer or its reconstruction reads is at most T(k, n) <= U, so a row ends
@@ -337,50 +341,74 @@ def _equal_parts_bound(inst, s, k, cm) -> int:
     )
 
 
+class _MatrixRow:
+    """A DP row whose part cost is read from matrix ``M`` at [j, i]; ``M``
+    must not grow as a part shrinks, M[j + 1, i] <= M[j, i].  It has no
+    sink of its own, so ``sink_moves`` stays 0."""
+
+    sink_moves = 0
+
+    def __init__(self, M):
+        self.M = M
+        self.j = self.drops = 0
+
+    def append(self, i: int) -> int:
+        self.i = i
+        return self.M.item(self.j, i)
+
+    def drop_left(self) -> int:
+        self.j += 1
+        self.drops += 1
+        return self.M.item(self.j, self.i)
+
+
+def _split_row(tprev, row, n, bound=float("inf")):
+    """One row of T(q, i) = min over j of max(T(q-1, j-1), w(j, i)), i <= n.
+
+    ``tprev[j]`` is T(q-1, j), non-decreasing in j and read for j < n.
+    ``row`` tracks w(j, i) from j = 0 under ``append(i)`` and
+    ``drop_left()``, which return the new w(j, i), like the trackers above.
+    The row stops at its first value above ``bound`` and reads as infinity
+    from there on.  Returns the values T(q, i) and the splits: the start j
+    of the last part of the best cover of [0, i], the rightmost on ties.
+    """
+    inf = float("inf")
+    tq = [inf] * (n + 1)
+    jq = [0] * (n + 1)
+    jc = 0
+    for i in range(n + 1):
+        fc = row.append(i)
+        cur = fc if jc == 0 else max(tprev[jc - 1], fc)
+        # w(jc+1, i) <= w(jc, i) <= cur, so the next split is no worse
+        # exactly when tprev[jc] <= cur.
+        while jc < i and tprev[jc] <= cur:
+            fc = row.drop_left()
+            tp = tprev[jc]
+            jc += 1
+            cur = tp if tp >= fc else fc
+        if cur > bound:
+            break
+        tq[i] = cur
+        jq[i] = jc
+    return tq, jq
+
+
 def _split_dp(n, k, new_row, bound=float("inf")):
     """T(k, n) of T(q, i) = min over j of max(T(q-1, j-1), w(j, i)).
 
-    Each ``new_row()`` tracks w(j, i) from j = 0 under ``append(i)`` and
-    ``drop_left()``, which return the new w(j, i), like the trackers above.
-    A row stops at its first value above ``bound`` and reads as infinity
-    from there on; ``bound`` must be at least T(k, n) (see the module
-    docstring), and the default bound cuts nothing.  Returns T(k, n), the
-    split rows (``splits[q-1][i]`` starts the last part of the best q-part
-    cover of [0, i]; ties keep the rightmost), the drops per row and the
-    total sink moves.
+    Runs ``_split_row`` on k fresh ``new_row()``s, the first after an
+    all-infinite row, so T(1, i) = w(0, i).  ``bound`` must be at least
+    T(k, n) (see the module docstring).  Returns T(k, n), the split rows
+    (``splits[q-1][i]`` starts the last part of the best q-part cover of
+    [0, i]), the drops per row and the total sink moves.
     """
-    inf = float("inf")
-    row = new_row()
-    tprev = [inf] * (n + 1)
-    for i in range(n + 1):
-        fc = row.append(i)
-        if fc > bound:
-            break
-        tprev[i] = fc
-    splits: list[list[int]] = [[0] * (n + 1)]
-    drops = [row.drops]
-    sink_moves = row.sink_moves
-
-    for _q in range(2, k + 1):
+    tprev = [float("inf")] * (n + 1)
+    splits: list[list[int]] = []
+    drops: list[int] = []
+    sink_moves = 0
+    for _q in range(k):
         row = new_row()
-        tq = [inf] * (n + 1)
-        jq = [0] * (n + 1)
-        jc = 0
-        for i in range(n + 1):
-            fc = row.append(i)
-            cur = fc if jc == 0 else max(tprev[jc - 1], fc)
-            # w(jc+1, i) <= w(jc, i) <= cur, so the next split is no worse
-            # exactly when tprev[jc] <= cur.
-            while jc < i and tprev[jc] <= cur:
-                fc = row.drop_left()
-                tp = tprev[jc]
-                jc += 1
-                cur = tp if tp >= fc else fc
-            if cur > bound:
-                break
-            tq[i] = cur
-            jq[i] = jc
-        tprev = tq
+        tprev, jq = _split_row(tprev, row, n, bound)
         splits.append(jq)
         drops.append(row.drops)
         sink_moves += row.sink_moves

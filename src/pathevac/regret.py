@@ -14,14 +14,15 @@ Main pieces:
   under one scenario (optimum from the fixed-scenario DP), and its worst
   case over all candidate scenarios (plan times from the batch engine's
   side times, optima from the cache).
-* :class:`EvacLookupTables` / :func:`build_lookup_tables` — three O(n^2)
+* :class:`EvacLookupTables` / :func:`build_lookup_tables` — two O(n^2)
   tables into which the worst-case regret of every part and sink
   separates, built in O(n^2) time from running maxima over the cache's
   values and the batch engine's static profile arrays.
 * :func:`compute_rji` — the matrix R[j, i] of minimal worst-case regrets of
   single-sink subpaths [j, i], with the minimizing sink per cell: the
-  regret of part [l, r] with sink t is max(A[l, t], rminus[t, r] - v[0, 0]),
-  also max'ed with B[t, r] when t < r.
+  regret of part [l, r] with sink t is max(A[l, t], C[t, r]), non-decreasing
+  and non-increasing in t, so each row of R is one row of the split DP of
+  :mod:`pathevac.optk`.
 
 All quantities are exact int64 integers.
 
@@ -50,7 +51,7 @@ from .model import (
     require_int,
     validate_plan,
 )
-from .optk import solve_optimal_k_sink
+from .optk import _MatrixRow, _split_row, solve_optimal_k_sink
 from .scenario_gen import enumerate_partition_candidates
 
 if TYPE_CHECKING:
@@ -245,32 +246,33 @@ def max_regret_of_plan(
 class EvacLookupTables:
     """Components of the worst-case regret of every part and sink.
 
-    Three (n+1) x (n+1) int64 tables.  With ``v`` the scenario-optimum cache
+    Two (n+1) x (n+1) int64 tables.  With ``v`` the scenario-optimum cache
     values and ``theta_l`` / ``theta_r`` the batch engine's side times:
 
-    * ``rminus[t, r] = theta_r(t, r, 0, 0)``: the right side of sink t with
-      all weights at lower bounds;
     * ``A[l, t] = max_{m in [l, t]} theta_l(l, t, l, m) - v[l, m]``, over the
       left-anchored candidates (l, m);
-    * ``B[t, r] = max_{m in [t+1, r]} theta_r(t, r, m, r+1) - v[m, r+1]``,
+    * ``C[t, r] = max_{m in [t+1, r+1]} theta_r(t, r, m, r+1) - v[m, r+1]``,
       over the right-anchored candidates (m, r+1).
 
-    Entries are defined where l <= t (``A``), t <= r (``rminus``) and t < r
-    (``B``); all other cells hold 0.
+    The windows (l, l) and (r+1, r+1) are empty: they take all lower
+    bounds, so A[l, l] = -v[l, l] and C[r, r] = -v[r+1, r+1].  A row of
+    ``A`` never falls as t grows and a column of ``C`` never grows: a side
+    time grows with its side, and the larger side has more candidates.
+    Entries are defined where l <= t (``A``) and t <= r (``C``); all other
+    cells hold 0.
     """
 
-    rminus: np.ndarray
     A: np.ndarray
-    B: np.ndarray
+    C: np.ndarray
 
 
 def build_lookup_tables(inst: PathInstance, cache: ScenarioOptCache) -> EvacLookupTables:
     """Build :class:`EvacLookupTables` from a scenario-optimum cache.
 
-    Completes the cache, then fills each row of ``rminus`` and ``A`` and
-    each column of ``B`` with a few running maxima (``np.maximum.accumulate``)
-    over the four static profile arrays behind the batch engine's range
-    maxima: O(n^2) work in O(n) numpy calls, with O(n) extra memory.
+    Completes the cache, then fills each row of ``A`` and each column of
+    ``C`` with a few running maxima (``np.maximum.accumulate``) over the
+    four static profile arrays behind the batch engine's range maxima:
+    O(n^2) work in O(n) numpy calls, with O(n) extra memory.
 
     Write v for the cache values, xt = x*tau, pm0 and dp0 for the prefix
     sums of w- and of w+ - w- (pm0[z] and dp0[z] sum vertices below z), and
@@ -301,17 +303,18 @@ def build_lookup_tables(inst: PathInstance, cache: ScenarioOptCache) -> EvacLook
         theta_r(t, r, m, r+1) = pm0[r+1] + dp0[r+1] - xt[t]
                                 + max(max b1[t+1..m] - dp0[m], max b2[m..r]),
 
-    so B[t, r] - (pm0[r+1] + dp0[r+1] - xt[t]) is the larger of
+    and the empty lane (r+1, r+1) gives pm0[r+1] - xt[t] + max b1[t+1..r].
+    So for t < r, C[t, r] - (pm0[r+1] - xt[t]) is the largest of
 
-        max over z in [t+1, r] of b1[z] + max over m in [z, r] of
-            (-dp0[m] - v[m, r+1]),
-        max over m in [t+1, r] of max b2[m..r] - v[m, r+1],
+        max over z in [t+1, r] of b1[z] - v[r+1, r+1],
+        dp0[r+1] + max over z in [t+1, r] of b1[z] + max over m in [z, r]
+            of (-dp0[m] - v[m, r+1]),
+        dp0[r+1] + max over m in [t+1, r] of max b2[m..r] - v[m, r+1],
 
-    both suffix maxima along column r + 1 of v.  Lane (0, 0) takes all
-    lower bounds: rminus[t, r] = pm0[r+1] - xt[t] + max b1[t+1..r] for
-    t < r, a prefix maximum along row t.  Every range maximum is over a
-    non-empty range, so no NEG sentinel enters a table, and only the cells
-    the tables define are written.
+    suffix maxima along column r + 1 of v, taken as one running maximum;
+    C[r, r] = -v[r+1, r+1].  Every range maximum is over a non-empty range,
+    so no NEG sentinel enters a table, and only the cells the tables define
+    are written.
     """
     import numpy as np
 
@@ -324,10 +327,8 @@ def build_lookup_tables(inst: PathInstance, cache: ScenarioOptCache) -> EvacLook
     n = inst.n
     size = n + 1
     acc = np.maximum.accumulate
-    rminus, A, B = (np.zeros((size, size), dtype=np.int64) for _ in range(3))
+    A, C = (np.zeros((size, size), dtype=np.int64) for _ in range(2))
 
-    for t in range(n):
-        rminus[t, t + 1 :] = pm0[t + 2 :] - xt[t] + acc(b1[t + 1 :])
     # Row l: index i of the running maxima is sink t = l + 1 + i, and also
     # m = l + 1 + i in T1 and z = l + i in T2.
     for l in range(size):
@@ -338,12 +339,14 @@ def build_lookup_tables(inst: PathInstance, cache: ScenarioOptCache) -> EvacLook
         A[l, l + 1 :] = xt[l + 1 :] - (pm0[l] + dp0[l]) + acc(np.maximum(T1, T2))
     # Column r, read from r down: index j is m = z = r - j, and after the
     # suffix maximum and its reversal, index t of the result is sink t.
+    np.fill_diagonal(C, -v.diagonal()[1:])
     for r in range(1, size):
         col = v[r:0:-1, r + 1]
         near = b1[r:0:-1] + acc(-dp0[r:0:-1] - col)
         far = acc(b2[r:0:-1]) - col
-        B[:r, r] = (pm0[r + 1] + dp0[r + 1]) - xt[:r] + acc(np.maximum(near, far))[::-1]
-    return EvacLookupTables(rminus=rminus, A=A, B=B)
+        run = np.maximum(b1[r:0:-1] - v[r + 1, r + 1], dp0[r + 1] + np.maximum(near, far))
+        C[:r, r] = pm0[r + 1] - xt[:r] + acc(run)[::-1]
+    return EvacLookupTables(A=A, C=C)
 
 
 # ---------------------------------------------------------------------------
@@ -357,9 +360,8 @@ class RjiMatrix:
 
     ``R`` and ``sink`` are (n+1) x (n+1) int64 arrays, valid where j <= i
     (other cells hold a large-negative / -1 sentinel).  ``sink[j, i]`` is
-    the minimizing sink position actually selected (the sweep keeps the
-    rightmost minimizer).  Regrets are signed; R[j, j] equals minus the
-    optimal time of the all-lower-bounds scenario.
+    the rightmost minimizing sink position.  Regrets are signed; R[j, j]
+    equals minus the optimal time of the all-lower-bounds scenario.
     """
 
     R: np.ndarray
@@ -379,25 +381,27 @@ def compute_rji(
     left-anchored candidate the right side of t is all lower bounds, and
     vice versa, so the maximum over candidates separates into
 
-        max(A[l, t], rminus[t, r] - min_{m in [l, t]} v[l, m]),
-        also max'ed with B[t, r] and lminus[l, t] - min_{m in [t+1, r]} v[m, r+1]
+        max(A[l, t], C[t, r]),
+        also max'ed with lminus[l, t] - min_{m in [t+1, r]} v[m, r+1]
         when t < r,
 
-    with ``lminus[l, t]`` the left side of t under all lower bounds.  Two
-    of these terms simplify, because the scenario optimum cannot fall when
-    its window of upper bounds grows (``_batch._anchor_brackets`` gives the
-    argument), so every v is at least v[l, l] = v[0, 0], the all-lower
-    optimum.  Hence min_{m in [l, t]} v[l, m] = v[l, l] = v[0, 0]; and
-    lminus[l, t] - min_m v[m, r+1] <= lminus[l, t] - v[0, 0] =
-    theta_l(l, t, l, l) - v[l, l], the m = l term of A[l, t], so that term
-    never decides the maximum.  With the tables of :func:`build_lookup_tables`
-    the worst-case regret of sink t is
+    with the tables of :func:`build_lookup_tables` (C's lane (r+1, r+1)
+    is the right-anchored candidate with the empty window) and
+    ``lminus[l, t]`` the left side of t under all lower bounds.  The
+    scenario optimum cannot fall when its window of upper bounds grows
+    (``_batch._anchor_brackets`` gives the argument), so every v is at least
+    v[l, l] = v[0, 0], the all-lower optimum, and the last term is at most
+    lminus[l, t] - v[0, 0] = theta_l(l, t, l, l) - v[l, l], the m = l term
+    of A[l, t]: it never decides the maximum.
 
-        max(A[l, t], rminus[t, r] - v[0, 0]), also max'ed with B[t, r] when t < r.
-
-    Per row l the minimizing sink only moves right as r grows; a
-    tie-advancing sweep keeps the rightmost minimizer, so total sink
-    movement is O(n) per row.
+    A[l, t] never falls and C[t, r] never grows as t moves right, so row l
+    of R is one row of ``optk._split_row`` with split j as sink l + j,
+    A[l, l + 1:] as the previous row and C[l + j, l + i] as w(j, i); split
+    j = 0 reads C alone, which is exact as A[l, l] = -v[0, 0] <= C[l, r].
+    The part regret never falls as r grows (a larger part is no faster
+    under any scenario), so the rightmost minimizing sink, which the row
+    keeps, never moves left.  ``sink_moves`` counts its moves and
+    ``sink_evals`` its reads of C, one per cell plus one per move.
     """
     import numpy as np
 
@@ -406,38 +410,17 @@ def compute_rji(
     inst.require_valid()
     n = inst.n
     tables = build_lookup_tables(inst, cache)
-    rminus, B = tables.rminus, tables.B
-    v00 = cache.values[0, 0]
+    A, C = tables.A, tables.C
     R = np.full((n + 1, n + 1), NEG, dtype=np.int64)
     sink = np.full((n + 1, n + 1), -1, dtype=np.int64)
     evals = 0
     moves = 0
-
     for l in range(n + 1):
-        A_l = tables.A[l]
-
-        def part_regret(t: int, r: int) -> int:
-            nonlocal evals
-            evals += 1
-            best = max(A_l[t], rminus[t, r] - v00)
-            if t < r:
-                best = max(best, B[t, r])
-            return best
-
-        t = l
-        for r in range(l, n + 1):
-            cur = part_regret(t, r)
-            while t < r:
-                nxt = part_regret(t + 1, r)
-                if nxt <= cur:
-                    t += 1
-                    cur = nxt
-                    moves += 1
-                else:
-                    break
-            R[l, r] = cur
-            sink[l, r] = t
+        row = _MatrixRow(C[l:, l:])
+        R[l, l:], jq = _split_row(A[l, l + 1 :].tolist(), row, n - l)
+        sink[l, l:] = np.add(jq, l)
+        evals += n - l + 1 + row.drops
+        moves += row.drops
 
     counters = {"sink_evals": evals, "sink_moves": moves}
     return RjiMatrix(R=R, sink=sink, counters=counters)
-

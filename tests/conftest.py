@@ -78,30 +78,26 @@ def rand_plan(rng: random.Random, inst: PathInstance, k: int):
 
 
 def check_rji_invariants(inst: PathInstance, cache, rji) -> None:
-    """Assert the sweep invariants of ``compute_rji``'s result ``rji``.
+    """Assert the invariants of ``compute_rji``'s result ``rji``.
 
-    Per cell, the swept sink attains the minimum over all sinks of the part
-    regret max(A[l, t], rminus[t, r] - v[0, 0]) (also max'ed with B[t, r]
-    when t < r); R does not shrink when a part grows left or right; and the
-    sink never moves left when a part grows right.  O(n^3): small inputs only.
+    Per cell, R is the minimum over all sinks of the part regret
+    max(A[l, t], C[t, r]) and the sink is the rightmost sink attaining it;
+    R does not shrink when a part grows left or right; and the sink never
+    moves left when a part grows right.  O(n^3): small inputs only.
     """
     n = inst.n
     tables = build_lookup_tables(inst, cache)
-    v00 = cache.values[0, 0]
+    A, C = tables.A, tables.C
     R, sink = rji.R, rji.sink
-
-    def part_regret(l: int, t: int, r: int) -> int:
-        best = max(tables.A[l, t], tables.rminus[t, r] - v00)
-        if t < r:
-            best = max(best, tables.B[t, r])
-        return best
 
     for l in range(n + 1):
         for r in range(l, n + 1):
-            full = [part_regret(l, t, r) for t in range(l, r + 1)]
-            assert R[l, r] == min(full), f"R[{l}, {r}] = {R[l, r]} is not the minimum of {full}"
-            assert full[int(sink[l, r]) - l] == R[l, r], (
-                f"sink {sink[l, r]} does not attain R[{l}, {r}]"
+            full = [max(A[l, t], C[t, r]) for t in range(l, r + 1)]
+            best = min(full)
+            rightmost = l + max(i for i, reg in enumerate(full) if reg == best)
+            assert R[l, r] == best, f"R[{l}, {r}] = {R[l, r]} is not the minimum of {full}"
+            assert sink[l, r] == rightmost, (
+                f"sink[{l}, {r}] = {sink[l, r]}, rightmost minimizer {rightmost} of {full}"
             )
     for j in range(n + 1):
         for i in range(j, n):

@@ -19,9 +19,11 @@ from pathevac.optk import (
     SubpathTracker,
     _equal_parts_bound,
     _FastTracker,
+    _MatrixRow,
     _plan_from_splits,
     _prefix_weights,
     _split_dp,
+    _split_row,
     optimal_one_sink,
     solve_optimal_k_sink,
 )
@@ -340,3 +342,37 @@ def test_bounded_rows_match_unbounded():
             assert b_moves <= moves
             assert (_plan_from_splits(n, b_splits, lambda j, i: j)
                     == _plan_from_splits(n, splits, lambda j, i: j))
+
+
+def test_split_row_matches_brute_force_min():
+    """One split row over a matrix cost M equals the brute-force minimum over
+    j of max(tprev[j-1], M[j, i]), with the rightmost minimising j, when
+    tprev is non-decreasing and M[j, i] is non-increasing in j and
+    non-decreasing in i, as w and R are.  Small values make ties common."""
+    rng = random.Random(29)
+    inf = float("inf")
+    for trial in range(400):
+        n = rng.randint(0, 14)
+        top = rng.choice((2, 4, 50))
+        tprev = sorted(rng.randint(0, top) for _ in range(n))
+        if trial % 5 == 0 and n:
+            # a previous row cut at a bound reads as infinity from there on
+            cut = rng.randrange(n)
+            tprev[cut:] = [inf] * (n - cut)
+        # base[j][i] non-decreasing in i, then M[j][i] = max of base[j'][i]
+        # over j' in [j, i], non-increasing in j
+        base = np.zeros((n + 1, n + 1), dtype=np.int64)
+        for j in range(n + 1):
+            base[j, j:] = np.maximum.accumulate([rng.randint(0, top) for _ in range(j, n + 1)])
+        M = np.zeros_like(base)
+        for i in range(n + 1):
+            M[: i + 1, i] = np.maximum.accumulate(base[i::-1, i])[::-1]
+        row = _MatrixRow(M)
+        values, splits = _split_row(tprev, row, n)
+        for i in range(n + 1):
+            costs = [M[0, i]] + [max(tprev[j - 1], M[j, i]) for j in range(1, i + 1)]
+            best = min(costs)
+            assert values[i] == best, (tprev, M.tolist(), i)
+            assert splits[i] == max(j for j, c in enumerate(costs) if c == best), (
+                tprev, M.tolist(), i)
+        assert row.drops == splits[n]

@@ -276,12 +276,18 @@ def test_table_values_small_example():
     assert theta_r(2, 2, 0, 0) == 0
     assert theta_l(0, 2, 0, 0) == 3
     assert theta_r(0, 2, 0, 0) == 3
+    # the empty window (r+1, r+1) is all lower bounds, like (0, 0)
+    assert theta_r(0, 2, 3, 3) == 3
     cache = build_scenario_opt_cache(inst, 1)
     tables = build_lookup_tables(inst, cache)
-    assert tables.rminus[0, 2] == 3
     # A[0, 2] = max over m of theta_l(0, 2, 0, m) - v[0, m] = max(3-2, 5-3, 7-4)
     assert cache.values[0, :3].tolist() == [2, 3, 4]
     assert tables.A[0, 2] == 3
+    # C[0, 2] = max over m of theta_r(0, 2, m, 3) - v[m, 3] = max(7-4, 5-3, 3-2)
+    assert cache.values[1:, 3].tolist() == [4, 3, 2]
+    assert tables.C[0, 2] == 3
+    # the empty windows: A[l, l] = -v[l, l] and C[r, r] = -v[r+1, r+1]
+    assert np.diagonal(tables.A).tolist() == np.diagonal(tables.C).tolist() == [-2] * 3
 
 
 def test_table_rows_match_direct_evaluation():
@@ -324,46 +330,49 @@ def test_tables_match_definition():
             s = realize_scenario(inst, ScenarioDescriptor(*d))
             return eval_side(inst, s, lo, hi, sink, which, CostModel.SIMPLIFIED).time
 
-        want = {name: np.zeros((n + 1, n + 1), dtype=np.int64)
-                for name in ("rminus", "A", "B")}
+        want = {name: np.zeros((n + 1, n + 1), dtype=np.int64) for name in ("A", "C")}
         v = cache.values  # complete: the tables fill it
         v00 = v[0, 0]
         for i in range(n + 1):
+            # every empty window is the all-lower scenario
+            assert v[i + 1, i + 1] == v[i, i] == v00
             for j in range(i, n + 1):
                 # left side of sink j in part [i, j], right side of sink i in [i, j]
                 lminus = side((0, 0), i, j, j, Side.LEFT)
-                want["rminus"][i, j] = side((0, 0), i, j, i, Side.RIGHT)
                 left = range(i, j + 1)
                 want["A"][i, j] = max(
                     side((i, m), i, j, j, Side.LEFT) - v[i, m] for m in left
                 )
+                right = range(i + 1, j + 2)
+                want["C"][i, j] = max(
+                    side((m, j + 1), i, j, i, Side.RIGHT) - v[m, j + 1] for m in right
+                )
+                # the empty window m = j + 1 is the right side under all lower bounds
+                assert (side((j + 1, j + 1), i, j, i, Side.RIGHT)
+                        == side((0, 0), i, j, i, Side.RIGHT))
                 # the dropped terms: min_m v[i, m] is v[0, 0], and
                 # lminus - min_m v[m, j+1] never exceeds A[i, j]
                 assert min(v[i, m] for m in left) == v00
                 if i < j:
-                    right = range(i + 1, j + 1)
-                    want["B"][i, j] = max(
-                        side((m, j + 1), i, j, i, Side.RIGHT) - v[m, j + 1]
-                        for m in right
-                    )
-                    c = min(v[m, j + 1] for m in right)
+                    c = min(v[m, j + 1] for m in range(i + 1, j + 1))
                     assert lminus - c <= want["A"][i, j]
         for name, table in want.items():
             assert np.array_equal(getattr(tables, name), table), name
+        # the monotonicity compute_rji's split rows rely on
+        for i in range(n + 1):
+            assert np.all(np.diff(tables.A[i, i:]) >= 0), ("A row", i)
+            assert np.all(np.diff(tables.C[: i + 1, i]) <= 0), ("C column", i)
 
 
 def _side_time_tables(inst, cache):
     """The lookup tables by direct evaluation of every side time they
-    maximise over: n^3/6 batch-engine lanes each for ``A`` and ``B``, one
-    call per part start l (``A``) and per sink t (``B``)."""
+    maximise over: about n^3/6 batch-engine lanes each for ``A`` and ``C``,
+    one call per part start l (``A``) and per sink t (``C``)."""
     cache.complete()
     v = cache.values
     eng = ScenarioBatchEngine(inst)
     size = inst.n + 1
-    rminus, A, B = (np.zeros((size, size), dtype=np.int64) for _ in range(3))
-    lo, hi = np.triu_indices(size)
-    zero = np.zeros_like(lo)
-    rminus[lo, hi] = eng.theta_r(lo, hi, zero, zero)
+    A, C = (np.zeros((size, size), dtype=np.int64) for _ in range(2))
     # Lanes (row, col) with col <= row, in row order: the first
     # span(span+1)/2 of them cover rows 0..span-1, and row i starts at i(i+1)/2.
     row, col = np.tril_indices(size)
@@ -374,15 +383,15 @@ def _side_time_tables(inst, cache):
         t, m = l + row[:lanes], l + col[:lanes]
         pos = np.full(lanes, l, dtype=np.int64)
         A[l, l:] = np.maximum.reduceat(eng.theta_l(pos, t, pos, m) - v[l, m], starts[:span])
-    for t in range(size - 1):
-        span = size - 1 - t
+    for t in range(size):
+        span = size - t
         lanes = span * (span + 1) // 2
-        r, m = t + 1 + row[:lanes], t + 1 + col[:lanes]
+        r, m = t + row[:lanes], t + 1 + col[:lanes]
         sink = np.full(lanes, t, dtype=np.int64)
-        B[t, t + 1:] = np.maximum.reduceat(
+        C[t, t:] = np.maximum.reduceat(
             eng.theta_r(sink, r, m, r + 1) - v[m, r + 1], starts[:span]
         )
-    return {"rminus": rminus, "A": A, "B": B}
+    return {"A": A, "C": C}
 
 
 def _assert_tables_equal(got, want, label):
@@ -559,3 +568,55 @@ def test_rji_matches_brute_matrix():
             for i in range(j, n + 1):
                 assert got.R[j, i] == want[j][i], (j, i)
 
+
+def _per_cell_sweep(inst, cache):
+    """R, sink and sink moves by a per-cell sweep: per row l, the sink starts
+    at l, stays where the previous part end left it, and advances while the
+    next sink's regret max(A[l, t+1], C[t+1, r]) is no larger (ties
+    included)."""
+    n = inst.n
+    tables = build_lookup_tables(inst, cache)
+    A, C = tables.A.tolist(), tables.C.tolist()
+    R = [[None] * (n + 1) for _ in range(n + 1)]
+    sink = [[None] * (n + 1) for _ in range(n + 1)]
+    moves = 0
+    for l in range(n + 1):
+        t = l
+        for r in range(l, n + 1):
+            cur = max(A[l][t], C[t][r])
+            while t < r and max(A[l][t + 1], C[t + 1][r]) <= cur:
+                t += 1
+                cur = max(A[l][t], C[t][r])
+                moves += 1
+            R[l][r], sink[l][r] = cur, t
+    return R, sink, moves
+
+
+def test_rji_matches_per_cell_sweep():
+    """The split-row R, its sinks and its counters equal a per-cell sweep,
+    on interval, point-interval and tie-heavy instances and on
+    reference-engine caches."""
+    rng = random.Random(63)
+    for trial in range(320):
+        n = rng.randint(0, 30)
+        kind = trial % 4
+        if kind == 0:
+            # few distinct weights and gaps, so that ties are common
+            inst = rand_instance(rng, n, w_max=2, gap_max=1, capacities=(1, 2), taus=(1, 2, 3))
+        else:
+            inst = mk_interval(rng, n)
+        if kind == 1:
+            inst = PathInstance(inst.coords, inst.wminus, inst.wminus, inst.capacity, inst.tau)
+        k = rng.randint(1, min(5, n + 1))
+        engine = "reference" if trial % 8 == 3 and n <= 12 else "batch"
+        cache = build_scenario_opt_cache(inst, k, engine=engine)
+        got = compute_rji(inst, cache)
+        R, sink, moves = _per_cell_sweep(inst, cache)
+        for l in range(n + 1):
+            assert got.R[l, l:].tolist() == R[l][l:], (inst, k, l)
+            assert got.sink[l, l:].tolist() == sink[l][l:], (inst, k, l)
+        assert got.counters["sink_moves"] == moves, (inst, k)
+        # the pointer of row l ends at sink[l, n]; every cell reads C once
+        # and every move once more
+        assert moves == sum(sink[l][n] - l for l in range(n + 1))
+        assert got.counters["sink_evals"] == (n + 1) * (n + 2) // 2 + moves
