@@ -98,7 +98,8 @@ assert tables.A[0, t_sink] == worst_left
 print(f"right-side worst regret of sink 0 for each part end, C[0, r]: "
       f"{[int(v) for v in tables.C[0]]}")
 r_end = 9
-# the run (r_end + 1, r_end + 1) is empty: all lower bounds
+# over every run, the empty one (r_end + 1, r_end + 1) included: the table
+# leaves that one out, as on optima a one-vertex run never does worse
 worst_right = max(
     eval_side(inst, realize_scenario(inst, ScenarioDescriptor(m, r_end + 1)), t_sink,
               r_end, t_sink, Side.RIGHT, CostModel.SIMPLIFIED).time

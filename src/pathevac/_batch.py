@@ -28,7 +28,9 @@ static arrays.
   first solves the windows between grid points ``0, 4, 8, ..`` and ``n+1``
   that its lanes need, then bisects each lane inside the narrow bracket
   those windows give (see ``_anchor_brackets``).  Smaller calls are bound
-  by per-call overhead, which the extra phase would only add to.
+  by per-call overhead, which the extra phase would only add to.  The same
+  count decides when ``regret.max_regret_of_plan`` brackets its candidates
+  from anchor lanes and solves only those that can attain the maximum.
 
 All arithmetic is int64-exact; :func:`check_int64_headroom` rejects the
 instances for which it could not be.
@@ -60,17 +62,20 @@ NEG = -(1 << 62)
 # take running maxima of the profile arrays over non-empty ranges only, so
 # no NEG enters them.  With side times and OPT in [0, 2H], each operand of
 # a running maximum there lies in [-4H, 2H]: a profile entry or its running
-# maximum minus OPT (b1 - v included) in [-3H, H]; a1 or b1 plus a running
-# maximum of +-dp0 - OPT in [-4H, 2H]; and dp0[r+1] + max(near, far) adds
-# at most S to a value in [-4H, H].  Each offset (x_t*tau and a prefix
-# sum) lies in [-H, H], and each table value (side time - OPT) in
-# [-2H, 2H].  So H < 2^60 keeps every intermediate within 2^62 + 2^61 <
-# 2^63 and keeps every shifted sentinel (at most NEG + S < -2H) below
-# every real segment maximum.
+# maximum minus OPT in [-3H, H]; and a1 or b1 plus a running maximum of
+# +-dp0 - OPT in [-4H, 2H].  Each offset (x_t*tau, a prefix sum, or a
+# prefix sum of w+ minus x_t*tau) lies in [-H, H], and each table value
+# (side time - OPT) in [-2H, 2H].  So H < 2^60 keeps every intermediate
+# within 2^62 + 2^61 < 2^63 and keeps every shifted sentinel (at most
+# NEG + S < -2H) below every real segment maximum.
 INT64_HEADROOM = 1 << 60
 
 # Lane count from which ``solve`` brackets lanes by anchor windows, and the
-# grid step of those windows.
+# grid step of those windows.  The same count of candidate lanes is where
+# ``regret.max_regret_of_plan`` starts to bracket candidates by anchor lanes
+# and solve only those that can attain the maximum (at n = 200 to 1000,
+# that path cost more than solving every candidate at about 400 candidates
+# per plan and less from about 800).
 _ANCHOR_MIN_LANES = 1500
 _ANCHOR_STEP = 4
 

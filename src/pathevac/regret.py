@@ -13,7 +13,9 @@ Main pieces:
 * :func:`regret_of_plan` / :func:`max_regret_of_plan` — regret of a plan
   under one scenario (optimum from the fixed-scenario DP), and its worst
   case over all candidate scenarios (plan times from the batch engine's
-  side times, optima from the cache).
+  side times, optima from the cache).  From ``_batch._ANCHOR_MIN_LANES``
+  candidates on, the worst case solves only the candidates that can attain
+  it, after bracketing every optimum from a few anchor lanes of its part.
 * :class:`EvacLookupTables` / :func:`build_lookup_tables` — two O(n^2)
   tables into which the worst-case regret of every part and sink
   separates, built in O(n^2) time from running maxima over the cache's
@@ -72,6 +74,10 @@ __all__ = [
 
 # Cache cell not computed yet: below every optimum time, which is >= 0.
 _UNSET = -(1 << 62)
+
+# Grid step of the anchor lanes from which ``_bracketed_optima`` brackets
+# the other candidates of a part.
+_PART_ANCHOR_STEP = 16
 
 
 # ---------------------------------------------------------------------------
@@ -210,8 +216,22 @@ def max_regret_of_plan(
     plan's time under every candidate comes from the side times of the
     cache's batch engine, its optimum from the cache.  A given ``cache``
     must be built for ``inst`` and ``plan.k`` (else ValueError).
+
+    Below ``_batch._ANCHOR_MIN_LANES`` candidates every candidate's optimum
+    is solved.  From there on, only the candidates that can attain the
+    maximum are: :func:`_bracketed_optima` brackets each optimum in
+    [lo, hi] from a sparse set of anchor lanes of the candidate's own part
+    and solves a candidate only when its regret upper bound, time - lo,
+    reaches the largest regret lower bound, L = max(time - hi), and its
+    bracket is open.  Every candidate attaining the maximum V >= L is then
+    exact, and every other one counts at time - lo < L <= V, so the value
+    and the witness equal those of solving every candidate.  The cache then
+    holds the anchors and those survivors only (plus what it held before;
+    values already present are used as they are).
     """
     import numpy as np
+
+    from . import _batch
 
     cands = enumerate_partition_candidates(inst, plan.boundaries)
     if cache is None:
@@ -224,7 +244,6 @@ def max_regret_of_plan(
         raise ValueError("; ".join(violations))
     t1 = np.array([d.t1 for _, d in cands], dtype=np.int64)
     t2 = np.array([d.t2 for _, d in cands], dtype=np.int64)
-    cache.ensure(t1, t2)
     # Per candidate lane, the plan time: the max over parts of both side
     # times of the part's sink (all positive, so 0 is a neutral start).
     eng = cache._batch_engine()
@@ -232,9 +251,57 @@ def max_regret_of_plan(
     for (l, r), y in zip(plan.parts(), plan.sinks):
         time = np.maximum(time, eng.theta_l(l, y, t1, t2))
         time = np.maximum(time, eng.theta_r(y, r, t1, t2))
-    regret = time - cache.values[t1, t2]
+    if t1.shape[0] < _batch._ANCHOR_MIN_LANES:
+        cache.ensure(t1, t2)
+        opt = cache.values[t1, t2]
+    else:
+        part = np.array([q for q, _ in cands], dtype=np.int64)
+        opt = _bracketed_optima(cache, plan, part, t1, t2, time)
+    regret = time - opt
     best = int(np.argmax(regret))
     return int(regret[best]), cands[best][1]
+
+
+def _bracketed_optima(cache, plan, part, t1, t2, time):
+    """Optima of the candidates (t1, t2) of ``plan``'s parts ``part``, exact
+    wherever the candidate can attain the plan's maximum regret.
+
+    For part [l, r] the anchors are m in {l, l + s, l + 2s, ..} and r + 1
+    (s = ``_PART_ANCHOR_STEP``).  A left-anchored candidate (l, m) lies
+    between a, the largest anchor <= m, and b, the smallest anchor >= m:
+    its inner window is (l, a), its outer (l, b) and its slack the delta
+    sum dp0[m] - dp0[a] of the vertices it adds to the inner window.  A
+    right-anchored candidate (m, r + 1) has inner window (b, r + 1), outer
+    (a, r + 1) and slack dp0[b] - dp0[m].  The optimum is monotone and
+    delta-bounded in its window (``_batch._anchor_brackets``), so it lies
+    in [lo, hi] = [v(inner), min(v(outer), v(inner) + slack)].
+
+    With L = max(time - hi), a lower bound on the maximum regret, the
+    candidates with time - lo >= L and lo < hi are solved; every other one
+    gets its cached value if it has one, else lo (exact when lo = hi, and
+    below L in time - lo otherwise).
+    """
+    import numpy as np
+
+    starts = np.array([l for l, _ in plan.parts()], dtype=np.int64)[part]
+    ends = np.array(plan.boundaries, dtype=np.int64)[part] + 1
+    left = t1 == starts
+    m = np.where(left, t2, t1)
+    off = m - starts
+    a = m - off % _PART_ANCHOR_STEP
+    b = np.minimum(m + (-off) % _PART_ANCHOR_STEP, ends)
+    in1, in2 = np.where(left, starts, b), np.where(left, a, ends)
+    out1, out2 = np.where(left, starts, a), np.where(left, b, ends)
+    dp0 = cache._batch_engine().dp0
+    slack = np.where(left, dp0[m] - dp0[a], dp0[b] - dp0[m])
+    cache.ensure(np.concatenate((in1, out1)), np.concatenate((in2, out2)))
+    v = cache.values
+    lo = v[in1, in2]
+    hi = np.minimum(v[out1, out2], lo + slack)
+    open_ = (time - lo >= np.max(time - hi)) & (lo < hi)
+    cache.ensure(t1[open_], t2[open_])
+    opt = v[t1, t2]
+    return np.where(opt == _UNSET, lo, opt)
 
 
 # ---------------------------------------------------------------------------
@@ -249,13 +316,22 @@ class EvacLookupTables:
     Two (n+1) x (n+1) int64 tables.  With ``v`` the scenario-optimum cache
     values and ``theta_l`` / ``theta_r`` the batch engine's side times:
 
-    * ``A[l, t] = max_{m in [l, t]} theta_l(l, t, l, m) - v[l, m]``, over the
-      left-anchored candidates (l, m);
-    * ``C[t, r] = max_{m in [t+1, r+1]} theta_r(t, r, m, r+1) - v[m, r+1]``,
-      over the right-anchored candidates (m, r+1).
+    * ``A[l, t] = max_{m in [l+1, t]} theta_l(l, t, l, m) - v[l, m]`` for
+      t > l, over the left-anchored candidates (l, m), and A[l, l] = -v[l, l];
+    * ``C[t, r] = max_{m in [t+1, r]} theta_r(t, r, m, r+1) - v[m, r+1]`` for
+      t < r, over the right-anchored candidates (m, r+1), and
+      C[r, r] = -v[r+1, r+1].
 
     The windows (l, l) and (r+1, r+1) are empty: they take all lower
-    bounds, so A[l, l] = -v[l, l] and C[r, r] = -v[r+1, r+1].  A row of
+    bounds, and the diagonals are their regrets, as a part's lone sink
+    has side times 0.  Off the diagonal the empty window never decides:
+    raising the weight of vertex l (of r), the farthest from sink t, raises
+    every term of that side time by its delta, while the optimum rises by
+    at most that delta (see ``_batch._anchor_brackets``), so the candidate
+    (l, l+1) (the candidate (r, r+1)) is at least the empty one.  The
+    tables equal the maxima over all left- and right-anchored candidates
+    only on caches that hold optima, as every cache that ``ensure`` fills
+    does.  A row of
     ``A`` never falls as t grows and a column of ``C`` never grows: a side
     time grows with its side, and the larger side has more candidates.
     Entries are defined where l <= t (``A``) and t <= r (``C``); all other
@@ -289,32 +365,28 @@ def build_lookup_tables(inst: PathInstance, cache: ScenarioOptCache) -> EvacLook
         theta_l(l, t, l, m) = xt[t] - pm0[l] - dp0[l]
                               + max(max a2[l..m-1], dp0[m] + max a1[m..t-1]).
 
-    The first range is empty at m = l and the second at m = t, so for
-    t > l, A[l, t] - (xt[t] - pm0[l] - dp0[l]) is the larger of
+    The second range is empty at m = t, and the first is non-empty as
+    m > l, so for t > l, A[l, t] - (xt[t] - pm0[l] - dp0[l]) is the larger of
 
         T1[t] = max over m in [l+1, t] of max a2[l..m-1] - v[l, m],
-        T2[t] = max over z in [l, t-1] of a1[z] + max over m in [l, z] of
-                (dp0[m] - v[l, m]),
+        T2[t] = max over z in [l+1, t-1] of a1[z] + max over m in [l+1, z]
+                of (dp0[m] - v[l, m]),
 
-    both prefix maxima along row l; A[l, l] = theta_l(l, l, l, l) - v[l, l]
-    = -v[l, l].  Mirrored, lane (m, r+1) for m in [t+1, r] gives the right
-    side time of sink t < r
+    both prefix maxima along row l (T2 is empty at t = l + 1).  Mirrored,
+    lane (m, r+1) for m in [t+1, r] gives the right side time of sink t < r
 
         theta_r(t, r, m, r+1) = pm0[r+1] + dp0[r+1] - xt[t]
-                                + max(max b1[t+1..m] - dp0[m], max b2[m..r]),
+                                + max(max b1[t+1..m] - dp0[m], max b2[m..r]).
 
-    and the empty lane (r+1, r+1) gives pm0[r+1] - xt[t] + max b1[t+1..r].
-    So for t < r, C[t, r] - (pm0[r+1] - xt[t]) is the largest of
+    So for t < r, C[t, r] - (pm0[r+1] + dp0[r+1] - xt[t]) is the larger of
 
-        max over z in [t+1, r] of b1[z] - v[r+1, r+1],
-        dp0[r+1] + max over z in [t+1, r] of b1[z] + max over m in [z, r]
+        max over z in [t+1, r] of b1[z] + max over m in [z, r]
             of (-dp0[m] - v[m, r+1]),
-        dp0[r+1] + max over m in [t+1, r] of max b2[m..r] - v[m, r+1],
+        max over m in [t+1, r] of max b2[m..r] - v[m, r+1],
 
-    suffix maxima along column r + 1 of v, taken as one running maximum;
-    C[r, r] = -v[r+1, r+1].  Every range maximum is over a non-empty range,
-    so no NEG sentinel enters a table, and only the cells the tables define
-    are written.
+    suffix maxima along column r + 1 of v, taken as one running maximum.
+    Every range maximum is over a non-empty range, so no NEG sentinel
+    enters a table, and only the cells the tables define are written.
     """
     import numpy as np
 
@@ -329,14 +401,15 @@ def build_lookup_tables(inst: PathInstance, cache: ScenarioOptCache) -> EvacLook
     acc = np.maximum.accumulate
     A, C = (np.zeros((size, size), dtype=np.int64) for _ in range(2))
 
-    # Row l: index i of the running maxima is sink t = l + 1 + i, and also
-    # m = l + 1 + i in T1 and z = l + i in T2.
+    # Row l: index i of T1 and of the running maximum is sink t = l + 1 + i
+    # and m = l + 1 + i; index i of T2 is z = l + 1 + i, so T2 joins at t = l + 2.
     for l in range(size):
         A[l, l] = -v[l, l]
         row = v[l, l:size]
         T1 = acc(a2[l:n]) - row[1:]
-        T2 = a1[l:n] + acc(dp0[l:n] - row[:-1])
-        A[l, l + 1 :] = xt[l + 1 :] - (pm0[l] + dp0[l]) + acc(np.maximum(T1, T2))
+        T2 = a1[l + 1 : n] + acc(dp0[l + 1 : n] - row[1:-1])
+        T1[1:] = np.maximum(T1[1:], T2)
+        A[l, l + 1 :] = xt[l + 1 :] - (pm0[l] + dp0[l]) + acc(T1)
     # Column r, read from r down: index j is m = z = r - j, and after the
     # suffix maximum and its reversal, index t of the result is sink t.
     np.fill_diagonal(C, -v.diagonal()[1:])
@@ -344,8 +417,7 @@ def build_lookup_tables(inst: PathInstance, cache: ScenarioOptCache) -> EvacLook
         col = v[r:0:-1, r + 1]
         near = b1[r:0:-1] + acc(-dp0[r:0:-1] - col)
         far = acc(b2[r:0:-1]) - col
-        run = np.maximum(b1[r:0:-1] - v[r + 1, r + 1], dp0[r + 1] + np.maximum(near, far))
-        C[:r, r] = pm0[r + 1] - xt[:r] + acc(run)[::-1]
+        C[:r, r] = pm0[r + 1] + dp0[r + 1] - xt[:r] + acc(np.maximum(near, far))[::-1]
     return EvacLookupTables(A=A, C=C)
 
 
@@ -385,19 +457,21 @@ def compute_rji(
         also max'ed with lminus[l, t] - min_{m in [t+1, r]} v[m, r+1]
         when t < r,
 
-    with the tables of :func:`build_lookup_tables` (C's lane (r+1, r+1)
-    is the right-anchored candidate with the empty window) and
-    ``lminus[l, t]`` the left side of t under all lower bounds.  The
-    scenario optimum cannot fall when its window of upper bounds grows
-    (``_batch._anchor_brackets`` gives the argument), so every v is at least
-    v[l, l] = v[0, 0], the all-lower optimum, and the last term is at most
-    lminus[l, t] - v[0, 0] = theta_l(l, t, l, l) - v[l, l], the m = l term
-    of A[l, t]: it never decides the maximum.
+    with the tables of :func:`build_lookup_tables` (whose definitions
+    leave out the empty windows (l, l) and (r+1, r+1) off the diagonal,
+    which never decide there) and ``lminus[l, t]`` the left side of t
+    under all lower bounds.  The scenario optimum cannot fall when its
+    window of upper bounds grows (``_batch._anchor_brackets`` gives the
+    argument), so every v is at least v[l, l] = v[0, 0], the all-lower
+    optimum, and the last term is at most lminus[l, t] - v[0, 0] =
+    theta_l(l, t, l, l) - v[l, l], the empty-window term, at most A[l, t]:
+    it never decides the maximum.
 
     A[l, t] never falls and C[t, r] never grows as t moves right, so row l
     of R is one row of ``optk._split_row`` with split j as sink l + j,
     A[l, l + 1:] as the previous row and C[l + j, l + i] as w(j, i); split
-    j = 0 reads C alone, which is exact as A[l, l] = -v[0, 0] <= C[l, r].
+    j = 0 reads C alone, which is exact as A[l, l] = -v[0, 0] <= C[l, r]
+    (the empty window's term, a side time minus v[0, 0], is at most C[l, r]).
     The part regret never falls as r grows (a larger part is no faster
     under any scenario), so the rightmost minimizing sink, which the row
     keeps, never moves left.  ``sink_moves`` counts its moves and

@@ -144,6 +144,27 @@ def test_small_verify_checks_optimality(tmp_path, capsys):
     assert "optimal" in out
 
 
+def test_verify_max_regret_above_candidate_threshold(tmp_path, capsys):
+    """At n = 800 a plan's 1,604 candidates reach the lane count from which
+    ``max_regret_of_plan`` solves only the candidates that can attain the
+    maximum; the verdict, value and witness are pinned."""
+    inst_path = str(tmp_path / "big.json")
+    plan_path = str(tmp_path / "plan.json")
+    assert run_cli("gen", "--n", "800", "--seed", "1", "-o", inst_path) == 0
+    assert run_cli("solve-mmr", inst_path, "--k", "2", "-o", plan_path) == 0
+    capsys.readouterr()
+    assert run_cli("verify", inst_path, plan_path) == 0
+    assert capsys.readouterr().out == (
+        "PASS: max regret 3757 matches (witness scenario (0, 205); "
+        "instance too large for brute-force check)\n"
+    )
+    obj = json.load(open(plan_path))
+    obj["objective"] += 1
+    json.dump(obj, open(plan_path, "w"))
+    assert run_cli("verify", inst_path, plan_path) == 1
+    assert capsys.readouterr().out == "FAIL: plan has max regret 3757, file claims 3758\n"
+
+
 def test_invalid_instance_reports_violations(tmp_path):
     bad_path = str(tmp_path / "bad.json")
     obj = {

@@ -280,10 +280,12 @@ def test_table_values_small_example():
     assert theta_r(0, 2, 3, 3) == 3
     cache = build_scenario_opt_cache(inst, 1)
     tables = build_lookup_tables(inst, cache)
-    # A[0, 2] = max over m of theta_l(0, 2, 0, m) - v[0, m] = max(3-2, 5-3, 7-4)
+    # A[0, 2] = max over m in [1, 2] of theta_l(0, 2, 0, m) - v[0, m]
+    # = max(5-3, 7-4); the empty window m = 0 gives 3-2, which never decides
     assert cache.values[0, :3].tolist() == [2, 3, 4]
     assert tables.A[0, 2] == 3
-    # C[0, 2] = max over m of theta_r(0, 2, m, 3) - v[m, 3] = max(7-4, 5-3, 3-2)
+    # C[0, 2] = max over m in [1, 2] of theta_r(0, 2, m, 3) - v[m, 3]
+    # = max(7-4, 5-3); the empty window m = 3 gives 3-2
     assert cache.values[1:, 3].tolist() == [4, 3, 2]
     assert tables.C[0, 2] == 3
     # the empty windows: A[l, l] = -v[l, l] and C[r, r] = -v[r+1, r+1]
@@ -337,16 +339,25 @@ def test_tables_match_definition():
             # every empty window is the all-lower scenario
             assert v[i + 1, i + 1] == v[i, i] == v00
             for j in range(i, n + 1):
-                # left side of sink j in part [i, j], right side of sink i in [i, j]
+                # left side of sink j in part [i, j], right side of sink i in
+                # [i, j]; off the diagonal the empty windows are left out
                 lminus = side((0, 0), i, j, j, Side.LEFT)
                 left = range(i, j + 1)
+                empty_a = side((i, i), i, j, j, Side.LEFT) - v[i, i]
                 want["A"][i, j] = max(
-                    side((i, m), i, j, j, Side.LEFT) - v[i, m] for m in left
+                    (side((i, m), i, j, j, Side.LEFT) - v[i, m] for m in left[1:]),
+                    default=empty_a,
                 )
-                right = range(i + 1, j + 2)
+                empty_c = side((j + 1, j + 1), i, j, i, Side.RIGHT) - v[j + 1, j + 1]
                 want["C"][i, j] = max(
-                    side((m, j + 1), i, j, i, Side.RIGHT) - v[m, j + 1] for m in right
+                    (side((m, j + 1), i, j, i, Side.RIGHT) - v[m, j + 1]
+                     for m in range(i + 1, j + 1)),
+                    default=empty_c,
                 )
+                # the empty windows never decide: raising the farthest
+                # vertex of a side raises every term of its side time by
+                # its delta, and the optimum by at most that much
+                assert empty_a <= want["A"][i, j] and empty_c <= want["C"][i, j]
                 # the empty window m = j + 1 is the right side under all lower bounds
                 assert (side((j + 1, j + 1), i, j, i, Side.RIGHT)
                         == side((0, 0), i, j, i, Side.RIGHT))
@@ -365,9 +376,10 @@ def test_tables_match_definition():
 
 
 def _side_time_tables(inst, cache):
-    """The lookup tables by direct evaluation of every side time they
-    maximise over: about n^3/6 batch-engine lanes each for ``A`` and ``C``,
-    one call per part start l (``A``) and per sink t (``C``)."""
+    """The lookup tables by direct evaluation of the side time under every
+    left- or right-anchored candidate, the empty windows included: about
+    n^3/6 batch-engine lanes each for ``A`` and ``C``, one call per part
+    start l (``A``) and per sink t (``C``)."""
     cache.complete()
     v = cache.values
     eng = ScenarioBatchEngine(inst)
@@ -400,21 +412,19 @@ def _assert_tables_equal(got, want, label):
 
 
 def test_tables_match_side_time_build():
-    """The running-maxima tables equal the side-time build cell for cell,
-    also on caches whose values are arbitrary rather than optima."""
+    """The running-maxima tables equal the side-time build over every
+    anchored candidate cell for cell, on caches of both engines.  The tables
+    leave out the empty windows off the diagonal, which is exact only on
+    caches that hold optima (v[l, m] <= v[l, m + 1] <= v[l, m] + delta_m)."""
     rng = random.Random(61)
     for it in range(200):
-        n = rng.randint(0, 40)
+        engine = "reference" if it % 5 == 1 else "batch"
+        n = rng.randint(0, 40 if engine == "batch" else 16)
         inst = mk_interval(rng, n)
         if it % 10 == 0:  # all point intervals
             inst = PathInstance(inst.coords, inst.wminus, inst.wminus,
                                 inst.capacity, inst.tau)
-        cache = build_scenario_opt_cache(inst, rng.randint(1, n + 1))
-        if it % 5 == 1:
-            # Optima satisfy v[l, m] <= v[l, m + 1] <= v[l, m] + delta_m; the
-            # tables' identities must not lean on that.
-            top = int(cache.values.max())
-            cache.values[:] = [[rng.randint(0, top) for _ in row] for row in cache.values]
+        cache = build_scenario_opt_cache(inst, rng.randint(1, n + 1), engine=engine)
         _assert_tables_equal(build_lookup_tables(inst, cache),
                              _side_time_tables(inst, cache), (inst, cache.k))
     # the perfbench mmr shape: gaps 1-10, w- in [1, 50], w+ = w- + [0, 50]
@@ -518,6 +528,80 @@ def test_max_regret_matches_per_candidate_loop():
         want = _max_regret_per_candidate(inst, plan, cache)
         assert got == want, (inst, plan, engine, fill)
         assert type(got[0]) is int
+
+
+def test_pruned_max_regret_matches_per_candidate_loop(monkeypatch):
+    """With the candidate pruning of ``max_regret_of_plan`` forced on every
+    call, value and witness equal those of every candidate realized and
+    evaluated, on lazy, complete and partly filled caches of both engines."""
+    monkeypatch.setattr(_batch, "_ANCHOR_MIN_LANES", 1)
+    rng = random.Random(63)
+    for trial in range(320):
+        engine = "reference" if trial % 8 == 0 else "batch"
+        n = rng.randint(0, 14 if engine == "reference" else 40)
+        inst = mk_interval(rng, n)
+        if trial % 5 == 1:  # all point intervals
+            inst = PathInstance(inst.coords, inst.wminus, inst.wminus,
+                                inst.capacity, inst.tau)
+        elif trial % 5 == 2:  # tie-heavy weights
+            wminus = [rng.randint(1, 2) for _ in range(n + 1)]
+            wplus = [lo + rng.randint(0, 1) for lo in wminus]
+            inst = PathInstance(inst.coords, tuple(wminus), tuple(wplus),
+                                inst.capacity, inst.tau)
+        k = (1, 2, n + 1, rng.randint(1, n + 1))[trial % 4]
+        k = min(k, n + 1)
+        plan = rand_plan(rng, inst, k)
+        cache = build_scenario_opt_cache(inst, k, engine=engine, fill="lazy")
+        fill = trial % 3
+        if fill == 1:
+            cache.complete()
+        elif fill == 2:  # a random subset of all lanes
+            t1, t2 = np.triu_indices(n + 2)
+            keep = np.flatnonzero(np.asarray([rng.random() < 0.3 for _ in t1], dtype=bool))
+            cache.ensure(t1[keep], t2[keep])
+        got = max_regret_of_plan(inst, plan, cache)
+        want = _max_regret_per_candidate(
+            inst, plan, build_scenario_opt_cache(inst, k, engine=engine, fill="lazy"))
+        assert got == want, (inst, plan, engine, fill)
+        assert type(got[0]) is int
+    # the plan is still rejected before any scenario optimum is solved
+    cache = build_scenario_opt_cache(mk_uncertain(rng, 6), 2, fill="lazy")
+    with pytest.raises(ValueError, match="sink of part 0 lies outside the part"):
+        max_regret_of_plan(cache.inst, Plan((2, 6), (3, 4)), cache)
+    assert np.all(cache.values == _UNSET)
+
+
+def test_pruned_max_regret_above_threshold_equals_full_fill():
+    """Three plans at n = 800, above the candidate threshold: value and
+    witness equal those of solving every candidate, and fewer than all
+    candidates are solved."""
+    rng = random.Random(64)
+    n = 800
+    coords = [0]
+    for _ in range(n):
+        coords.append(coords[-1] + rng.randint(1, 10))
+    wminus = [rng.randint(1, 50) for _ in range(n + 1)]
+    wplus = [lo + rng.randint(0, 50) for lo in wminus]
+    inst = PathInstance(tuple(coords), tuple(wminus), tuple(wplus), capacity=1, tau=2)
+    for k in (3, 5, 8):
+        plan = rand_plan(rng, inst, k)
+        cands = [d for _part, d in enumerate_partition_candidates(inst, plan.boundaries)]
+        assert len(cands) >= _batch._ANCHOR_MIN_LANES
+        t1 = np.array([d.t1 for d in cands])
+        t2 = np.array([d.t2 for d in cands])
+        full = ScenarioOptCache(inst, k)
+        full.ensure(t1, t2)
+        eng = full._batch_engine()
+        time = np.zeros(len(cands), dtype=np.int64)
+        for (l, r), y in zip(plan.parts(), plan.sinks):
+            time = np.maximum(time, eng.theta_l(l, y, t1, t2))
+            time = np.maximum(time, eng.theta_r(y, r, t1, t2))
+        regret = time - full.values[t1, t2]
+        best = int(np.argmax(regret))
+        cache = ScenarioOptCache(inst, k)
+        assert max_regret_of_plan(inst, plan, cache) == (int(regret[best]), cands[best])
+        solved = np.count_nonzero(cache.values[t1, t2] != _UNSET)
+        assert solved < len(set(cands)) // 2, (k, solved)
 
 
 def test_max_regret_rejects_sink_outside_part():
