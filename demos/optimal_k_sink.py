@@ -8,7 +8,8 @@ cut into k parts, to minimize the time until everyone is out?
 The solver runs a dynamic program over part right-ends whose inner minimizer
 only ever moves right (the objective is a max of one increasing and one
 decreasing sequence), with each candidate part maintained incrementally by a
-pair of shift-aware heaps.  Total work is O(k n log n).
+pair of shift-aware heaps.  Each row scans only the positions a plan within
+an upper bound can use; total work is O(k n log n) at worst.
 """
 
 import argparse
@@ -58,14 +59,18 @@ for k in range(1, 7):
 
 # --- the DP's work is at most linear in n per row --------------------------------
 # A row stops once it exceeds the worst part of the equal-count 4-part cover,
-# an upper bound on the answer, so the earlier rows end early; the trackers
-# measure a sink move before making it and count only the moves they make.
+# an upper bound on the answer, and starts where a plan within that bound can
+# next use it, so every row scans a band; the trackers measure a sink move
+# before making it and count only the moves they make.
 
 res = solve_optimal_k_sink(inst, s, 4, CostModel.DISCRETE)
-print(f"\nsplit-pointer increments per DP row: "
-      f"{res.counters['j_increments_per_row']} (each at most n={inst.n}; "
-      f"the last row's count is where the last part starts, "
-      f"{res.plan.boundaries[-2] + 1}); sink moves: {res.counters['sink_moves']}")
+starts = res.counters["row_starts"]
+incs = res.counters["j_increments_per_row"]
+print(f"\nDP rows start at {starts}; split-pointer increments per row: "
+      f"{incs} (each at most n={inst.n}; the last part starts at the last "
+      f"row's start plus its count, {starts[-1] + incs[-1]}); "
+      f"sink moves: {res.counters['sink_moves']}")
+assert starts[-1] + incs[-1] == res.plan.boundaries[-2] + 1
 
 # --- exhaustive check on a small instance ----------------------------------------
 

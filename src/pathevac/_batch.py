@@ -61,9 +61,8 @@ NEG = -(1 << 62)
 # offset (reaching NEG - 2H) and mask it.  The regret tables of ``regret``
 # take running maxima of the profile arrays over non-empty ranges only, so
 # no NEG enters them.  With side times and OPT in [0, 2H], each operand of
-# a running maximum there lies in [-4H, 2H]: a profile entry or its running
-# maximum minus OPT in [-3H, H]; and a1 or b1 plus a running maximum of
-# +-dp0 - OPT in [-4H, 2H].  Each offset (x_t*tau, a prefix sum, or a
+# a running maximum there, a profile entry or its running maximum minus
+# OPT, lies in [-3H, H].  Each offset (x_t*tau, a prefix sum, or a
 # prefix sum of w+ minus x_t*tau) lies in [-H, H], and each table value
 # (side time - OPT) in [-2H, 2H].  So H < 2^60 keeps every intermediate
 # within 2^62 + 2^61 < 2^63 and keeps every shifted sentinel (at most

@@ -76,7 +76,7 @@ def solve_minmax_regret_dp(inst: PathInstance, k: int) -> MmrResult:
     n = inst.n
     rji = compute_rji(inst, ScenarioOptCache(inst, k))
     R = rji.R
-    value, splits, drops, _ = _split_dp(n, k, lambda: _MatrixRow(R))
+    value, splits, drops, _ = _split_dp(n, k, lambda j0: _MatrixRow(R, j0))
     plan = _plan_from_splits(n, splits, lambda j, i: int(rji.sink[j, i]))
 
     # Internal consistency: the plan's parts must reproduce the DP value.

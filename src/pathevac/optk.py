@@ -27,6 +27,24 @@ above U read as infinity, so the row stops where the unbounded row first
 exceeds U, and each truncated row runs a prefix of the unbounded row's
 operations.  The last row never exceeds U and is never cut.
 
+Rows start at a bound too.  Let lows[q] be the least i for which [i+1, n]
+is covered by k-q parts, each of one-sink time at most U (-1 when the whole
+path is, and lows[k] = n).  An optimal split j of a value T(q, i) <= U with
+i >= lows[q] has j-1 >= lows[q-1]: [j, i] fits within U and k-q parts cover
+[i+1, n], so k-q+1 parts cover [j, n].  The answer reads T(k, n) alone, so
+by induction no value T(q, i) with i < lows[q] is ever read, and row q
+starts its tracker empty at j0 = lows[q-1] + 1, takes the vertices before
+lows[q] without a value and scans from there.  The q-th boundary of an
+optimal plan is at or right of lows[q], so T(q, lows[q]) <= U and the first
+scan starts at or left of its rightmost optimal split; max(T(q-1, j-1),
+w(j, i)) is a valley in j, so the scan reaches that split from any such
+start, and values, splits and plans inside the band are those of the full
+row, ties included.  The greedy feasibility test of Higashikawa, Golin &
+Katoh (TCS 2015) gives every lows[q] in one pass from the right end, run
+forwards on the mirrored path (``_band_lows``).  Work is O((n + the sum of
+the band widths)(log n + log c)); with a loose U the bands widen to the
+whole row and it stays O(k n (log n + log c)).
+
 A tracker maintains the rightmost optimal sink of its subpath: the one-sink
 time is max(theta_L, theta_R) with theta_L non-decreasing and theta_R
 non-increasing in the sink position, so advancing the sink while the next
@@ -96,18 +114,19 @@ class SubpathTracker:
     as they would be after the move, removing the next vertex's pair from
     the right heap only when it is that heap's top; ``sink_moves`` counts
     committed moves.  The DP uses it for capacity >= 2; ``_FastTracker``
-    covers unit capacity and the simplified model.
+    covers unit capacity and the simplified model.  A tracker starts empty
+    at j = ``j0``.
     """
 
-    def __init__(self, inst: PathInstance, s: Scenario, pw: list[int]):
+    def __init__(self, inst: PathInstance, s: Scenario, pw: list[int], j0: int = 0):
         self.x = inst.coords
         self.tau = inst.tau
         self.c = inst.capacity
         self.w = s.weights
         self.pw = pw
-        self.j = 0
-        self.i = -1
-        self.y = 0
+        self.j = j0
+        self.i = j0 - 1
+        self.y = j0
         self.hl = BiHeap(self.c)
         self.hr = BiHeap(self.c)
         self.hl_handle: dict[int, int] = {}
@@ -214,15 +233,15 @@ class _FastTracker:
         "sink_moves", "drops",
     )
 
-    def __init__(self, inst, s, discrete: bool, pw: list[int]):
+    def __init__(self, inst, s, discrete: bool, pw: list[int], j0: int = 0):
         self.x = inst.coords
         self.tau = inst.tau
         self.w = s.weights
         self.pw = pw
         self.dadj = 1 if discrete else 0
-        self.j = 0
-        self.i = -1
-        self.y = 0
+        self.j = j0
+        self.i = j0 - 1
+        self.y = j0
         self.sL = 0
         self.sR = 0
         self.hl: list[tuple[int, int]] = []  # (sideoffset - cost, vertex)
@@ -331,6 +350,17 @@ class _FastTracker:
         return cur
 
 
+def _trackers(path, scenario, cm):
+    """``new(j0)``: a fresh tracker of ``path`` under ``scenario`` that
+    starts empty at j = j0; the BiHeap tracker serves the discrete model
+    with capacity >= 2, ``_FastTracker`` the rest."""
+    pw = _prefix_weights(scenario)
+    if cm == CostModel.SIMPLIFIED or path.capacity == 1:
+        discrete = cm == CostModel.DISCRETE
+        return lambda j0: _FastTracker(path, scenario, discrete, pw, j0)
+    return lambda j0: SubpathTracker(path, scenario, pw, j0)
+
+
 def _equal_parts_bound(inst, s, k, cm) -> int:
     """The worst one-sink time over the k parts of equal vertex count; part q
     is [q(n+1)//k, (q+1)(n+1)//k - 1].  A feasible plan, so >= T(k, n)."""
@@ -348,9 +378,10 @@ class _MatrixRow:
 
     sink_moves = 0
 
-    def __init__(self, M):
+    def __init__(self, M, j0: int = 0):
         self.M = M
-        self.j = self.drops = 0
+        self.j = j0
+        self.drops = 0
 
     def append(self, i: int) -> int:
         self.i = i
@@ -362,21 +393,26 @@ class _MatrixRow:
         return self.M.item(self.j, self.i)
 
 
-def _split_row(tprev, row, n, bound=float("inf")):
+def _split_row(tprev, row, n, bound=float("inf"), lo=0):
     """One row of T(q, i) = min over j of max(T(q-1, j-1), w(j, i)), i <= n.
 
     ``tprev[j]`` is T(q-1, j), non-decreasing in j and read for j < n.
-    ``row`` tracks w(j, i) from j = 0 under ``append(i)`` and
-    ``drop_left()``, which return the new w(j, i), like the trackers above.
-    The row stops at its first value above ``bound`` and reads as infinity
-    from there on.  Returns the values T(q, i) and the splits: the start j
-    of the last part of the best cover of [0, i], the rightmost on ties.
+    ``row`` tracks w(j, i) from its start j = ``row.j`` under ``append(i)``
+    and ``drop_left()``, which return the new w(j, i), like the trackers
+    above.  The row takes vertices ``row.j`` .. ``lo`` - 1 without a value,
+    so its values start at i = ``lo``; the start must be at or left of the
+    rightmost optimal split of T(q, lo).  The row stops at its first value
+    above ``bound`` and reads as infinity outside [lo, stop).  Returns the
+    values T(q, i) and the splits: the start j of the last part of the
+    best cover of [0, i], the rightmost on ties.
     """
     inf = float("inf")
     tq = [inf] * (n + 1)
     jq = [0] * (n + 1)
-    jc = 0
-    for i in range(n + 1):
+    jc = row.j
+    for i in range(jc, lo):
+        row.append(i)
+    for i in range(lo, n + 1):
         fc = row.append(i)
         cur = fc if jc == 0 else max(tprev[jc - 1], fc)
         # w(jc+1, i) <= w(jc, i) <= cur, so the next split is no worse
@@ -393,26 +429,80 @@ def _split_row(tprev, row, n, bound=float("inf")):
     return tq, jq
 
 
-def _split_dp(n, k, new_row, bound=float("inf")):
+def _split_dp(n, k, new_row, bound=float("inf"), lows=None):
     """T(k, n) of T(q, i) = min over j of max(T(q-1, j-1), w(j, i)).
 
-    Runs ``_split_row`` on k fresh ``new_row()``s, the first after an
-    all-infinite row, so T(1, i) = w(0, i).  ``bound`` must be at least
-    T(k, n) (see the module docstring).  Returns T(k, n), the split rows
-    (``splits[q-1][i]`` starts the last part of the best q-part cover of
-    [0, i]), the drops per row and the total sink moves.
+    Runs ``_split_row`` on k fresh rows, the first after an all-infinite
+    row, so T(1, i) = w(0, i).  ``new_row(j0)`` is a row that starts at
+    j = j0.  ``bound`` must be at least T(k, n) (see the module docstring).
+    ``lows[q-1]``, for rows q = 1..k, is the band's lower end of row q
+    (``_band_lows``): row q starts at j0 = lows[q-2] + 1 (0 for q = 1) and
+    its values at max(lows[q-1], 0).  The default, all -1, scans every row
+    from 0.  Returns T(k, n), the split rows (``splits[q-1][i]`` starts the
+    last part of the best q-part cover of [0, i]), the drops per row and
+    the total sink moves.
     """
+    if lows is None:
+        lows = [-1] * k
     tprev = [float("inf")] * (n + 1)
     splits: list[list[int]] = []
     drops: list[int] = []
     sink_moves = 0
-    for _q in range(k):
-        row = new_row()
-        tprev, jq = _split_row(tprev, row, n, bound)
+    j0 = 0
+    for low in lows:
+        row = new_row(j0)
+        tprev, jq = _split_row(tprev, row, n, bound, max(low, 0))
         splits.append(jq)
         drops.append(row.drops)
         sink_moves += row.sink_moves
+        j0 = low + 1
     return tprev[n], splits, drops, sink_moves
+
+
+class _MirrorPath:
+    """The path read from its right end, x'[i] = x[n] - x[n-i] with the
+    weights reversed: the fields a tracker reads of an instance and a
+    scenario, without re-validating them.  The one-sink time of [j, i] on
+    the path equals that of [n-i, n-j] on the mirror, in both models, as a
+    side's evacuation depends only on distances and weights in order away
+    from the sink."""
+
+    __slots__ = ("coords", "tau", "capacity", "weights")
+
+    def __init__(self, inst: PathInstance, s: Scenario):
+        xn = inst.coords[-1]
+        self.coords = [xn - x for x in reversed(inst.coords)]
+        self.tau = inst.tau
+        self.capacity = inst.capacity
+        self.weights = s.weights[::-1]
+
+
+def _band_lows(inst, s, k, cm, bound):
+    """``lows[q-1]``, for rows q = 1..k: the least i for which [i+1, n] is
+    covered by k-q parts of one-sink time at most ``bound``, -1 when the
+    whole path is; lows[k-1] = n.
+
+    One greedy pass over the mirror: each part takes vertices while its
+    time stays within the bound, and the next part starts at the first
+    vertex that breaks it.  Greedy parts reach farthest, so after m parts
+    the mirror's covered prefix [0, v-1] is the longest that m parts cover,
+    which is the path's suffix [n-v+1, n]: lows[k-1-m] = n - v.
+    """
+    n = inst.n
+    lows = [-1] * (k - 1) + [n]
+    if k == 1:
+        return lows
+    mirror = _MirrorPath(inst, s)
+    new_tracker = _trackers(mirror, mirror, cm)
+    v = 0
+    for q in range(k - 2, -1, -1):
+        if v > n:
+            break
+        tr = new_tracker(v)
+        while v <= n and tr.append(v) <= bound:
+            v += 1
+        lows[q] = n - v
+    return lows
 
 
 def _plan_from_splits(n, splits, sink_of) -> Plan:
@@ -444,7 +534,16 @@ def solve_optimal_k_sink(
     k: int,
     cm: str = CostModel.DISCRETE,
 ) -> OptKResult:
-    """Optimal k-sink plan for a fixed scenario; O(k n (log n + log c))."""
+    """Optimal k-sink plan for a fixed scenario.
+
+    Each DP row scans only its band, the positions a plan within the
+    equal-parts bound can use (see the module docstring): O((n + the sum of
+    the band widths)(log n + log c)) plus one greedy pass over the mirrored
+    path, and O(k n (log n + log c)) at worst.  ``counters`` holds each
+    row's start j0 (``row_starts``), its committed split advances from
+    there (``j_increments_per_row``) and the DP trackers' committed sink
+    moves (``sink_moves``; the greedy pass's are not counted).
+    """
     CostModel.check(cm)
     violations = validate_instance(inst)
     if violations:
@@ -455,17 +554,10 @@ def solve_optimal_k_sink(
     if not (1 <= k <= n + 1):
         raise ValueError(f"k out of range: k={k}, n={n}")
 
-    pw = _prefix_weights(s)
-    fast = cm == CostModel.SIMPLIFIED or inst.capacity == 1
-    discrete = cm == CostModel.DISCRETE
-
-    def new_tracker():
-        if fast:
-            return _FastTracker(inst, s, discrete, pw)
-        return SubpathTracker(inst, s, pw)
-
     bound = _equal_parts_bound(inst, s, k, cm)
-    value, splits, drops, sink_moves = _split_dp(n, k, new_tracker, bound)
+    lows = _band_lows(inst, s, k, cm, bound)
+    value, splits, drops, sink_moves = _split_dp(
+        n, k, _trackers(inst, s, cm), bound, lows)
     if value > bound:
         raise RuntimeError(
             f"k-sink DP value {value} exceeds the equal-parts bound {bound}")
@@ -473,6 +565,7 @@ def solve_optimal_k_sink(
         n, splits, lambda j, i: optimal_one_sink(inst, s, j, i, cm)[1])
     counters = {
         "j_increments_per_row": drops,
+        "row_starts": [0] + [low + 1 for low in lows[:-1]],
         "sink_moves": sink_moves,
     }
     return OptKResult(value, plan, counters)

@@ -328,10 +328,12 @@ class EvacLookupTables:
     raising the weight of vertex l (of r), the farthest from sink t, raises
     every term of that side time by its delta, while the optimum rises by
     at most that delta (see ``_batch._anchor_brackets``), so the candidate
-    (l, l+1) (the candidate (r, r+1)) is at least the empty one.  The
-    tables equal the maxima over all left- and right-anchored candidates
-    only on caches that hold optima, as every cache that ``ensure`` fills
-    does.  A row of
+    (l, l+1) (the candidate (r, r+1)) is at least the empty one.  By the
+    same argument the part of a candidate's side profile beyond its
+    window never decides a cell (``build_lookup_tables``), so the tables
+    are built from the in-window parts alone.  The tables equal the maxima
+    over all left- and right-anchored candidates only on caches that hold
+    optima, as every cache that ``ensure`` fills does.  A row of
     ``A`` never falls as t grows and a column of ``C`` never grows: a side
     time grows with its side, and the larger side has more candidates.
     Entries are defined where l <= t (``A``) and t <= r (``C``); all other
@@ -346,9 +348,9 @@ def build_lookup_tables(inst: PathInstance, cache: ScenarioOptCache) -> EvacLook
     """Build :class:`EvacLookupTables` from a scenario-optimum cache.
 
     Completes the cache, then fills each row of ``A`` and each column of
-    ``C`` with a few running maxima (``np.maximum.accumulate``) over the
-    four static profile arrays behind the batch engine's range maxima:
-    O(n^2) work in O(n) numpy calls, with O(n) extra memory.
+    ``C`` with two running maxima (``np.maximum.accumulate``) over the
+    static profile arrays behind the batch engine's range maxima: O(n^2)
+    work in O(n) numpy calls, with O(n) extra memory.
 
     Write v for the cache values, xt = x*tau, pm0 and dp0 for the prefix
     sums of w- and of w+ - w- (pm0[z] and dp0[z] sum vertices below z), and
@@ -365,28 +367,29 @@ def build_lookup_tables(inst: PathInstance, cache: ScenarioOptCache) -> EvacLook
         theta_l(l, t, l, m) = xt[t] - pm0[l] - dp0[l]
                               + max(max a2[l..m-1], dp0[m] + max a1[m..t-1]).
 
-    The second range is empty at m = t, and the first is non-empty as
-    m > l, so for t > l, A[l, t] - (xt[t] - pm0[l] - dp0[l]) is the larger of
+    The second range never decides a cell on a cache of optima: its term
+    at z in [m, t-1] is a2[z] - (dp0[z+1] - dp0[m]), and window (l, z+1)
+    holds w+ on the dp0[z+1] - dp0[m] more weight of [m, z] than (l, m), so
+    its optimum is at most that much larger (``_batch._anchor_brackets``)
+    while its first range contains a2[z].  So for t > l,
 
-        T1[t] = max over m in [l+1, t] of max a2[l..m-1] - v[l, m],
-        T2[t] = max over z in [l+1, t-1] of a1[z] + max over m in [l+1, z]
-                of (dp0[m] - v[l, m]),
+        A[l, t] - (xt[t] - pm0[l] - dp0[l])
+            = max over m in [l+1, t] of max a2[l..m-1] - v[l, m],
 
-    both prefix maxima along row l (T2 is empty at t = l + 1).  Mirrored,
-    lane (m, r+1) for m in [t+1, r] gives the right side time of sink t < r
+    a prefix maximum along row l.  Mirrored, lane (m, r+1) gives the right
+    side time of sink t < r
 
         theta_r(t, r, m, r+1) = pm0[r+1] + dp0[r+1] - xt[t]
-                                + max(max b1[t+1..m] - dp0[m], max b2[m..r]).
+                                + max(max b1[t+1..m] - dp0[m], max b2[m..r]),
 
-    So for t < r, C[t, r] - (pm0[r+1] + dp0[r+1] - xt[t]) is the larger of
+    whose first range never decides, and for t < r
 
-        max over z in [t+1, r] of b1[z] + max over m in [z, r]
-            of (-dp0[m] - v[m, r+1]),
-        max over m in [t+1, r] of max b2[m..r] - v[m, r+1],
+        C[t, r] - (pm0[r+1] + dp0[r+1] - xt[t])
+            = max over m in [t+1, r] of max b2[m..r] - v[m, r+1],
 
-    suffix maxima along column r + 1 of v, taken as one running maximum.
-    Every range maximum is over a non-empty range, so no NEG sentinel
-    enters a table, and only the cells the tables define are written.
+    a suffix maximum along column r + 1 of v.  Every range maximum is over
+    a non-empty range, so no NEG sentinel enters a table, and only the
+    cells the tables define are written.
     """
     import numpy as np
 
@@ -395,29 +398,23 @@ def build_lookup_tables(inst: PathInstance, cache: ScenarioOptCache) -> EvacLook
     v = cache.values
     eng = cache._batch_engine()
     xt, pm0, dp0 = eng.xt, eng.pm0, eng.dp0
-    a1, a2, b1, b2 = eng.a1, eng.a2, eng.b1, eng.b2
+    a2, b2 = eng.a2, eng.b2
     n = inst.n
     size = n + 1
     acc = np.maximum.accumulate
     A, C = (np.zeros((size, size), dtype=np.int64) for _ in range(2))
 
-    # Row l: index i of T1 and of the running maximum is sink t = l + 1 + i
-    # and m = l + 1 + i; index i of T2 is z = l + 1 + i, so T2 joins at t = l + 2.
+    # Row l: index i of the running maxima is sink t = l + 1 + i and m = t.
     for l in range(size):
         A[l, l] = -v[l, l]
-        row = v[l, l:size]
-        T1 = acc(a2[l:n]) - row[1:]
-        T2 = a1[l + 1 : n] + acc(dp0[l + 1 : n] - row[1:-1])
-        T1[1:] = np.maximum(T1[1:], T2)
-        A[l, l + 1 :] = xt[l + 1 :] - (pm0[l] + dp0[l]) + acc(T1)
-    # Column r, read from r down: index j is m = z = r - j, and after the
+        far = acc(a2[l:n]) - v[l, l + 1 : size]
+        A[l, l + 1 :] = xt[l + 1 :] - (pm0[l] + dp0[l]) + acc(far)
+    # Column r, read from r down: index j is m = r - j, and after the
     # suffix maximum and its reversal, index t of the result is sink t.
     np.fill_diagonal(C, -v.diagonal()[1:])
     for r in range(1, size):
-        col = v[r:0:-1, r + 1]
-        near = b1[r:0:-1] + acc(-dp0[r:0:-1] - col)
-        far = acc(b2[r:0:-1]) - col
-        C[:r, r] = pm0[r + 1] + dp0[r + 1] - xt[:r] + acc(np.maximum(near, far))[::-1]
+        far = acc(b2[r:0:-1]) - v[r:0:-1, r + 1]
+        C[:r, r] = pm0[r + 1] + dp0[r + 1] - xt[:r] + acc(far)[::-1]
     return EvacLookupTables(A=A, C=C)
 
 

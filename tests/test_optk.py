@@ -17,13 +17,16 @@ from pathevac.model import (
 )
 from pathevac.optk import (
     SubpathTracker,
+    _band_lows,
     _equal_parts_bound,
     _FastTracker,
     _MatrixRow,
+    _MirrorPath,
     _plan_from_splits,
     _prefix_weights,
     _split_dp,
     _split_row,
+    _trackers,
     optimal_one_sink,
     solve_optimal_k_sink,
 )
@@ -281,8 +284,9 @@ def test_last_part_starts_at_rightmost_optimal_split():
             res = solve_optimal_k_sink(inst, s, k, cm)
             assert res.value == best, (inst, s, k, cm)
             assert res.plan.boundaries[-2] + 1 == j_star, (inst, s, k, cm)
-            assert res.counters["j_increments_per_row"][-1] == (
-                res.plan.boundaries[-2] + 1)
+            # the last row's split starts at its band start and only advances
+            assert (res.counters["row_starts"][-1]
+                    + res.counters["j_increments_per_row"][-1] == j_star)
 
 
 def _direct_rows(inst, s, k, cm):
@@ -318,13 +322,7 @@ def test_bounded_rows_match_unbounded():
             s = Scenario(tuple(weights))
         k = n + 1 if trial % 5 == 0 else rng.randint(1, n + 1)
         cm = rng.choice([CostModel.DISCRETE, CostModel.SIMPLIFIED])
-        pw = _prefix_weights(s)
-
-        def new_row():
-            if cm == CostModel.SIMPLIFIED or inst.capacity == 1:
-                return _FastTracker(inst, s, cm == CostModel.DISCRETE, pw)
-            return SubpathTracker(inst, s, pw)
-
+        new_row = _trackers(inst, s, cm)
         rows = _direct_rows(inst, s, k, cm)
         value, splits, drops, moves = _split_dp(n, k, new_row)
         assert value == rows[-1][n], (inst, s, k, cm)
@@ -342,6 +340,77 @@ def test_bounded_rows_match_unbounded():
             assert b_moves <= moves
             assert (_plan_from_splits(n, b_splits, lambda j, i: j)
                     == _plan_from_splits(n, splits, lambda j, i: j))
+
+
+def _brute_lows(inst, s, k, cm, bound):
+    """lows[q-1] of row q from the definition: the least i in [-1, n] for
+    which [i+1, n] is covered by at most k-q parts of time <= bound."""
+    n = inst.n
+    parts = [0] * (n + 2)  # parts[a]: fewest parts that cover [a, n]
+    for a in range(n, -1, -1):
+        parts[a] = 1 + min(parts[b + 1] for b in range(a, n + 1)
+                           if optimal_one_sink(inst, s, a, b, cm)[0] <= bound)
+    return [min(i for i in range(-1, n + 1) if parts[i + 1] <= k - q)
+            for q in range(1, k + 1)]
+
+
+def test_banded_rows_match_unbanded():
+    rng = random.Random(30)
+    for trial in range(320):
+        n = rng.randint(0, 30)
+        kind = trial % 3
+        if kind == 0:
+            # few distinct weights and gaps, so that ties are common
+            inst = rand_instance(rng, n, w_max=2, gap_max=1, taus=(1, 2, 3))
+        else:
+            inst = rand_instance(rng, n, taus=(1, 2, 3))
+        s = rand_scenario(rng, inst)
+        if kind == 1:
+            # one heavy vertex: its equal part's time makes a loose bound
+            weights = list(s.weights)
+            weights[rng.randrange(n + 1)] = rng.randint(300, 3000)
+            s = Scenario(tuple(weights))
+        k = (1, n + 1, rng.randint(1, n + 1))[trial % 4 % 3]
+        cm = rng.choice([CostModel.DISCRETE, CostModel.SIMPLIFIED])
+        bound = _equal_parts_bound(inst, s, k, cm)
+        lows = _band_lows(inst, s, k, cm, bound)
+        assert lows == _brute_lows(inst, s, k, cm, bound), (inst, s, k, cm)
+        assert lows == sorted(lows) and lows[-1] == n, lows
+
+        new_row = _trackers(inst, s, cm)
+        rows = _direct_rows(inst, s, k, cm)
+        value, splits, _, moves = _split_dp(n, k, new_row)
+        b_value, b_splits, b_drops, b_moves = _split_dp(n, k, new_row, bound, lows)
+        assert b_value == value == rows[-1][n], (inst, s, k, cm)
+        for q in range(k):
+            for i in range(max(lows[q], 0), n + 1):
+                if rows[q][i] <= bound:
+                    assert b_splits[q][i] == splits[q][i], (inst, s, k, q, i)
+        assert (_plan_from_splits(n, b_splits, lambda j, i: j)
+                == _plan_from_splits(n, splits, lambda j, i: j))
+        assert b_moves <= moves
+        assert all(d <= n for d in b_drops)
+
+
+def test_mirror_one_sink_times_match():
+    """The one-sink time of [j, i] equals that of [n-i, n-j] on the path
+    read from its right end, which the band's greedy pass runs on."""
+    rng = random.Random(31)
+    for _ in range(60):
+        inst = rand_instance(rng, rng.randint(0, 12), capacities=(1, 2, 3, 4),
+                             taus=(1, 2, 3))
+        s = rand_scenario(rng, inst)
+        m = _MirrorPath(inst, s)
+        minst = PathInstance(tuple(m.coords), m.weights, m.weights,
+                             capacity=m.capacity, tau=m.tau)
+        ms = Scenario(m.weights)
+        n = inst.n
+        for cm in (CostModel.DISCRETE, CostModel.SIMPLIFIED):
+            for i in range(n + 1):
+                for j in range(i + 1):
+                    want = optimal_one_sink(inst, s, j, i, cm)[0]
+                    got = optimal_one_sink(minst, ms, n - i, n - j, cm)[0]
+                    assert got == want, (inst, s, cm, j, i)
 
 
 def test_split_row_matches_brute_force_min():
