@@ -24,13 +24,16 @@ static arrays.
   each inner search of the next probe runs between them, for as many rounds
   as its widest bracket has bits.  Terms fixed for a lane or for a part are
   computed once per probe, not once per round.
-* **Anchor brackets.**  A call with at least ``_ANCHOR_MIN_LANES`` lanes
-  first solves the windows between grid points ``0, 4, 8, ..`` and ``n+1``
-  that its lanes need, then bisects each lane inside the narrow bracket
-  those windows give (see ``_anchor_brackets``).  Smaller calls are bound
-  by per-call overhead, which the extra phase would only add to.  The same
-  count decides when ``regret.max_regret_of_plan`` brackets its candidates
-  from anchor lanes and solves only those that can attain the maximum.
+* **Anchor brackets.**  ``_brackets`` is the one place that brackets
+  lane optima.  From ``_ANCHOR_MIN_LANES`` lanes on it asks for the optima
+  of the windows between grid points ``0, s, 2s, ..`` and ``n+1`` that the
+  lanes need and brackets each lane between them; below that count every
+  bracket is [0, ``_upper``], as small calls are bound by per-call
+  overhead, which the extra phase would only add to.  ``solve`` bisects
+  the anchors on the grid of step ``_ANCHOR_STEP`` and then each lane
+  inside its bracket.  ``regret.max_regret_of_plan`` takes the anchors
+  from its cache on its own grid and solves only the candidates whose
+  bracket lets them attain the maximum.
 
 All arithmetic is int64-exact; :func:`check_int64_headroom` rejects the
 instances for which it could not be.
@@ -69,12 +72,11 @@ NEG = -(1 << 62)
 # NEG + S < -2H) below every real segment maximum.
 INT64_HEADROOM = 1 << 60
 
-# Lane count from which ``solve`` brackets lanes by anchor windows, and the
-# grid step of those windows.  The same count of candidate lanes is where
-# ``regret.max_regret_of_plan`` starts to bracket candidates by anchor lanes
-# and solve only those that can attain the maximum (at n = 200 to 1000,
-# that path cost more than solving every candidate at about 400 candidates
-# per plan and less from about 800).
+# Lane count from which ``_brackets`` brackets lanes by anchor windows, for
+# ``solve`` and for ``regret.max_regret_of_plan`` alike, and the grid step
+# of ``solve``'s windows.  For an audit the count is where pruning starts
+# to pay: at n = 200 to 1000 it cost more than solving every candidate at
+# about 400 candidates per plan and less from about 800.
 _ANCHOR_MIN_LANES = 1500
 _ANCHOR_STEP = 4
 
@@ -341,50 +343,48 @@ class ScenarioBatchEngine:
             sel = sel[a < b]
         return lo
 
-    def _anchor_brackets(self, k, t1, t2):
-        """Per lane, a bracket [lo, hi] around its optimum, from anchor windows.
+    def _brackets(self, t1, t2, step, optima):
+        """Per lane, a bracket [lo, hi] around its optimum.
 
-        Two facts of the simplified model make the bracket sound.  Every
-        plan's time is a maximum of terms x*tau + (a sum of weights), so
-        (i) it cannot fall when a weight grows, and (ii) it grows by at most
-        delta when one weight grows by delta.  OPT, the minimum over plans,
-        inherits both: OPT is monotone under window growth, and switching
-        vertex i from w-_i to w+_i raises OPT by at most delta_i = w+_i - w-_i.
+        Below ``_ANCHOR_MIN_LANES`` lanes the bracket is [0, ``_upper``].
+        From there on it comes from anchor windows, whose optima
+        ``optima(a1, a2)`` returns for the unique windows (a1, a2).  Two
+        facts of the simplified model make it sound.  Every plan's time is a
+        maximum of terms x*tau + (a sum of weights), so (i) it cannot fall
+        when a weight grows, and (ii) it grows by at most delta when one
+        weight grows by delta.  OPT, the minimum over plans, inherits both:
+        OPT is monotone under window growth, and switching vertex i from
+        w-_i to w+_i raises OPT by at most delta_i = w+_i - w-_i.
 
-        With grid points 0, 4, 8, .. and n+1, lane (t1, t2) has the outer
-        window (floor(t1), ceil(t2)) around it and, unless t1 and t2 lie
-        strictly between the same two grid points, the inner window
-        (ceil(t1), floor(t2)) inside it.  Then
+        With grid points 0, step, 2 step, .. and n+1, lane (t1, t2) has the
+        outer window (floor(t1), ceil(t2)) around it and the inner window
+        (ceil(t1), floor(t2)) inside it, or the empty window (0, 0) when
+        no grid window fits inside the lane.  Then
         OPT(inner) <= OPT(t1, t2) <= OPT(outer), and
         OPT(t1, t2) <= OPT(inner) + (sum of delta over [t1, t2) minus inner).
-        Without an inner window the bracket is [0, OPT(outer)].
         """
-        n = self.n
-        last = n + 1
-        step = _ANCHOR_STEP
+        if t1.shape[0] < _ANCHOR_MIN_LANES:
+            return np.zeros_like(t1), self._upper(t1, t2)
+        last = self.n + 1
         down1 = np.where(t1 == last, last, t1 - t1 % step)
         down2 = np.where(t2 == last, last, t2 - t2 % step)
         up1 = np.minimum(t1 + (-t1) % step, last)
         up2 = np.minimum(t2 + (-t2) % step, last)
-        has_inner = up1 <= down2
-        span = n + 2
+        fits = up1 <= down2
+        in1, in2 = np.where(fits, up1, 0), np.where(fits, down2, 0)
+        span = last + 1
         outer = down1 * span + up2
-        inner = np.where(has_inner, up1 * span + down2, outer)
+        inner = in1 * span + in2
         keys = np.unique(np.concatenate((outer, inner)))
-        a1, a2 = np.divmod(keys, span)
-        vals = self._bisect(k, a1, a2, np.zeros_like(keys), self._upper(a1, a2))
-        v_out = vals[np.searchsorted(keys, outer)]
-        v_in = vals[np.searchsorted(keys, inner)]
-        slack = (self.dp0[t2] - self.dp0[t1]) - (self.dp0[down2] - self.dp0[up1])
-        lo = np.where(has_inner, v_in, 0)
-        hi = np.where(has_inner, np.minimum(v_out, v_in + slack), v_out)
-        return lo, hi
+        vals = optima(*np.divmod(keys, span))
+        lo = vals[np.searchsorted(keys, inner)]
+        dp0 = self.dp0
+        slack = (dp0[t2] - dp0[t1]) - (dp0[in2] - dp0[in1])
+        return lo, np.minimum(vals[np.searchsorted(keys, outer)], lo + slack)
 
     def solve(self, k: int, t1s, t2s) -> np.ndarray:
         """Optimal k-sink time (simplified model) for every lane (t1, t2)."""
         t1, t2 = descriptor_arrays(t1s, t2s, self.n)
-        if t1.shape[0] >= _ANCHOR_MIN_LANES:
-            lo, hi = self._anchor_brackets(k, t1, t2)
-        else:
-            lo, hi = np.zeros_like(t1), self._upper(t1, t2)
+        lo, hi = self._brackets(t1, t2, _ANCHOR_STEP, lambda a1, a2: self._bisect(
+            k, a1, a2, np.zeros_like(a1), self._upper(a1, a2)))
         return self._bisect(k, t1, t2, lo, hi)

@@ -30,7 +30,7 @@ from .model import (
     Plan,
     ScenarioDescriptor,
     realize_scenario,
-    require_int,
+    require_k,
 )
 from .optk import _MatrixRow, _plan_from_splits, _split_dp, solve_optimal_k_sink
 from .regret import ScenarioOptCache, compute_rji
@@ -52,10 +52,7 @@ class MmrResult:
 def _validate(inst: PathInstance, k: int) -> int:
     """``k`` as an ``int``; ValueError unless ``inst`` is valid and 1 <= k <= n+1."""
     inst.require_valid()
-    k = require_int(k, "k")
-    if not 1 <= k <= inst.n + 1:
-        raise ValueError(f"k={k} out of range 1..{inst.n + 1}")
-    return k
+    return require_k(inst, k)
 
 
 # ---------------------------------------------------------------------------

@@ -78,6 +78,15 @@ def require_int(value, name: str) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def require_k(inst: PathInstance, k) -> int:
+    """``k`` as an ``int`` (see :func:`require_int`); ValueError unless
+    1 <= k <= n + 1 for ``inst``."""
+    k = require_int(k, "k")
+    if not 1 <= k <= inst.n + 1:
+        raise ValueError(f"k={k} out of range 1..{inst.n + 1}")
+    return k
+
+
 def _int_tuple(values, name: str) -> tuple[int, ...]:
     return tuple(require_int(v, name) for v in values)
 

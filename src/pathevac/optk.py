@@ -67,7 +67,7 @@ from .model import (
     PathInstance,
     Plan,
     Scenario,
-    require_int,
+    require_k,
     validate_instance,
 )
 
@@ -550,9 +550,7 @@ def solve_optimal_k_sink(
         raise InvalidInstanceError("; ".join(violations))
     require_scenario_length(inst, s)
     n = inst.n
-    k = require_int(k, "k")
-    if not (1 <= k <= n + 1):
-        raise ValueError(f"k out of range: k={k}, n={n}")
+    k = require_k(inst, k)
 
     bound = _equal_parts_bound(inst, s, k, cm)
     lows = _band_lows(inst, s, k, cm, bound)

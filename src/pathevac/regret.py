@@ -13,9 +13,10 @@ Main pieces:
 * :func:`regret_of_plan` / :func:`max_regret_of_plan` — regret of a plan
   under one scenario (optimum from the fixed-scenario DP), and its worst
   case over all candidate scenarios (plan times from the batch engine's
-  side times, optima from the cache).  From ``_batch._ANCHOR_MIN_LANES``
-  candidates on, the worst case solves only the candidates that can attain
-  it, after bracketing every optimum from a few anchor lanes of its part.
+  side times, optima from the cache).  The worst case solves only the
+  candidates that can attain it, after bracketing every optimum with the
+  batch engine's ``_brackets`` from the cached optima of a few anchor
+  windows.
 * :class:`EvacLookupTables` / :func:`build_lookup_tables` — two O(n^2)
   tables into which the worst-case regret of every part and sink
   separates, built in O(n^2) time from running maxima over the cache's
@@ -50,7 +51,7 @@ from .model import (
     Scenario,
     ScenarioDescriptor,
     realize_scenario,
-    require_int,
+    require_k,
     validate_plan,
 )
 from .optk import _MatrixRow, _split_row, solve_optimal_k_sink
@@ -75,9 +76,9 @@ __all__ = [
 # Cache cell not computed yet: below every optimum time, which is >= 0.
 _UNSET = -(1 << 62)
 
-# Grid step of the anchor lanes from which ``_bracketed_optima`` brackets
-# the other candidates of a part.
-_PART_ANCHOR_STEP = 16
+# Grid step of the anchor windows from which ``max_regret_of_plan``
+# brackets its candidates' optima (``ScenarioBatchEngine._brackets``).
+_AUDIT_ANCHOR_STEP = 32
 
 
 # ---------------------------------------------------------------------------
@@ -104,9 +105,7 @@ class ScenarioOptCache:
 
         inst.require_valid()
         check_int64_headroom(inst)
-        k = require_int(k, "k")
-        if not 1 <= k <= inst.n + 1:
-            raise ValueError(f"k={k} out of range 1..{inst.n + 1}")
+        k = require_k(inst, k)
         if engine not in ("batch", "reference"):
             raise ValueError(f"unknown engine {engine!r}")
         self.inst = inst
@@ -217,21 +216,21 @@ def max_regret_of_plan(
     cache's batch engine, its optimum from the cache.  A given ``cache``
     must be built for ``inst`` and ``plan.k`` (else ValueError).
 
-    Below ``_batch._ANCHOR_MIN_LANES`` candidates every candidate's optimum
-    is solved.  From there on, only the candidates that can attain the
-    maximum are: :func:`_bracketed_optima` brackets each optimum in
-    [lo, hi] from a sparse set of anchor lanes of the candidate's own part
-    and solves a candidate only when its regret upper bound, time - lo,
-    reaches the largest regret lower bound, L = max(time - hi), and its
-    bracket is open.  Every candidate attaining the maximum V >= L is then
-    exact, and every other one counts at time - lo < L <= V, so the value
-    and the witness equal those of solving every candidate.  The cache then
-    holds the anchors and those survivors only (plus what it held before;
-    values already present are used as they are).
+    Only the candidates that can attain the maximum are solved.  The
+    engine's ``_brackets`` brackets each optimum in [lo, hi], from the
+    cache's optima of the anchor windows on the grid of step
+    ``_AUDIT_ANCHOR_STEP``, and a candidate is solved only when its regret
+    upper bound, time - lo, reaches the largest regret lower bound,
+    L = max(time - hi), and its bracket is open.  Every candidate attaining
+    the maximum V >= L is then exact, and every other one counts at
+    time - lo < L <= V (or at lo = hi), so the value and the witness equal
+    those of solving every candidate.  The cache then holds the anchors and
+    those survivors only (plus what it held before; values already present
+    are used as they are).  Below ``_batch._ANCHOR_MIN_LANES`` candidates
+    there are no anchors: every bracket is [0, hi] with hi at least the
+    plan's time, so every candidate is solved.
     """
     import numpy as np
-
-    from . import _batch
 
     cands = enumerate_partition_candidates(inst, plan.boundaries)
     if cache is None:
@@ -251,57 +250,19 @@ def max_regret_of_plan(
     for (l, r), y in zip(plan.parts(), plan.sinks):
         time = np.maximum(time, eng.theta_l(l, y, t1, t2))
         time = np.maximum(time, eng.theta_r(y, r, t1, t2))
-    if t1.shape[0] < _batch._ANCHOR_MIN_LANES:
-        cache.ensure(t1, t2)
-        opt = cache.values[t1, t2]
-    else:
-        part = np.array([q for q, _ in cands], dtype=np.int64)
-        opt = _bracketed_optima(cache, plan, part, t1, t2, time)
-    regret = time - opt
-    best = int(np.argmax(regret))
-    return int(regret[best]), cands[best][1]
-
-
-def _bracketed_optima(cache, plan, part, t1, t2, time):
-    """Optima of the candidates (t1, t2) of ``plan``'s parts ``part``, exact
-    wherever the candidate can attain the plan's maximum regret.
-
-    For part [l, r] the anchors are m in {l, l + s, l + 2s, ..} and r + 1
-    (s = ``_PART_ANCHOR_STEP``).  A left-anchored candidate (l, m) lies
-    between a, the largest anchor <= m, and b, the smallest anchor >= m:
-    its inner window is (l, a), its outer (l, b) and its slack the delta
-    sum dp0[m] - dp0[a] of the vertices it adds to the inner window.  A
-    right-anchored candidate (m, r + 1) has inner window (b, r + 1), outer
-    (a, r + 1) and slack dp0[b] - dp0[m].  The optimum is monotone and
-    delta-bounded in its window (``_batch._anchor_brackets``), so it lies
-    in [lo, hi] = [v(inner), min(v(outer), v(inner) + slack)].
-
-    With L = max(time - hi), a lower bound on the maximum regret, the
-    candidates with time - lo >= L and lo < hi are solved; every other one
-    gets its cached value if it has one, else lo (exact when lo = hi, and
-    below L in time - lo otherwise).
-    """
-    import numpy as np
-
-    starts = np.array([l for l, _ in plan.parts()], dtype=np.int64)[part]
-    ends = np.array(plan.boundaries, dtype=np.int64)[part] + 1
-    left = t1 == starts
-    m = np.where(left, t2, t1)
-    off = m - starts
-    a = m - off % _PART_ANCHOR_STEP
-    b = np.minimum(m + (-off) % _PART_ANCHOR_STEP, ends)
-    in1, in2 = np.where(left, starts, b), np.where(left, a, ends)
-    out1, out2 = np.where(left, starts, a), np.where(left, b, ends)
-    dp0 = cache._batch_engine().dp0
-    slack = np.where(left, dp0[m] - dp0[a], dp0[b] - dp0[m])
-    cache.ensure(np.concatenate((in1, out1)), np.concatenate((in2, out2)))
     v = cache.values
-    lo = v[in1, in2]
-    hi = np.minimum(v[out1, out2], lo + slack)
+
+    def optima(a1, a2):
+        cache.ensure(a1, a2)
+        return v[a1, a2]
+
+    lo, hi = eng._brackets(t1, t2, _AUDIT_ANCHOR_STEP, optima)
     open_ = (time - lo >= np.max(time - hi)) & (lo < hi)
     cache.ensure(t1[open_], t2[open_])
     opt = v[t1, t2]
-    return np.where(opt == _UNSET, lo, opt)
+    regret = time - np.where(opt == _UNSET, lo, opt)
+    best = int(np.argmax(regret))
+    return int(regret[best]), cands[best][1]
 
 
 # ---------------------------------------------------------------------------
@@ -327,14 +288,14 @@ class EvacLookupTables:
     has side times 0.  Off the diagonal the empty window never decides:
     raising the weight of vertex l (of r), the farthest from sink t, raises
     every term of that side time by its delta, while the optimum rises by
-    at most that delta (see ``_batch._anchor_brackets``), so the candidate
-    (l, l+1) (the candidate (r, r+1)) is at least the empty one.  By the
-    same argument the part of a candidate's side profile beyond its
-    window never decides a cell (``build_lookup_tables``), so the tables
-    are built from the in-window parts alone.  The tables equal the maxima
-    over all left- and right-anchored candidates only on caches that hold
-    optima, as every cache that ``ensure`` fills does.  A row of
-    ``A`` never falls as t grows and a column of ``C`` never grows: a side
+    at most that delta (see ``ScenarioBatchEngine._brackets``), so the
+    candidate (l, l+1) (the candidate (r, r+1)) is at least the empty
+    one.  By the same argument the part of a candidate's side profile
+    beyond its window never decides a cell (``build_lookup_tables``), so
+    the tables are built from the in-window parts alone.  The tables
+    equal the maxima over all left- and right-anchored candidates only on
+    caches that hold optima, as every cache that ``ensure`` fills does.  A
+    row of ``A`` never falls as t grows and a column of ``C`` never grows: a side
     time grows with its side, and the larger side has more candidates.
     Entries are defined where l <= t (``A``) and t <= r (``C``); all other
     cells hold 0.
@@ -370,8 +331,9 @@ def build_lookup_tables(inst: PathInstance, cache: ScenarioOptCache) -> EvacLook
     The second range never decides a cell on a cache of optima: its term
     at z in [m, t-1] is a2[z] - (dp0[z+1] - dp0[m]), and window (l, z+1)
     holds w+ on the dp0[z+1] - dp0[m] more weight of [m, z] than (l, m), so
-    its optimum is at most that much larger (``_batch._anchor_brackets``)
-    while its first range contains a2[z].  So for t > l,
+    its optimum is at most that much larger
+    (``ScenarioBatchEngine._brackets``) while its first range contains
+    a2[z].  So for t > l,
 
         A[l, t] - (xt[t] - pm0[l] - dp0[l])
             = max over m in [l+1, t] of max a2[l..m-1] - v[l, m],
@@ -458,8 +420,8 @@ def compute_rji(
     leave out the empty windows (l, l) and (r+1, r+1) off the diagonal,
     which never decide there) and ``lminus[l, t]`` the left side of t
     under all lower bounds.  The scenario optimum cannot fall when its
-    window of upper bounds grows (``_batch._anchor_brackets`` gives the
-    argument), so every v is at least v[l, l] = v[0, 0], the all-lower
+    window of upper bounds grows (``ScenarioBatchEngine._brackets`` gives
+    the argument), so every v is at least v[l, l] = v[0, 0], the all-lower
     optimum, and the last term is at most lminus[l, t] - v[0, 0] =
     theta_l(l, t, l, l) - v[l, l], the empty-window term, at most A[l, t]:
     it never decides the maximum.

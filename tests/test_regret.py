@@ -22,6 +22,7 @@ from pathevac.model import (
 from pathevac.optk import solve_optimal_k_sink
 from pathevac.oracle import brute_rji_matrix
 from pathevac.regret import (
+    _AUDIT_ANCHOR_STEP,
     _UNSET,
     ScenarioOptCache,
     build_lookup_tables,
@@ -69,13 +70,16 @@ def test_anchor_path_equals_plain_chunks(monkeypatch):
     """A complete fill large enough for anchor brackets equals the same lanes
     solved in chunks below the lane threshold, and the per-scenario DP."""
     calls = []
-    brackets = ScenarioBatchEngine._anchor_brackets
+    brackets = ScenarioBatchEngine._brackets
 
-    def counted(self, *args):
-        calls.append(args[1].shape[0])
-        return brackets(self, *args)
+    def counted(self, t1, t2, step, optima):
+        def anchors(a1, a2):
+            calls.append(t1.shape[0])
+            return optima(a1, a2)
 
-    monkeypatch.setattr(ScenarioBatchEngine, "_anchor_brackets", counted)
+        return brackets(self, t1, t2, step, anchors)
+
+    monkeypatch.setattr(ScenarioBatchEngine, "_brackets", counted)
     rng = random.Random(59)
     n = 60
     t1, t2 = np.triu_indices(n + 2)
@@ -168,6 +172,30 @@ def test_optimum_monotone_and_delta_bounded(data):
                 assert v[t1, t2] <= v[t1, t2 + 1] <= v[t1, t2] + delta[t2]
             if t1 > 0:
                 assert v[t1, t2] <= v[t1 - 1, t2] <= v[t1, t2] + delta[t1 - 1]
+
+
+@pytest.mark.parametrize("step", [_batch._ANCHOR_STEP, _AUDIT_ANCHOR_STEP], ids=("fill", "audit"))
+def test_brackets_hold_every_lane(monkeypatch, step):
+    """Every lane's optimum lies in its anchor bracket [lo, hi], with anchor
+    optima from the per-scenario DP, on every lane: lanes inside one grid
+    cell, lanes ending at n + 1 and the empty windows included.  With point
+    intervals every bracket is closed."""
+    monkeypatch.setattr(_batch, "_ANCHOR_MIN_LANES", 1)
+    rng = random.Random(65)
+    for it, n in enumerate((0, 3, 4, 9, 17, 30, 31, 32, 33, 40)):
+        inst = mk_interval(rng, n)
+        if it % 2:
+            inst = PathInstance(inst.coords, inst.wminus, inst.wminus,
+                                inst.capacity, inst.tau)
+        k = rng.randint(1, min(4, n + 1))
+        ref = build_scenario_opt_cache(inst, k, engine="reference")
+        t1, t2 = (a.astype(np.int64) for a in np.triu_indices(n + 2))
+        lo, hi = ScenarioBatchEngine(inst)._brackets(
+            t1, t2, step, lambda a1, a2: ref.values[a1, a2])
+        v = ref.values[t1, t2]
+        assert np.all(lo <= v) and np.all(v <= hi), (inst, k)
+        if it % 2:
+            assert np.array_equal(lo, hi), (inst, k)
 
 
 def test_cache_lazy_fill_and_ensure():
@@ -569,6 +597,30 @@ def test_pruned_max_regret_matches_per_candidate_loop(monkeypatch):
     with pytest.raises(ValueError, match="sink of part 0 lies outside the part"):
         max_regret_of_plan(cache.inst, Plan((2, 6), (3, 4)), cache)
     assert np.all(cache.values == _UNSET)
+
+
+def test_pruned_max_regret_on_reference_cache_bisects_nothing(monkeypatch):
+    """With the candidate pruning forced on, an ``engine="reference"`` cache
+    takes every optimum it reads, anchors included, from the per-scenario
+    DP: value and witness equal those of every candidate realized and
+    evaluated, and the batch engine's bisection never runs."""
+    monkeypatch.setattr(_batch, "_ANCHOR_MIN_LANES", 1)
+
+    def no_bisect(*args):
+        raise AssertionError("batch bisection on a reference cache")
+
+    monkeypatch.setattr(ScenarioBatchEngine, "_bisect", no_bisect)
+    rng = random.Random(66)
+    for trial in range(40):
+        n = rng.randint(0, 14)
+        inst = mk_interval(rng, n)
+        k = rng.randint(1, n + 1)
+        plan = rand_plan(rng, inst, k)
+        cache = build_scenario_opt_cache(inst, k, engine="reference", fill="lazy")
+        got = max_regret_of_plan(inst, plan, cache)
+        want = _max_regret_per_candidate(
+            inst, plan, build_scenario_opt_cache(inst, k, engine="reference", fill="lazy"))
+        assert got == want, (inst, plan)
 
 
 def test_pruned_max_regret_above_threshold_equals_full_fill():
