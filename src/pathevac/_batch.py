@@ -15,8 +15,16 @@ static arrays.
   v?" for every lane at once by greedy extension: repeatedly extend the
   current part as far right as possible subject to both sides of its best
   sink meeting v.
-* **Open-lane bisection.**  ``solve`` binary-searches the answer per lane;
-  each round probes only the lanes whose bracket is still open.
+* **Open-lane bisection on critical values.**  ``solve`` bisects the
+  answer per lane; each round probes only the lanes whose bracket is still
+  open, at its midpoint v, and then moves the bracket to the greedy's own
+  critical values, as the parametric search of Bhattacharya et al. (WADS
+  2017) searches over them: a probe that covers the path lowers hi to the
+  largest part time of the plan it built, and one that does not raises lo
+  to the least bound at which some part's sink or end would move, below
+  which the greedy builds the same plan.  Each inner search has already
+  evaluated the side times at its answer and one past it, so no extra
+  evaluation is needed.
 * **Position brackets.**  A larger bound v never moves the greedy's sink or
   part end left, because a part that starts further right is a subpath and
   finishes no later.  So ``_bisect`` keeps, per open lane and part, both
@@ -33,7 +41,8 @@ static arrays.
   the anchors on the grid of step ``_ANCHOR_STEP`` and then each lane
   inside its bracket.  ``regret.max_regret_of_plan`` takes the anchors
   from its cache on its own grid and solves only the candidates whose
-  bracket lets them attain the maximum.
+  bracket lets them attain the maximum, each bisected from that bracket
+  (``solve``'s ``bracket``).
 
 All arithmetic is int64-exact; :func:`check_int64_headroom` rejects the
 instances for which it could not be.
@@ -61,7 +70,15 @@ NEG = -(1 << 62)
 # (t == pos or e == t): its side time plus offset is NEG-based, in
 # [NEG - H, NEG + 2H], so it lies below every bound v + offset >= -H and
 # passes, as an empty side must; ``theta_l`` / ``theta_r`` subtract the
-# offset (reaching NEG - 2H) and mask it.  The regret tables of ``regret``
+# offset (reaching NEG - 2H) and mask it.  The side times that ``_largest``
+# keeps at its last passing and failing probe are such raw values, or its
+# fallbacks cap = v + offset and cap + 1, all within 4H + 1.  ``_last``
+# subtracts the offset again: ``got`` folds side times in [0, 2H], the
+# fallback v and an empty side's NEG - 2H or more into a maximum that
+# starts at 0, and ``nxt`` folds side times in [0, 2H] (a failing probe
+# never has an empty side) and the fallback v + 1 into a minimum that
+# starts at the int64 maximum, which the first search replaces; so
+# 0 <= got <= v and v < nxt <= 2H + 1.  The regret tables of ``regret``
 # take running maxima of the profile arrays over non-empty ranges only, so
 # no NEG enters them.  With side times and OPT in [0, 2H], each operand of
 # a running maximum there, a profile entry or its running maximum minus
@@ -150,16 +167,31 @@ class _SparseMax:
         return np.maximum(flat[self.row[d] + a], flat[self.row_right[d] + b])
 
 
-def _largest(lo, hi, test):
-    """Per lane, the largest m in [lo, hi] passing ``test``, which holds on
-    [lo, m] and fails past m.  Runs as many rounds as the widest bracket
-    has bits."""
+def _largest(lo, hi, raw, cap):
+    """Per lane, the largest m in [lo, hi] with raw(m) <= cap, where raw is
+    non-decreasing in m and raw(lo) <= cap.  Runs as many rounds as the
+    widest bracket has bits.
+
+    Also returns raw(m) and raw(m + 1) for the answer m, the critical
+    values of the search: with any cap in [raw(m), raw(m + 1)) it returns
+    m.  Each passing probe sets lo to its m and each failing one sets hi
+    to its m - 1, and both end at the answer, so the last passing probe
+    was at m and the last failing one at m + 1; two ``np.where`` per round
+    keep their raw values, and no extra evaluation is made.  Where no
+    probe passed, or none failed, they read ``cap`` and ``cap + 1``, which
+    is all the search itself shows.
+    """
+    hold = cap
+    move = cap + 1
     for _ in range(int(np.max(hi - lo, initial=0)).bit_length()):
         m = (lo + hi + 1) >> 1
-        ok = test(m)
+        r = raw(m)
+        ok = r <= cap
         lo = np.where(ok, m, lo)
         hi = np.where(ok, hi, m - 1)
-    return lo
+        hold = np.where(ok, r, hold)
+        move = np.where(ok, move, r)
+    return lo, hold, move
 
 
 class _Lanes:
@@ -271,40 +303,59 @@ class ScenarioBatchEngine:
         The records ``low`` and ``high`` hold one column per part, min(k,
         n + 1) of them: ``low[:, q, idx]`` and ``high[:, q, idx]`` bracket
         part q's sink and end (rows 0 and 1) from below and above (see
-        ``_bisect``).  Returns the per-lane answer and those positions,
-        shape (2, parts, lanes); a part past the last one reads n.
+        ``_bisect``).  Returns the per-lane answer; those positions, shape
+        (2, parts, lanes), where a part past the last one reads n; and two
+        critical values of the greedy (see ``_largest``):
+
+        * ``got``, the largest part time of the plan the greedy built, at
+          least 0 and at most v: where the plan covers the path, a feasible
+          time;
+        * ``nxt`` > v, the least bound at which some part's sink or end
+          would move.  Below it every search inside the same records
+          returns what it returned at v, so where the plan does not cover
+          the path, no bound below ``nxt`` is feasible.
+
+        Where a search did not show a side time, ``got`` reads v and
+        ``nxt`` reads v + 1, the plain bisection's step.
         """
         n = self.n
         ln = _Lanes(self.dp0, t1, t2)
         at = np.empty((2, low.shape[1], v.shape[0]), dtype=low.dtype)
         pos = np.zeros(v.shape[0], dtype=np.int64)
+        got = np.zeros_like(v)
+        nxt = np.full_like(v, np.iinfo(np.int64).max)
         for q in range(low.shape[1]):
             pos = np.minimum(pos, n)
-            tl = self._last_sink(pos, v, ln, low[0, q, idx], high[0, q, idx])
-            e = self._last_end(tl, v, ln, low[1, q, idx], high[1, q, idx])
+            part = self._left_part(pos, ln)
+            tl = self._last(self._left_raw, part, v, ln, pos, low[0, q, idx],
+                            high[0, q, idx], got, nxt)
+            part = self._right_part(tl, ln)
+            e = self._last(self._right_raw, part, v, ln, tl, low[1, q, idx],
+                           high[1, q, idx], got, nxt)
             at[0, q] = tl
             at[1, q] = e
             pos = e + 1
-        return pos > n, at
+        return pos > n, at, got, nxt
 
-    def _last_sink(self, pos, v, ln, low, high):
-        """Largest sink t in [max(pos, low), high] whose left side, for the
-        part starting at pos, is within v (t = pos always is)."""
-        part = self._left_part(pos, ln)
-        cap = v + part[3]
-        lo = np.maximum(pos, low)
-        return _largest(lo, np.maximum(lo, high),
-                        lambda m: self._left_raw(m, part, ln) <= cap)
+    @staticmethod
+    def _last(raw, part, v, ln, first, low, high, got, nxt):
+        """Largest position m in [max(first, low), high] at which
+        ``raw(m, part, ln)``, a side time plus the part's offset, is within
+        v + offset (m = first always passes: an empty side).  Folds the side
+        time at m into ``got`` and the one at m + 1 into ``nxt``.
 
-    def _last_end(self, tl, v, ln, low, high):
-        """Largest part end e in [max(tl, low), high] whose best sink
-        min(e, tl) meets v on the right: every e <= tl does, and past tl the
-        sink is tl."""
-        part = self._right_part(tl, ln)
-        cap = v + part[3]
-        lo = np.maximum(tl, low)
-        return _largest(lo, np.maximum(lo, high),
-                        lambda m: self._right_raw(m, part, ln) <= cap)
+        For the left side, ``first`` is the part's start and m its sink;
+        for the right side, ``first`` is the sink and m the part's end,
+        whose best sink min(m, sink) meets v on the right: every m <= sink
+        does, and past the sink the sink is ``first``.
+        """
+        off = part[3]
+        lo = np.maximum(first, low)
+        m, hold, move = _largest(lo, np.maximum(lo, high),
+                                 lambda m: raw(m, part, ln), v + off)
+        np.maximum(got, hold - off, out=got)
+        np.minimum(nxt, move - off, out=nxt)
+        return m
 
     def _upper(self, t1, t2):
         """A feasible time for every lane: the span's travel time plus all weight."""
@@ -314,12 +365,17 @@ class ScenarioBatchEngine:
     def _bisect(self, k, t1, t2, lo, hi):
         """Per lane, the least feasible time in [lo, hi] (hi must be feasible).
 
-        Each round probes only the lanes whose bracket is still open.  Per
-        open lane and part it keeps the greedy's sink and part end from the
-        lane's last infeasible probe (``low``) and last feasible one
-        (``high``): a larger bound never moves either position left, so the
-        next probe searches between them.  Works on ``lo`` and ``hi`` in
-        place and returns ``lo``.
+        Each round probes only the lanes whose bracket is still open, at
+        its midpoint v, and moves the bracket to the greedy's critical
+        values (``_feasible``): a feasible probe sets hi to ``got``, the
+        time of the plan it built, and an infeasible one sets lo to
+        ``nxt``, below which the greedy builds the same plan and still
+        fails.  Per open lane and part it keeps the greedy's sink and part
+        end from the lane's last infeasible probe (``low``) and last
+        feasible one (``high``): a larger bound never moves either
+        position left, so the next probe, which lies between those two
+        probes' bounds, searches between them.  Works on ``lo`` and ``hi``
+        in place and returns ``lo``.
         """
         open_ = np.flatnonzero(lo < hi)
         shape = (2, min(k, self.n + 1), open_.size)
@@ -332,12 +388,12 @@ class ScenarioBatchEngine:
             a = lo[idx]
             b = hi[idx]
             v = (a + b) >> 1
-            ok, at = self._feasible(v, t1[idx], t2[idx], low, high, sel)
+            ok, at, got, nxt = self._feasible(v, t1[idx], t2[idx], low, high, sel)
             high[:, :, sel[ok]] = at[:, :, ok]
             low[:, :, sel[~ok]] = at[:, :, ~ok]
             del at  # before the next probe allocates its own
-            a = np.where(ok, a, v + 1)
-            b = np.where(ok, v, b)
+            a = np.where(ok, a, nxt)
+            b = np.where(ok, got, b)
             lo[idx] = a
             hi[idx] = b
             sel = sel[a < b]
@@ -382,9 +438,17 @@ class ScenarioBatchEngine:
         slack = (dp0[t2] - dp0[t1]) - (dp0[in2] - dp0[in1])
         return lo, np.minimum(vals[np.searchsorted(keys, outer)], lo + slack)
 
-    def solve(self, k: int, t1s, t2s) -> np.ndarray:
-        """Optimal k-sink time (simplified model) for every lane (t1, t2)."""
+    def solve(self, k: int, t1s, t2s, bracket=None) -> np.ndarray:
+        """Optimal k-sink time (simplified model) for every lane (t1, t2).
+
+        ``bracket``, if given, is a pair of int64 arrays (lo, hi) with
+        lo <= OPT <= hi per lane, from which the bisection starts in place
+        of ``_brackets``; it is not modified.
+        """
         t1, t2 = descriptor_arrays(t1s, t2s, self.n)
-        lo, hi = self._brackets(t1, t2, _ANCHOR_STEP, lambda a1, a2: self._bisect(
-            k, a1, a2, np.zeros_like(a1), self._upper(a1, a2)))
+        if bracket is None:
+            lo, hi = self._brackets(t1, t2, _ANCHOR_STEP, lambda a1, a2: self._bisect(
+                k, a1, a2, np.zeros_like(a1), self._upper(a1, a2)))
+        else:
+            lo, hi = (np.array(b, dtype=np.int64) for b in bracket)
         return self._bisect(k, t1, t2, lo, hi)

@@ -16,7 +16,7 @@ Main pieces:
   side times, optima from the cache).  The worst case solves only the
   candidates that can attain it, after bracketing every optimum with the
   batch engine's ``_brackets`` from the cached optima of a few anchor
-  windows.
+  windows, and bisects each of them from its bracket.
 * :class:`EvacLookupTables` / :func:`build_lookup_tables` — two O(n^2)
   tables into which the worst-case regret of every part and sink
   separates, built in O(n^2) time from running maxima over the cache's
@@ -124,11 +124,11 @@ class ScenarioOptCache:
             self._batch = ScenarioBatchEngine(self.inst)
         return self._batch
 
-    def _compute(self, t1a: np.ndarray, t2a: np.ndarray) -> np.ndarray:
+    def _compute(self, t1a: np.ndarray, t2a: np.ndarray, bracket=None) -> np.ndarray:
         import numpy as np
 
         if self.engine == "batch":
-            return self._batch_engine().solve(self.k, t1a, t2a)
+            return self._batch_engine().solve(self.k, t1a, t2a, bracket)
         out = np.empty(t1a.shape[0], dtype=np.int64)
         for idx in range(t1a.shape[0]):
             d = ScenarioDescriptor(int(t1a[idx]), int(t2a[idx]))
@@ -139,10 +139,15 @@ class ScenarioOptCache:
 
     # -- public API -----------------------------------------------------------
 
-    def ensure(self, t1s, t2s) -> None:
+    def ensure(self, t1s, t2s, bracket=None) -> None:
         """Compute any still-missing entries among the descriptors
         (t1s[i], t2s[i]); ``t1s`` and ``t2s`` must be integer arrays of
-        equal shapes (see ``_batch.descriptor_arrays``)."""
+        equal shapes (see ``_batch.descriptor_arrays``).
+
+        ``bracket``, if given, is a pair of int64 arrays (lo, hi) of the
+        descriptors' shape with lo <= optimum <= hi for each, from which
+        the batch engine starts its bisection; the reference engine
+        ignores it."""
         import numpy as np
 
         from ._batch import descriptor_arrays
@@ -155,9 +160,11 @@ class ScenarioOptCache:
         m1 = t1a[missing]
         m2 = t2a[missing]
         # Deduplicate so each lane is solved once.
-        flat = np.unique(m1 * np.int64(n + 2) + m2)
+        flat, first = np.unique(m1 * np.int64(n + 2) + m2, return_index=True)
         u1, u2 = flat // (n + 2), flat % (n + 2)
-        self.values[u1, u2] = self._compute(u1, u2)
+        if bracket is not None:
+            bracket = [np.asarray(b)[missing][first] for b in bracket]
+        self.values[u1, u2] = self._compute(u1, u2, bracket)
 
     def complete(self) -> None:
         """Fill every valid descriptor (all t1 <= t2)."""
@@ -224,11 +231,14 @@ def max_regret_of_plan(
     L = max(time - hi), and its bracket is open.  Every candidate attaining
     the maximum V >= L is then exact, and every other one counts at
     time - lo < L <= V (or at lo = hi), so the value and the witness equal
-    those of solving every candidate.  The cache then holds the anchors and
-    those survivors only (plus what it held before; values already present
-    are used as they are).  Below ``_batch._ANCHOR_MIN_LANES`` candidates
-    there are no anchors: every bracket is [0, hi] with hi at least the
-    plan's time, so every candidate is solved.
+    those of solving every candidate.  ``cache.ensure`` passes each
+    survivor's bracket on to the batch engine, which bisects it from
+    there rather than from [0, ``_upper``] (the reference engine ignores
+    it).  The cache then holds the anchors and those survivors only (plus
+    what it held before; values already present are used as they are).
+    Below ``_batch._ANCHOR_MIN_LANES`` candidates there are no anchors:
+    every bracket is [0, hi] with hi at least the plan's time, so every
+    candidate is solved.
     """
     import numpy as np
 
@@ -258,7 +268,7 @@ def max_regret_of_plan(
 
     lo, hi = eng._brackets(t1, t2, _AUDIT_ANCHOR_STEP, optima)
     open_ = (time - lo >= np.max(time - hi)) & (lo < hi)
-    cache.ensure(t1[open_], t2[open_])
+    cache.ensure(t1[open_], t2[open_], (lo[open_], hi[open_]))
     opt = v[t1, t2]
     regret = time - np.where(opt == _UNSET, lo, opt)
     best = int(np.argmax(regret))

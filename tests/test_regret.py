@@ -134,8 +134,9 @@ def test_greedy_positions_monotone_in_bound(data):
     free_high = np.full_like(free_low, n)
 
     def probe(v, low=free_low, high=free_high):
-        return eng._feasible(np.full(t1.size, v, dtype=np.int64), t1, t2,
-                             low, high, lanes)
+        ok, at, _got, _nxt = eng._feasible(np.full(t1.size, v, dtype=np.int64), t1, t2,
+                                           low, high, lanes)
+        return ok, at
 
     for v in data.draw(st.lists(st.integers(0, int(eng._upper(t1, t2).max())),
                                 min_size=1, max_size=4)):
@@ -147,6 +148,42 @@ def test_greedy_positions_monotone_in_bound(data):
             assert np.all(ok0 <= ok1), v
         ok, at = probe(v + 1, runs[0][1], runs[2][1])
         assert np.array_equal(ok, runs[1][0]) and np.array_equal(at, runs[1][1]), v
+
+
+@settings(deadline=None, max_examples=40)
+@given(data=st.data())
+def test_greedy_critical_values_exact(data):
+    """The facts behind ``_bisect``'s jumps, on every lane: a feasible probe's
+    ``got`` is a feasible time in [OPT, v], and an infeasible probe's
+    ``nxt`` > v is a bound just below which the greedy builds the same
+    plan and still fails."""
+    n = data.draw(st.integers(0, 12))
+    inst = mk_interval(random.Random(data.draw(st.integers(0, 2**32 - 1))), n)
+    k = data.draw(st.integers(1, n + 1))
+    eng = ScenarioBatchEngine(inst)
+    t1, t2 = (a.astype(np.int64) for a in np.triu_indices(n + 2))
+    opt = build_scenario_opt_cache(inst, k, engine="reference").values[t1, t2]
+    lanes = np.arange(t1.size)
+    low = np.zeros((2, min(k, n + 1), t1.size), dtype=np.int32)
+    high = np.full_like(low, n)
+
+    def probe(v):
+        return eng._feasible(v, t1, t2, low, high, lanes)
+
+    top = int(eng._upper(t1, t2).max())
+    bounds = [np.full(t1.size, v, dtype=np.int64)
+              for v in data.draw(st.lists(st.integers(0, top), min_size=1, max_size=3))]
+    # and per lane, a few steps off its optimum
+    bounds += [np.maximum(opt + d, 0) for d in data.draw(st.lists(st.integers(-3, 3), max_size=2))]
+    for v in bounds:
+        ok, at, got, nxt = probe(v)
+        assert np.array_equal(ok, v >= opt), v
+        assert np.all(got[ok] <= v[ok]) and np.all(got[ok] >= opt[ok]), v
+        assert np.all(probe(got)[0][ok]), v
+        assert np.all(nxt[~ok] > v[~ok]) and np.all(nxt[~ok] <= opt[~ok]), v
+        ok2, at2, _got, _nxt = probe(np.where(ok, v, nxt - 1))
+        assert not np.any(ok2[~ok]), v
+        assert np.array_equal(at2[:, :, ~ok], at[:, :, ~ok]), v
 
 
 @settings(deadline=None, max_examples=40)
@@ -495,6 +532,37 @@ def test_tables_at_int64_headroom():
                              _side_time_tables(inst, cache), (inst, k))
 
 
+@pytest.mark.parametrize("anchors", [False, True], ids=("plain", "anchors"))
+def test_cache_at_int64_headroom(monkeypatch, anchors):
+    """With max|x| * tau + sum(w+) just below 2^60, carried by the weights,
+    by the coordinates or by both, complete fills (every bisection bound,
+    side time and critical value near its int64 limit) and plan audits
+    (survivors bisected from their brackets) equal the per-scenario DP's."""
+    if anchors:
+        monkeypatch.setattr(_batch, "_ANCHOR_MIN_LANES", 1)
+    rng = random.Random(68)
+    for it in range(18):
+        n = rng.randint(1, 8)
+        tau = rng.randint(1, 3)
+        weight_share = (3 << 58, 1 << 50, 1 << 59)[it % 3] // (n + 1)
+        wminus = [rng.randint(1, weight_share // 2) for _ in range(n + 1)]
+        wplus = [lo if rng.random() < 0.2 else lo + rng.randint(1, weight_share // 2)
+                 for lo in wminus]
+        far = (_batch.INT64_HEADROOM - 1 - rng.randint(0, 1000) - sum(wplus)) // tau
+        xs = sorted(rng.sample(range(1, far), n))
+        xs = [-far] + [x - far for x in xs] if it % 2 else xs + [far]
+        inst = PathInstance(tuple(xs), tuple(wminus), tuple(wplus),
+                            capacity=rng.randint(1, 3), tau=tau)
+        reach = max(abs(xs[0]), abs(xs[-1])) * tau + sum(wplus)
+        assert _batch.INT64_HEADROOM - 2000 - tau < reach < _batch.INT64_HEADROOM
+        k = rng.randint(1, min(3, n + 1))
+        ref = build_scenario_opt_cache(inst, k, engine="reference")
+        assert np.array_equal(build_scenario_opt_cache(inst, k).values, ref.values), (inst, k)
+        plan = rand_plan(rng, inst, k)
+        assert (max_regret_of_plan(inst, plan, build_scenario_opt_cache(inst, k, fill="lazy"))
+                == _max_regret_per_candidate(inst, plan, ref)), (inst, plan)
+
+
 # -- plan regret ---------------------------------------------------------------
 
 
@@ -621,6 +689,52 @@ def test_pruned_max_regret_on_reference_cache_bisects_nothing(monkeypatch):
         want = _max_regret_per_candidate(
             inst, plan, build_scenario_opt_cache(inst, k, engine="reference", fill="lazy"))
         assert got == want, (inst, plan)
+
+
+def test_pruned_max_regret_bisects_survivors_from_their_brackets(monkeypatch):
+    """Above the candidate threshold, every candidate the audit still solves
+    is bisected from the [lo, hi] that ``_brackets`` gave it, never from
+    [0, ``_upper``]; value and witness equal those of every candidate
+    realized and evaluated."""
+    monkeypatch.setattr(_batch, "_ANCHOR_MIN_LANES", 1)
+    brackets = ScenarioBatchEngine._brackets
+    bisect = ScenarioBatchEngine._bisect
+    audit = {}
+    calls = []
+
+    def recorded_brackets(self, t1, t2, step, optima):
+        lo, hi = brackets(self, t1, t2, step, optima)
+        if step == _AUDIT_ANCHOR_STEP:
+            audit.update(zip(zip(t1.tolist(), t2.tolist()), zip(lo.tolist(), hi.tolist())))
+            calls.clear()  # the anchors' own solves are done
+        return lo, hi
+
+    def recorded_bisect(self, k, t1, t2, lo, hi):
+        calls.append((self, t1.tolist(), t2.tolist(), lo.tolist(), hi.tolist()))
+        return bisect(self, k, t1, t2, lo, hi)
+
+    monkeypatch.setattr(ScenarioBatchEngine, "_brackets", recorded_brackets)
+    monkeypatch.setattr(ScenarioBatchEngine, "_bisect", recorded_bisect)
+    rng = random.Random(67)
+    survivors = 0
+    for trial in range(40):
+        n = rng.randint(8, 40)
+        inst = mk_interval(rng, n)
+        k = rng.randint(1, min(6, n + 1))
+        plan = rand_plan(rng, inst, k)
+        audit.clear()
+        cache = build_scenario_opt_cache(inst, k, fill="lazy")
+        got = max_regret_of_plan(inst, plan, cache)
+        for eng, t1, t2, lo, hi in calls:
+            upper = eng._upper(np.asarray(t1), np.asarray(t2)).tolist()
+            for lane in zip(t1, t2, lo, hi, upper):
+                assert audit[lane[:2]] == lane[2:4], (inst, plan, lane)
+                assert lane[2:4] != (0, lane[4]), (inst, plan, lane)
+                survivors += 1
+        want = _max_regret_per_candidate(
+            inst, plan, build_scenario_opt_cache(inst, k, fill="lazy"))
+        assert got == want, (inst, plan)
+    assert survivors > 0
 
 
 def test_pruned_max_regret_above_threshold_equals_full_fill():
