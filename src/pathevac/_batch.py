@@ -15,19 +15,22 @@ static arrays.
   v?" for every lane at once by greedy extension: repeatedly extend the
   current part as far right as possible subject to both sides of its best
   sink meeting v.
-* **Open-lane bisection on critical values.**  ``solve`` bisects the
-  answer per lane; each round probes only the lanes whose bracket is still
-  open, at its midpoint v, and then moves the bracket to the greedy's own
-  critical values, as the parametric search of Bhattacharya et al. (WADS
-  2017) searches over them: a probe that covers the path lowers hi to the
-  largest part time of the plan it built, and one that does not raises lo
-  to the least bound at which some part's sink or end would move, below
-  which the greedy builds the same plan.  Each inner search has already
-  evaluated the side times at its answer and one past it, so no extra
-  evaluation is needed.
+* **Open-lane bisection on critical values.**  ``_bisect`` bisects the
+  answer per lane.  It holds one state for the lanes whose bracket is still
+  open, their descriptors, bracket ends and position records, and each
+  round probes all of them at their midpoints v.  It then moves each
+  bracket to the greedy's own critical values, as the parametric search of
+  Bhattacharya et al. (WADS 2017) searches over them: a probe that covers
+  the path lowers hi to the largest part time of the plan it built, and
+  one that does not raises lo to the least bound at which some part's
+  sink or end would move, below which the greedy builds the same plan.
+  Each inner search has already evaluated the side times at its answer
+  and one past it, so no extra evaluation is needed.  Lanes whose bracket
+  has closed get their optimum written, and one mask compacts every array
+  of the state to the lanes still open.
 * **Position brackets.**  A larger bound v never moves the greedy's sink or
   part end left, because a part that starts further right is a subpath and
-  finishes no later.  So ``_bisect`` keeps, per open lane and part, both
+  finishes no later.  So the lane state keeps, per lane and part, both
   positions from the lane's last infeasible and last feasible probe, and
   each inner search of the next probe runs between them, for as many rounds
   as its widest bracket has bits.  Terms fixed for a lane or for a part are
@@ -70,7 +73,7 @@ NEG = -(1 << 62)
 # (t == pos or e == t): its side time plus offset is NEG-based, in
 # [NEG - H, NEG + 2H], so it lies below every bound v + offset >= -H and
 # passes, as an empty side must; ``theta_l`` / ``theta_r`` subtract the
-# offset (reaching NEG - 2H) and mask it.  The side times that ``_largest``
+# offset (reaching NEG - 2H) and mask it.  The side times that ``_last``
 # keeps at its last passing and failing probe are such raw values, or its
 # fallbacks cap = v + offset and cap + 1, all within 4H + 1.  ``_last``
 # subtracts the offset again: ``got`` folds side times in [0, 2H], the
@@ -165,33 +168,6 @@ class _SparseMax:
         d = b - a
         flat = self.flat
         return np.maximum(flat[self.row[d] + a], flat[self.row_right[d] + b])
-
-
-def _largest(lo, hi, raw, cap):
-    """Per lane, the largest m in [lo, hi] with raw(m) <= cap, where raw is
-    non-decreasing in m and raw(lo) <= cap.  Runs as many rounds as the
-    widest bracket has bits.
-
-    Also returns raw(m) and raw(m + 1) for the answer m, the critical
-    values of the search: with any cap in [raw(m), raw(m + 1)) it returns
-    m.  Each passing probe sets lo to its m and each failing one sets hi
-    to its m - 1, and both end at the answer, so the last passing probe
-    was at m and the last failing one at m + 1; two ``np.where`` per round
-    keep their raw values, and no extra evaluation is made.  Where no
-    probe passed, or none failed, they read ``cap`` and ``cap + 1``, which
-    is all the search itself shows.
-    """
-    hold = cap
-    move = cap + 1
-    for _ in range(int(np.max(hi - lo, initial=0)).bit_length()):
-        m = (lo + hi + 1) >> 1
-        r = raw(m)
-        ok = r <= cap
-        lo = np.where(ok, m, lo)
-        hi = np.where(ok, hi, m - 1)
-        hold = np.where(ok, r, hold)
-        move = np.where(ok, move, r)
-    return lo, hold, move
 
 
 class _Lanes:
@@ -297,15 +273,16 @@ class ScenarioBatchEngine:
 
     # -- solver ---------------------------------------------------------------
 
-    def _feasible(self, v, t1, t2, low, high, idx):
+    def _feasible(self, v, t1, t2, low, high):
         """Per lane: can k parts each finish within v?  (greedy extension)
 
         The records ``low`` and ``high`` hold one column per part, min(k,
-        n + 1) of them: ``low[:, q, idx]`` and ``high[:, q, idx]`` bracket
-        part q's sink and end (rows 0 and 1) from below and above (see
-        ``_bisect``).  Returns the per-lane answer; those positions, shape
-        (2, parts, lanes), where a part past the last one reads n; and two
-        critical values of the greedy (see ``_largest``):
+        n + 1) of them, and one entry per lane: ``low[:, q]`` and
+        ``high[:, q]`` bracket part q's sink and end (rows 0 and 1) from
+        below and above (see ``_bisect``).  Returns the per-lane answer;
+        those positions, shaped like the records, where a part past the
+        last one reads n; and two critical values of the greedy (see
+        ``_last``):
 
         * ``got``, the largest part time of the plan the greedy built, at
           least 0 and at most v: where the plan covers the path, a feasible
@@ -320,18 +297,16 @@ class ScenarioBatchEngine:
         """
         n = self.n
         ln = _Lanes(self.dp0, t1, t2)
-        at = np.empty((2, low.shape[1], v.shape[0]), dtype=low.dtype)
+        at = np.empty_like(low)
         pos = np.zeros(v.shape[0], dtype=np.int64)
         got = np.zeros_like(v)
         nxt = np.full_like(v, np.iinfo(np.int64).max)
         for q in range(low.shape[1]):
             pos = np.minimum(pos, n)
             part = self._left_part(pos, ln)
-            tl = self._last(self._left_raw, part, v, ln, pos, low[0, q, idx],
-                            high[0, q, idx], got, nxt)
+            tl = self._last(self._left_raw, part, v, ln, pos, low[0, q], high[0, q], got, nxt)
             part = self._right_part(tl, ln)
-            e = self._last(self._right_raw, part, v, ln, tl, low[1, q, idx],
-                           high[1, q, idx], got, nxt)
+            e = self._last(self._right_raw, part, v, ln, tl, low[1, q], high[1, q], got, nxt)
             at[0, q] = tl
             at[1, q] = e
             pos = e + 1
@@ -341,21 +316,41 @@ class ScenarioBatchEngine:
     def _last(raw, part, v, ln, first, low, high, got, nxt):
         """Largest position m in [max(first, low), high] at which
         ``raw(m, part, ln)``, a side time plus the part's offset, is within
-        v + offset (m = first always passes: an empty side).  Folds the side
-        time at m into ``got`` and the one at m + 1 into ``nxt``.
+        cap = v + offset (m = first always passes: an empty side).  raw is
+        non-decreasing in m.  Runs as many rounds as the widest bracket has
+        bits.
 
         For the left side, ``first`` is the part's start and m its sink;
         for the right side, ``first`` is the sink and m the part's end,
         whose best sink min(m, sink) meets v on the right: every m <= sink
         does, and past the sink the sink is ``first``.
+
+        Folds the side time at m into ``got`` and the one at m + 1 into
+        ``nxt``, the critical values of the search: with any cap in
+        [raw(m), raw(m + 1)) it returns m.  Each passing probe sets lo to
+        its m and each failing one sets hi to its m - 1, and both end at
+        the answer, so the last passing probe was at m and the last failing
+        one at m + 1; two ``np.where`` per round keep their raw values, and
+        no extra evaluation is made.  Where no probe passed, or none
+        failed, they read cap and cap + 1, which is all the search itself
+        shows.
         """
         off = part[3]
+        cap = v + off
         lo = np.maximum(first, low)
-        m, hold, move = _largest(lo, np.maximum(lo, high),
-                                 lambda m: raw(m, part, ln), v + off)
+        hi = np.maximum(lo, high)
+        hold, move = cap, cap + 1
+        for _ in range(int(np.max(hi - lo, initial=0)).bit_length()):
+            m = (lo + hi + 1) >> 1
+            r = raw(m, part, ln)
+            ok = r <= cap
+            lo = np.where(ok, m, lo)
+            hi = np.where(ok, hi, m - 1)
+            hold = np.where(ok, r, hold)
+            move = np.where(ok, move, r)
         np.maximum(got, hold - off, out=got)
         np.minimum(nxt, move - off, out=nxt)
-        return m
+        return lo
 
     def _upper(self, t1, t2):
         """A feasible time for every lane: the span's travel time plus all weight."""
@@ -365,38 +360,37 @@ class ScenarioBatchEngine:
     def _bisect(self, k, t1, t2, lo, hi):
         """Per lane, the least feasible time in [lo, hi] (hi must be feasible).
 
-        Each round probes only the lanes whose bracket is still open, at
-        its midpoint v, and moves the bracket to the greedy's critical
-        values (``_feasible``): a feasible probe sets hi to ``got``, the
-        time of the plan it built, and an infeasible one sets lo to
-        ``nxt``, below which the greedy builds the same plan and still
-        fails.  Per open lane and part it keeps the greedy's sink and part
-        end from the lane's last infeasible probe (``low``) and last
-        feasible one (``high``): a larger bound never moves either
-        position left, so the next probe, which lies between those two
-        probes' bounds, searches between them.  Works on ``lo`` and ``hi``
-        in place and returns ``lo``.
+        The lanes whose bracket is open are taken once into one state: the
+        lane index, the descriptors, the bracket ends ``a`` and ``b``, and
+        per part the greedy's sink and part end from the lane's last
+        infeasible probe (``low``) and last feasible one (``high``).  A
+        larger bound never moves either position left, so the next probe,
+        which lies between those two probes' bounds, searches between them.
+        Each round probes every lane of the state at its midpoint v and
+        moves the bracket to the greedy's critical values (``_feasible``):
+        a feasible probe sets b to ``got``, the time of the plan it built,
+        and an infeasible one sets a to ``nxt``, below which the greedy
+        builds the same plan and still fails.  The lanes whose bracket has
+        closed get their optimum written into ``lo``, and one mask compacts
+        every array of the state to the lanes still open.  Works on ``lo``
+        in place and returns it.
         """
-        open_ = np.flatnonzero(lo < hi)
-        shape = (2, min(k, self.n + 1), open_.size)
+        lane = np.flatnonzero(lo < hi)
+        t1, t2, a, b = t1[lane], t2[lane], lo[lane], hi[lane]
+        shape = (2, min(k, self.n + 1), lane.size)
         kind = np.min_scalar_type(-self.n - 1)  # narrowest signed int for 0..n
         low = np.zeros(shape, dtype=kind)
         high = np.full(shape, self.n, dtype=kind)
-        sel = np.arange(open_.size)
-        while sel.size:
-            idx = open_[sel]
-            a = lo[idx]
-            b = hi[idx]
-            v = (a + b) >> 1
-            ok, at, got, nxt = self._feasible(v, t1[idx], t2[idx], low, high, sel)
-            high[:, :, sel[ok]] = at[:, :, ok]
-            low[:, :, sel[~ok]] = at[:, :, ~ok]
-            del at  # before the next probe allocates its own
+        while lane.size:
+            ok, at, got, nxt = self._feasible((a + b) >> 1, t1, t2, low, high)
+            high = np.where(ok, at, high)
+            low = np.where(ok, low, at)
             a = np.where(ok, a, nxt)
             b = np.where(ok, got, b)
-            lo[idx] = a
-            hi[idx] = b
-            sel = sel[a < b]
+            keep = a < b
+            lo[lane[~keep]] = a[~keep]
+            lane, t1, t2, a, b = lane[keep], t1[keep], t2[keep], a[keep], b[keep]
+            low, high = low[:, :, keep], high[:, :, keep]
         return lo
 
     def _brackets(self, t1, t2, step, optima):

@@ -132,12 +132,16 @@ class PathInstance:
 
 @dataclass(frozen=True)
 class Scenario:
-    """A concrete assignment of one integer weight to every vertex."""
+    """A concrete assignment of one integer weight, at least 1, to every
+    vertex: every vertex holds an evacuee, as an instance's w_min >= 1
+    requires.  A weight below 1 raises ValueError."""
 
     weights: tuple[int, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "weights", _int_tuple(self.weights, "w"))
+        if any(w < 1 for w in self.weights):
+            raise ValueError(f"scenario weights must be at least 1, got {min(self.weights)}")
 
 
 class ScenarioDescriptor(NamedTuple):

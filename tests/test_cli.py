@@ -108,9 +108,15 @@ def test_solve_opt_scenario_file(tmp_path, inst_path, capsys):
     rc = run_cli("solve-opt", inst_path, "--k", "2", "--scenario", sc_path)
     assert rc == 0
     assert capsys.readouterr().out.startswith("objective ")
-    # out-of-bounds scenario is rejected
+    # a weight below 1 is rejected as the file is read
     json.dump({"w": [0] * len(w)}, open(sc_path, "w"))
+    capsys.readouterr()
     assert run_cli("solve-opt", inst_path, "--k", "2", "--scenario", sc_path) == 2
+    assert "cannot read scenario" in capsys.readouterr().err
+    # out-of-bounds scenario is rejected
+    json.dump({"w": [v["w_max"] + 1 for v in inst["vertices"]]}, open(sc_path, "w"))
+    assert run_cli("solve-opt", inst_path, "--k", "2", "--scenario", sc_path) == 2
+    assert "violate the instance's intervals" in capsys.readouterr().err
     # wrong length
     json.dump({"w": w + [1]}, open(sc_path, "w"))
     assert run_cli("solve-opt", inst_path, "--k", "2", "--scenario", sc_path) == 2

@@ -82,6 +82,15 @@ def test_constructors_reject_non_integers(make):
         make()
 
 
+@pytest.mark.parametrize("w", [(3, -4, 2, 6), (0, 0, 0, 0)], ids=["negative", "zeros"])
+def test_scenario_rejects_weights_below_one(w):
+    # On PathInstance((0, 3, 4, 9), (1,) * 4, (5,) * 4, capacity=2, tau=1) and
+    # k = 2, (3, -4, 2, 6) gave a DP optimum of 4 where the brute force found 3,
+    # and all zeros a one-sink time of 5 where the simulation found 0.
+    with pytest.raises(ValueError, match="scenario weights must be at least 1"):
+        Scenario(w)
+
+
 def test_constructors_accept_numpy_integers():
     inst = PathInstance(np.array([0, 2, 5]), np.array([1, 2, 1]), np.array([3, 2, 4]),
                         capacity=np.int64(2), tau=np.int32(1))
@@ -120,7 +129,9 @@ def test_realize_scenario_and_bounds():
     assert scenario_within_bounds(GOOD, s)
     assert realize_scenario(GOOD, ScenarioDescriptor(0, 0)).weights == GOOD.wminus
     assert realize_scenario(GOOD, ScenarioDescriptor(0, 3)).weights == GOOD.wplus
-    assert not scenario_within_bounds(GOOD, Scenario((0, 2, 1)))
+    assert not scenario_within_bounds(GOOD, Scenario((1, 1, 1)))  # w_min of vertex 1 is 2
+    with pytest.raises(ValueError, match="at least 1"):
+        Scenario((0, 2, 1))
     assert not scenario_within_bounds(GOOD, Scenario((1, 2)))
     with pytest.raises(ValueError):
         realize_scenario(GOOD, ScenarioDescriptor(2, 1))

@@ -129,13 +129,12 @@ def test_greedy_positions_monotone_in_bound(data):
     k = data.draw(st.integers(1, n + 1))
     eng = ScenarioBatchEngine(inst)
     t1, t2 = (a.astype(np.int64) for a in np.triu_indices(n + 2))
-    lanes = np.arange(t1.size)
     free_low = np.zeros((2, min(k, n + 1), t1.size), dtype=np.int32)
     free_high = np.full_like(free_low, n)
 
     def probe(v, low=free_low, high=free_high):
         ok, at, _got, _nxt = eng._feasible(np.full(t1.size, v, dtype=np.int64), t1, t2,
-                                           low, high, lanes)
+                                           low, high)
         return ok, at
 
     for v in data.draw(st.lists(st.integers(0, int(eng._upper(t1, t2).max())),
@@ -163,12 +162,11 @@ def test_greedy_critical_values_exact(data):
     eng = ScenarioBatchEngine(inst)
     t1, t2 = (a.astype(np.int64) for a in np.triu_indices(n + 2))
     opt = build_scenario_opt_cache(inst, k, engine="reference").values[t1, t2]
-    lanes = np.arange(t1.size)
     low = np.zeros((2, min(k, n + 1), t1.size), dtype=np.int32)
     high = np.full_like(low, n)
 
     def probe(v):
-        return eng._feasible(v, t1, t2, low, high, lanes)
+        return eng._feasible(v, t1, t2, low, high)
 
     top = int(eng._upper(t1, t2).max())
     bounds = [np.full(t1.size, v, dtype=np.int64)
@@ -184,6 +182,27 @@ def test_greedy_critical_values_exact(data):
         ok2, at2, _got, _nxt = probe(np.where(ok, v, nxt - 1))
         assert not np.any(ok2[~ok]), v
         assert np.array_equal(at2[:, :, ~ok], at[:, :, ~ok]), v
+
+
+@settings(deadline=None, max_examples=40)
+@given(data=st.data())
+def test_bisect_finds_optimum_from_any_bracket(data):
+    """``_bisect``'s contract, on every lane: from any bracket [lo, hi] with
+    0 <= lo <= OPT <= hi it returns OPT.  The brackets mix closed, narrow
+    and wide ones, so lanes close on different probes and the open lanes
+    are compacted several times."""
+    n = data.draw(st.integers(0, 12))
+    inst = mk_interval(random.Random(data.draw(st.integers(0, 2**32 - 1))), n)
+    k = data.draw(st.integers(1, n + 1))
+    eng = ScenarioBatchEngine(inst)
+    t1, t2 = (a.astype(np.int64) for a in np.triu_indices(n + 2))
+    opt = build_scenario_opt_cache(inst, k, engine="reference").values[t1, t2]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    d = rng.integers(0, 1 << rng.integers(0, 16, size=(2, t1.size)))
+    d[:, rng.random(t1.size) < 0.25] = 0
+    lo = np.maximum(opt - d[0], 0)
+    hi = opt + d[1]
+    assert np.array_equal(eng._bisect(k, t1, t2, lo.copy(), hi.copy()), opt)
 
 
 @settings(deadline=None, max_examples=40)
