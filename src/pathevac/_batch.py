@@ -38,14 +38,21 @@ static arrays.
 * **Anchor brackets.**  ``_brackets`` is the one place that brackets
   lane optima.  From ``_ANCHOR_MIN_LANES`` lanes on it asks for the optima
   of the windows between grid points ``0, s, 2s, ..`` and ``n+1`` that the
-  lanes need and brackets each lane between them; below that count every
-  bracket is [0, ``_upper``], as small calls are bound by per-call
-  overhead, which the extra phase would only add to.  ``solve`` bisects
-  the anchors on the grid of step ``_ANCHOR_STEP`` and then each lane
-  inside its bracket.  ``regret.max_regret_of_plan`` takes the anchors
-  from its cache on its own grid and solves only the candidates whose
-  bracket lets them attain the maximum, each bisected from that bracket
-  (``solve``'s ``bracket``).
+  lanes need and brackets each lane between them, from below by the inner
+  window and by the outer one less the weight growth outside the lane,
+  from above by the outer window and by the inner one plus the weight
+  growth inside the lane.  Below that count, with more lanes than the path
+  has vertices, its top level does the same on the grid {0, n+1}, from the
+  optima of the all-lower and the all-upper window, which the
+  fixed-scenario DP gives once per k and one probe of the greedy
+  certifies.  With at most n + 1 lanes every bracket is [0, ``_upper``]:
+  there the two DP solves cost more than the probes they save.
+  ``solve`` bisects the anchors on the grid of step ``_ANCHOR_STEP`` from
+  the top level and then each lane inside its bracket.
+  ``regret.max_regret_of_plan`` takes the anchors from its cache on its
+  own grid, or the top level below ``_ANCHOR_MIN_LANES`` candidates, and
+  solves only the candidates whose bracket lets them attain the maximum,
+  each bisected from that bracket (``solve``'s ``bracket``).
 
 All arithmetic is int64-exact; :func:`check_int64_headroom` rejects the
 instances for which it could not be.
@@ -55,7 +62,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import InvalidInstanceError, PathInstance
+from .model import CostModel, InvalidInstanceError, PathInstance, Scenario, require_k
 
 __all__ = ["ScenarioBatchEngine", "NEG", "INT64_HEADROOM", "check_int64_headroom"]
 
@@ -67,7 +74,7 @@ NEG = -(1 << 62)
 # segment maxima, shifted by a delta sum, in [-2H, 2H].  A part's offset
 # (pw(pos - 1) on the left, x_t*tau + dp0[t1] on the right) lies in [-H, H],
 # so side times, the bisection bounds and their sum, the greedy's bounds
-# v + offset, side times plus offset and the anchor brackets (OPT + S) lie
+# v + offset, side times plus offset and the anchor brackets (OPT +- S) lie
 # within 4H in absolute value.  The NEG = -2^62 sentinel of an empty
 # segment is shifted by at most S.  The greedy does not mask an empty side
 # (t == pos or e == t): its side time plus offset is NEG-based, in
@@ -92,7 +99,8 @@ NEG = -(1 << 62)
 # NEG + S < -2H) below every real segment maximum.
 INT64_HEADROOM = 1 << 60
 
-# Lane count from which ``_brackets`` brackets lanes by anchor windows, for
+# Lane count from which ``_brackets`` brackets lanes by the anchor windows of
+# a grid of step s rather than of the top level's grid {0, n + 1}, for
 # ``solve`` and for ``regret.max_regret_of_plan`` alike, and the grid step
 # of ``solve``'s windows.  For an audit the count is where pruning starts
 # to pay: at n = 200 to 1000 it cost more than solving every candidate at
@@ -200,6 +208,7 @@ class ScenarioBatchEngine:
         pm0[1:] = np.cumsum(wm)
         dp0 = np.zeros(n + 2, dtype=np.int64)
         dp0[1:] = np.cumsum(wp - wm)
+        self.inst = inst
         self.n = n
         self.xt = xt
         self.pm0 = pm0
@@ -216,6 +225,7 @@ class ScenarioBatchEngine:
         self.stA2 = _SparseMax(self.a2)
         self.stB1 = _SparseMax(self.b1)
         self.stB2 = _SparseMax(self.b2)
+        self._extremes = {}
 
     # -- side times -------------------------------------------------------------
     #
@@ -357,6 +367,13 @@ class ScenarioBatchEngine:
         n = self.n
         return (self.xt[n] - self.xt[0]) + self.pm0[n + 1] + (self.dp0[t2] - self.dp0[t1])
 
+    def _records(self, k, lanes):
+        """Position records (``low``, ``high``) of ``_feasible`` for ``lanes``
+        lanes that bound no position yet: every sink and part end in [0, n]."""
+        shape = (2, min(k, self.n + 1), lanes)
+        kind = np.min_scalar_type(-self.n - 1)  # narrowest signed int for 0..n
+        return np.zeros(shape, dtype=kind), np.full(shape, self.n, dtype=kind)
+
     def _bisect(self, k, t1, t2, lo, hi):
         """Per lane, the least feasible time in [lo, hi] (hi must be feasible).
 
@@ -377,10 +394,7 @@ class ScenarioBatchEngine:
         """
         lane = np.flatnonzero(lo < hi)
         t1, t2, a, b = t1[lane], t2[lane], lo[lane], hi[lane]
-        shape = (2, min(k, self.n + 1), lane.size)
-        kind = np.min_scalar_type(-self.n - 1)  # narrowest signed int for 0..n
-        low = np.zeros(shape, dtype=kind)
-        high = np.full(shape, self.n, dtype=kind)
+        low, high = self._records(k, lane.size)
         while lane.size:
             ok, at, got, nxt = self._feasible((a + b) >> 1, t1, t2, low, high)
             high = np.where(ok, at, high)
@@ -393,29 +407,83 @@ class ScenarioBatchEngine:
             low, high = low[:, :, keep], high[:, :, keep]
         return lo
 
-    def _brackets(self, t1, t2, step, optima):
-        """Per lane, a bracket [lo, hi] around its optimum.
+    def _extreme_optima(self, k):
+        """The optima of the all-lower window (0, 0) and the all-upper window
+        (0, n + 1) with k parts, computed once per k by the fixed-scenario
+        DP of ``optk`` and certified by the engine's own greedy: each value v
+        must be covered at v and, where v > 0, not at v - 1, in one
+        ``_feasible`` call.  RuntimeError otherwise, so every bracket built
+        on them, and every optimum bisected from one, rests on the greedy
+        alone."""
+        if k not in self._extremes:
+            # Looked up in ``optk`` per call, so a rebinding there (a layer
+            # tracer, an injected fault) reaches this call too.
+            from .optk import solve_optimal_k_sink
 
-        Below ``_ANCHOR_MIN_LANES`` lanes the bracket is [0, ``_upper``].
-        From there on it comes from anchor windows, whose optima
-        ``optima(a1, a2)`` returns for the unique windows (a1, a2).  Two
-        facts of the simplified model make it sound.  Every plan's time is a
-        maximum of terms x*tau + (a sum of weights), so (i) it cannot fall
-        when a weight grows, and (ii) it grows by at most delta when one
-        weight grows by delta.  OPT, the minimum over plans, inherits both:
-        OPT is monotone under window growth, and switching vertex i from
-        w-_i to w+_i raises OPT by at most delta_i = w+_i - w-_i.
+            inst, last = self.inst, self.n + 1
+            vals = [solve_optimal_k_sink(inst, Scenario(w), k, CostModel.SIMPLIFIED).value
+                    for w in (inst.wminus, inst.wplus)]
+            lower, upper = vals
+            v = np.array([lower, lower - 1, upper, upper - 1], dtype=np.int64)
+            t2 = np.array([0, 0, last, last], dtype=np.int64)
+            cover = np.array([True, False, True, False])
+            probe = cover | (v >= 0)
+            ok = self._feasible(v[probe], np.zeros_like(t2[probe]), t2[probe],
+                                *self._records(k, int(np.count_nonzero(probe))))[0]
+            if min(vals) < 0 or not np.array_equal(ok, cover[probe]):
+                raise RuntimeError(
+                    f"the greedy does not certify the fixed-scenario optima {vals} "
+                    f"of the all-lower and all-upper windows with k={k}")
+            self._extremes[k] = vals
+        return self._extremes[k]
+
+    def _brackets(self, t1, t2, k, step, optima):
+        """Per lane, a bracket [lo, hi] around its optimum with k parts.
+
+        Two facts of the simplified model make every bracket sound.  Every
+        plan's time is a maximum of terms x*tau + (a sum of weights), so (i)
+        it cannot fall when a weight grows, and (ii) it grows by at most
+        delta when one weight grows by delta.  OPT, the minimum over plans,
+        inherits both: OPT is monotone under window growth, and switching
+        vertex i from w-_i to w+_i raises OPT by at most
+        delta_i = w+_i - w-_i.
 
         With grid points 0, step, 2 step, .. and n+1, lane (t1, t2) has the
         outer window (floor(t1), ceil(t2)) around it and the inner window
         (ceil(t1), floor(t2)) inside it, or the empty window (0, 0) when
-        no grid window fits inside the lane.  Then
-        OPT(inner) <= OPT(t1, t2) <= OPT(outer), and
-        OPT(t1, t2) <= OPT(inner) + (sum of delta over [t1, t2) minus inner).
+        no grid window fits inside the lane.  Write d(w) for the sum of
+        delta over window w.  Then
+        max(OPT(inner), OPT(outer) - (d(outer) - d(t1, t2))) <= OPT(t1, t2)
+        <= min(OPT(outer), OPT(inner) + (d(t1, t2) - d(inner))).
+
+        The grid depends on the lane count:
+
+        * from ``_ANCHOR_MIN_LANES`` lanes on, where ``step`` is given, the
+          grid of ``step``, whose windows' optima ``optima(a1, a2)``
+          returns for the unique windows (a1, a2);
+        * below that, with more lanes than the path has vertices, the top
+          level: the grid {0, n+1}, whose windows are (0, 0) and
+          (n+1, n+1), both all-lower, and (0, n+1), all-upper, with the
+          optima of ``_extreme_optima`` (``optima`` is not called).  Lane
+          (t1, t2) then lies in [max(v-, v+ - d_out), min(v+, v- + d_in)],
+          with d_in its own delta sum and d_out the rest of the path's;
+        * with at most n + 1 lanes, [0, ``_upper``]: there the two DP
+          solves of the top level cost more than the probes they save.
+
+        ``step`` is None in ``solve``'s call for its anchor windows, which
+        lie on the grid and would be their own anchors.
         """
-        if t1.shape[0] < _ANCHOR_MIN_LANES:
-            return np.zeros_like(t1), self._upper(t1, t2)
+        lanes = t1.shape[0]
         last = self.n + 1
+        if step is None or lanes < _ANCHOR_MIN_LANES:
+            if lanes <= last:
+                return np.zeros_like(t1), self._upper(t1, t2)
+            lower, upper = self._extreme_optima(k)
+            step = last
+
+            def optima(a1, a2):
+                return np.where(a1 == a2, np.int64(lower), np.int64(upper))
+
         down1 = np.where(t1 == last, last, t1 - t1 % step)
         down2 = np.where(t2 == last, last, t2 - t2 % step)
         up1 = np.minimum(t1 + (-t1) % step, last)
@@ -425,24 +493,33 @@ class ScenarioBatchEngine:
         span = last + 1
         outer = down1 * span + up2
         inner = in1 * span + in2
-        keys = np.unique(np.concatenate((outer, inner)))
+        # The sorted distinct keys (all >= 0); np.unique would load numpy.ma.
+        keys = np.sort(np.concatenate((outer, inner)))
+        keys = keys[np.diff(keys, prepend=-1) > 0]
         vals = optima(*np.divmod(keys, span))
-        lo = vals[np.searchsorted(keys, inner)]
+        v_in = vals[np.searchsorted(keys, inner)]
+        v_out = vals[np.searchsorted(keys, outer)]
         dp0 = self.dp0
-        slack = (dp0[t2] - dp0[t1]) - (dp0[in2] - dp0[in1])
-        return lo, np.minimum(vals[np.searchsorted(keys, outer)], lo + slack)
+        d_lane = dp0[t2] - dp0[t1]
+        lo = np.maximum(v_in, v_out - ((dp0[up2] - dp0[down1]) - d_lane))
+        return lo, np.minimum(v_out, v_in + (d_lane - (dp0[in2] - dp0[in1])))
 
     def solve(self, k: int, t1s, t2s, bracket=None) -> np.ndarray:
         """Optimal k-sink time (simplified model) for every lane (t1, t2).
 
         ``bracket``, if given, is a pair of int64 arrays (lo, hi) with
-        lo <= OPT <= hi per lane, from which the bisection starts in place
-        of ``_brackets``; it is not modified.
+        0 <= lo <= OPT <= hi per lane, from which the bisection starts in
+        place of ``_brackets``; it is not modified.  ValueError unless it
+        has one (lo, hi) per lane with 0 <= lo <= hi, or unless
+        1 <= k <= n + 1.
         """
+        k = require_k(self.inst, k)
         t1, t2 = descriptor_arrays(t1s, t2s, self.n)
         if bracket is None:
-            lo, hi = self._brackets(t1, t2, _ANCHOR_STEP, lambda a1, a2: self._bisect(
-                k, a1, a2, np.zeros_like(a1), self._upper(a1, a2)))
+            lo, hi = self._brackets(t1, t2, k, _ANCHOR_STEP, lambda a1, a2: self._bisect(
+                k, a1, a2, *self._brackets(a1, a2, k, None, None)))
         else:
             lo, hi = (np.array(b, dtype=np.int64) for b in bracket)
+            if lo.shape != t1.shape or hi.shape != t1.shape or np.any((lo < 0) | (lo > hi)):
+                raise ValueError("bracket must give every lane one (lo, hi) with 0 <= lo <= hi")
         return self._bisect(k, t1, t2, lo, hi)

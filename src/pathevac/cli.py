@@ -15,6 +15,7 @@ single ``"w"`` array.  Exit status: 0 success / PASS, 1 FAIL, 2 bad input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -259,7 +260,11 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first ``main`` call and reused: a
+    parse keeps no state in the parser, and each call gets a fresh
+    namespace."""
     p = argparse.ArgumentParser(
         prog="pathevac",
         description="Optimal and minmax-regret k-sink evacuation planning on paths.",

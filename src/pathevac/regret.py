@@ -15,8 +15,8 @@ Main pieces:
   case over all candidate scenarios (plan times from the batch engine's
   side times, optima from the cache).  The worst case solves only the
   candidates that can attain it, after bracketing every optimum with the
-  batch engine's ``_brackets`` from the cached optima of a few anchor
-  windows, and bisects each of them from its bracket.
+  batch engine's ``_brackets`` from the optima of a few anchor windows,
+  and bisects each of them from its bracket.
 * :class:`EvacLookupTables` / :func:`build_lookup_tables` — two O(n^2)
   tables into which the worst-case regret of every part and sink
   separates, built in O(n^2) time from running maxima over the cache's
@@ -224,9 +224,11 @@ def max_regret_of_plan(
     must be built for ``inst`` and ``plan.k`` (else ValueError).
 
     Only the candidates that can attain the maximum are solved.  The
-    engine's ``_brackets`` brackets each optimum in [lo, hi], from the
-    cache's optima of the anchor windows on the grid of step
-    ``_AUDIT_ANCHOR_STEP``, and a candidate is solved only when its regret
+    engine's ``_brackets`` brackets each optimum in [lo, hi]: from
+    ``_batch._ANCHOR_MIN_LANES`` candidates on from the cache's optima of
+    the anchor windows on the grid of step ``_AUDIT_ANCHOR_STEP``, below
+    that from the all-lower and all-upper optima (its top level, which
+    writes nothing to the cache).  A candidate is solved only when its regret
     upper bound, time - lo, reaches the largest regret lower bound,
     L = max(time - hi), and its bracket is open.  Every candidate attaining
     the maximum V >= L is then exact, and every other one counts at
@@ -236,9 +238,9 @@ def max_regret_of_plan(
     there rather than from [0, ``_upper``] (the reference engine ignores
     it).  The cache then holds the anchors and those survivors only (plus
     what it held before; values already present are used as they are).
-    Below ``_batch._ANCHOR_MIN_LANES`` candidates there are no anchors:
-    every bracket is [0, hi] with hi at least the plan's time, so every
-    candidate is solved.
+    With at most n + 1 candidates there are no anchors: every bracket is
+    [0, hi] with hi at least the plan's time, so every candidate is
+    solved.
     """
     import numpy as np
 
@@ -266,7 +268,7 @@ def max_regret_of_plan(
         cache.ensure(a1, a2)
         return v[a1, a2]
 
-    lo, hi = eng._brackets(t1, t2, _AUDIT_ANCHOR_STEP, optima)
+    lo, hi = eng._brackets(t1, t2, cache.k, _AUDIT_ANCHOR_STEP, optima)
     open_ = (time - lo >= np.max(time - hi)) & (lo < hi)
     cache.ensure(t1[open_], t2[open_], (lo[open_], hi[open_]))
     opt = v[t1, t2]

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pathevac import cli
 from pathevac.cli import main
 
 
@@ -209,6 +210,42 @@ def test_console_entry_point_runs():
     res = run_cli_subprocess("--help")
     assert res.returncode == 0
     assert "solve-mmr" in res.stdout
+
+
+def test_reused_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    """``main`` builds its parser once per process.  A sequence of calls, run
+    twice on that one parser, prints and returns per call exactly what it
+    does on a fresh parser: no flag or default leaks into a later call."""
+    inst = str(tmp_path / "inst.json")
+    opt, simple, mmr = (str(tmp_path / f"{name}.json") for name in ("opt", "simple", "mmr"))
+    calls = [
+        ["gen", "--n", "9", "--coord-max", "60", "--w-max", "12", "--seed", "8", "-o", inst],
+        ["solve-opt", inst, "--k", "2", "--all-plus", "-o", opt],
+        ["solve-opt", inst, "--k", "3", "--cost-model", "simplified", "-o", simple],
+        ["verify", inst, opt, "--all-plus"],
+        ["verify", inst, simple, "--cost-model", "simplified"],
+        ["verify", inst, opt],
+        ["solve-mmr", inst, "--k", "2", "-o", mmr],
+        ["verify", inst, mmr],
+        ["solve-opt", inst, "--all-plus"],
+        ["solve-opt", inst, "--k", "2"],
+    ]
+
+    def run(args):
+        try:
+            code = main(args)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    fresh = []
+    for args in calls:
+        cli._build_parser.cache_clear()
+        fresh.append(run(args))
+    assert [code for code, _, _ in fresh] == [0, 0, 0, 0, 0, 1, 0, 0, 2, 0]
+    for _ in range(2):
+        assert [run(args) for args in calls] == fresh
 
 
 # Runs the CLI in a process in which importing numpy fails.

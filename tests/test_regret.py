@@ -72,12 +72,12 @@ def test_anchor_path_equals_plain_chunks(monkeypatch):
     calls = []
     brackets = ScenarioBatchEngine._brackets
 
-    def counted(self, t1, t2, step, optima):
+    def counted(self, t1, t2, k, step, optima):
         def anchors(a1, a2):
             calls.append(t1.shape[0])
             return optima(a1, a2)
 
-        return brackets(self, t1, t2, step, anchors)
+        return brackets(self, t1, t2, k, step, anchors)
 
     monkeypatch.setattr(ScenarioBatchEngine, "_brackets", counted)
     rng = random.Random(59)
@@ -247,11 +247,119 @@ def test_brackets_hold_every_lane(monkeypatch, step):
         ref = build_scenario_opt_cache(inst, k, engine="reference")
         t1, t2 = (a.astype(np.int64) for a in np.triu_indices(n + 2))
         lo, hi = ScenarioBatchEngine(inst)._brackets(
-            t1, t2, step, lambda a1, a2: ref.values[a1, a2])
+            t1, t2, k, step, lambda a1, a2: ref.values[a1, a2])
         v = ref.values[t1, t2]
         assert np.all(lo <= v) and np.all(v <= hi), (inst, k)
         if it % 2:
             assert np.array_equal(lo, hi), (inst, k)
+
+
+def _top_level_cases(rng, count, n_max):
+    """Seeded instances with k = 1, 2, n + 1 and random in turn; every third
+    one all point intervals and every third one tie-heavy."""
+    for it in range(count):
+        n = rng.randint(0, n_max)
+        inst = mk_interval(rng, n)
+        if it % 3 == 1:
+            inst = PathInstance(inst.coords, inst.wminus, inst.wminus,
+                                inst.capacity, inst.tau)
+        elif it % 3 == 2:
+            wminus = [rng.randint(1, 2) for _ in range(n + 1)]
+            wplus = [lo + rng.randint(0, 1) for lo in wminus]
+            inst = PathInstance(inst.coords, tuple(wminus), tuple(wplus),
+                                inst.capacity, inst.tau)
+        k = min((1, 2, n + 1, rng.randint(1, n + 1))[it % 4], n + 1)
+        yield it, inst, k
+
+
+def test_top_level_brackets_hold_every_lane(monkeypatch):
+    """Below the anchor lane count, with more lanes than vertices, every
+    lane's optimum lies in its top-level bracket from the all-lower and
+    all-upper optima, which is closed on point intervals; and every
+    bisection of a fill starts from a bracket with 0 <= lo <= hi."""
+    bisect = ScenarioBatchEngine._bisect
+
+    def checked_bisect(self, k, t1, t2, lo, hi):
+        assert np.all((lo >= 0) & (lo <= hi))
+        return bisect(self, k, t1, t2, lo, hi)
+
+    monkeypatch.setattr(ScenarioBatchEngine, "_bisect", checked_bisect)
+    rng = random.Random(69)
+    for it, inst, k in _top_level_cases(rng, 32, 40):
+        n = inst.n
+        ref = build_scenario_opt_cache(inst, k, engine="reference")
+        t1, t2 = (a.astype(np.int64) for a in np.triu_indices(n + 2))
+        assert n + 1 < t1.size < _batch._ANCHOR_MIN_LANES
+        eng = ScenarioBatchEngine(inst)
+        lo, hi = eng._brackets(t1, t2, k, _batch._ANCHOR_STEP, None)
+        assert eng._extreme_optima(k) == [ref.values[0, 0], ref.values[0, n + 1]]
+        v = ref.values[t1, t2]
+        assert np.all(lo <= v) and np.all(v <= hi), (inst, k)
+        if it % 3 == 1:
+            assert np.array_equal(lo, hi), (inst, k)
+        assert np.array_equal(eng.solve(k, t1, t2), v), (inst, k)
+
+
+@pytest.mark.parametrize("extreme", [0, 1], ids=("all_lower", "all_upper"))
+@pytest.mark.parametrize("error", [1, -1])
+def test_wrong_extreme_optimum_raises(monkeypatch, extreme, error):
+    """An all-lower or all-upper optimum off by one from the DP that the
+    batch engine calls raises RuntimeError in a fill (top level and anchor
+    stage) and in an audit, and leaves no value in the cache."""
+    from pathevac import optk
+
+    solve = optk.solve_optimal_k_sink
+
+    def off_by_one(inst, s, k, cm=CostModel.DISCRETE):
+        res = solve(inst, s, k, cm)
+        if s.weights == (inst.wminus, inst.wplus)[extreme]:
+            res.value += error
+        return res
+
+    monkeypatch.setattr(optk, "solve_optimal_k_sink", off_by_one)
+    rng = random.Random(70)
+    for n in (3, 12, 60):
+        inst = rand_instance(rng, n, w_max=9)
+        k = rng.randint(1, min(4, n))
+        cache = ScenarioOptCache(inst, k)
+        with pytest.raises(RuntimeError, match="does not certify"):
+            cache.complete()
+        plan = rand_plan(rng, inst, k)
+        with pytest.raises(RuntimeError, match="does not certify"):
+            max_regret_of_plan(inst, plan, cache)
+        assert np.all(cache.values == _UNSET)
+
+
+def test_all_sinks_and_one_vertex_optima_are_zero():
+    """With k = n + 1, and on the one-vertex path, every optimum is 0; the
+    top level certifies 0 without probing below it."""
+    rng = random.Random(71)
+    for n in (0, 0, 1, 2, 5, 17, 60):
+        inst = mk_interval(rng, n)
+        for k in {1, n + 1}:
+            cache = build_scenario_opt_cache(inst, k)
+            t1, t2 = np.triu_indices(n + 2)
+            if k == n + 1:
+                assert np.all(cache.values[t1, t2] == 0), (inst, k)
+            assert np.array_equal(
+                cache.values, build_scenario_opt_cache(inst, k, engine="reference").values)
+
+
+def test_solve_rejects_arguments_outside_contract():
+    """A given bracket needs one (lo, hi) per lane with 0 <= lo <= hi (a
+    negative lo once sent the one-vertex path's bisection into an endless
+    loop), and k must lie in 1..n+1 whatever the lane count (k = 0 once
+    read the int64 maximum)."""
+    eng = ScenarioBatchEngine(PathInstance((0,), (1,), (3,)))
+    for lo, hi in (([-5, -5], [10, 10]), ([0, 3], [10, 2]), ([0], [10])):
+        with pytest.raises(ValueError, match="bracket"):
+            eng.solve(1, [0, 0], [0, 1], bracket=(np.array(lo), np.array(hi)))
+    assert eng.solve(1, [0, 0], [0, 1], bracket=(np.array([0, 0]), np.array([10, 10]))).tolist() == [0, 0]
+    eng = ScenarioBatchEngine(unit_interval_instance())
+    for k in (0, 4):
+        for t1, t2 in (([0], [1]), ([0, 0, 0, 0, 1], [0, 1, 2, 3, 3])):
+            with pytest.raises(ValueError, match="out of range"):
+                eng.solve(k, t1, t2)
 
 
 def test_cache_lazy_fill_and_ensure():
@@ -721,8 +829,8 @@ def test_pruned_max_regret_bisects_survivors_from_their_brackets(monkeypatch):
     audit = {}
     calls = []
 
-    def recorded_brackets(self, t1, t2, step, optima):
-        lo, hi = brackets(self, t1, t2, step, optima)
+    def recorded_brackets(self, t1, t2, k, step, optima):
+        lo, hi = brackets(self, t1, t2, k, step, optima)
         if step == _AUDIT_ANCHOR_STEP:
             audit.update(zip(zip(t1.tolist(), t2.tolist()), zip(lo.tolist(), hi.tolist())))
             calls.clear()  # the anchors' own solves are done
