@@ -35,24 +35,28 @@ static arrays.
   each inner search of the next probe runs between them, for as many rounds
   as its widest bracket has bits.  Terms fixed for a lane or for a part are
   computed once per probe, not once per round.
-* **Anchor brackets.**  ``_brackets`` is the one place that brackets
-  lane optima.  From ``_ANCHOR_MIN_LANES`` lanes on it asks for the optima
-  of the windows between grid points ``0, s, 2s, ..`` and ``n+1`` that the
-  lanes need and brackets each lane between them, from below by the inner
-  window and by the outer one less the weight growth outside the lane,
-  from above by the outer window and by the inner one plus the weight
-  growth inside the lane.  Below that count, with more lanes than the path
-  has vertices, its top level does the same on the grid {0, n+1}, from the
-  optima of the all-lower and the all-upper window, which the
-  fixed-scenario DP gives once per k and one probe of the greedy
-  certifies.  With at most n + 1 lanes every bracket is [0, ``_upper``]:
-  there the two DP solves cost more than the probes they save.
-  ``solve`` bisects the anchors on the grid of step ``_ANCHOR_STEP`` from
-  the top level and then each lane inside its bracket.
-  ``regret.max_regret_of_plan`` takes the anchors from its cache on its
-  own grid, or the top level below ``_ANCHOR_MIN_LANES`` candidates, and
-  solves only the candidates whose bracket lets them attain the maximum,
-  each bisected from that bracket (``solve``'s ``bracket``).
+* **Anchor brackets (fills).**  ``_brackets`` brackets the lanes of every
+  ``solve`` call without a given bracket.  From ``_ANCHOR_MIN_LANES``
+  lanes on it asks for the optima of the windows between grid points
+  ``0, s, 2s, ..`` and ``n+1`` that the lanes need and brackets each lane
+  between them, from below by the inner window and by the outer one less
+  the weight growth outside the lane, from above by the outer window and
+  by the inner one plus the weight growth inside the lane.  Below that
+  count, with more lanes than the path has vertices, its top level does
+  the same on the grid {0, n+1}, from the optima of the all-lower and the
+  all-upper window, which the fixed-scenario DP gives once per k and one
+  probe of the greedy certifies.  With at most n + 1 lanes every bracket
+  is [0, ``_upper``]: there the two DP solves cost more than the probes
+  they save.  ``solve`` bisects the anchors on the grid of step
+  ``_ANCHOR_STEP`` from the top level and then each lane inside its
+  bracket.
+* **Plan brackets (audits).**  ``_plan_bounds`` brackets each lane from
+  its own weights alone: above by the time of the k-part plan balanced
+  for them, below by a weight bound and a distance bound that every plan
+  of k parts meets.  ``regret.max_regret_of_plan`` brackets every
+  candidate so, narrows the brackets by the top level's where that can
+  help, and solves only the candidates whose bracket lets them attain the
+  maximum, each bisected from that bracket (``solve``'s ``bracket``).
 
 All arithmetic is int64-exact; :func:`check_int64_headroom` rejects the
 instances for which it could not be.
@@ -94,17 +98,16 @@ NEG = -(1 << 62)
 # a running maximum there, a profile entry or its running maximum minus
 # OPT, lies in [-3H, H].  Each offset (x_t*tau, a prefix sum, or a
 # prefix sum of w+ minus x_t*tau) lies in [-H, H], and each table value
-# (side time - OPT) in [-2H, 2H].  So H < 2^60 keeps every intermediate
-# within 2^62 + 2^61 < 2^63 and keeps every shifted sentinel (at most
-# NEG + S < -2H) below every real segment maximum.
+# (side time - OPT) in [-2H, 2H].  ``_plan_bounds`` evaluates its plans
+# with ``theta_l`` / ``theta_r``, its weight targets are at most S + k^2,
+# and its distance bound is exact in Python integers.  So H < 2^60 keeps
+# every intermediate within 2^62 + 2^61 < 2^63 and keeps every shifted
+# sentinel (at most NEG + S < -2H) below every real segment maximum.
 INT64_HEADROOM = 1 << 60
 
-# Lane count from which ``_brackets`` brackets lanes by the anchor windows of
-# a grid of step s rather than of the top level's grid {0, n + 1}, for
-# ``solve`` and for ``regret.max_regret_of_plan`` alike, and the grid step
-# of ``solve``'s windows.  For an audit the count is where pruning starts
-# to pay: at n = 200 to 1000 it cost more than solving every candidate at
-# about 400 candidates per plan and less from about 800.
+# Lane count from which ``_brackets`` brackets the lanes of a ``solve`` call
+# by the anchor windows of a grid of step s rather than of the top level's
+# grid {0, n + 1}, and the grid step of those windows.
 _ANCHOR_MIN_LANES = 1500
 _ANCHOR_STEP = 4
 
@@ -436,6 +439,59 @@ class ScenarioBatchEngine:
                     f"of the all-lower and all-upper windows with k={k}")
             self._extremes[k] = vals
         return self._extremes[k]
+
+    def _plan_bounds(self, k, t1, t2):
+        """Per lane, a bracket (lo, hi) around its optimum with k parts, from
+        the lane's own weights and no optimum.
+
+        hi is the time, under the lane, of the plan balanced for the lane's
+        weights: with W the lane's total weight, part q ends at the first
+        vertex through which the lane's prefix weight reaches
+        floor((q + 1) W / k), and each sink sits at the first vertex of its
+        part through which the prefix weight reaches the part's weight
+        midpoint.  Empty parts are dropped, so the plan has at most k parts
+        and is feasible.
+
+        lo holds for every plan of at most k parts.  A sink's two side times
+        carry all its part's weight but its own, at most max w+, and some
+        part carries at least W // k; so some side takes at least
+        (W // k - max w+) / 2.  The parts leave at most k - 1 gaps of the
+        path uncovered, so some part spans at least (span - (k - 1) max
+        gap) / k, and one side of its sink at least half of that, times
+        tau.  lo is the larger bound, at least 0 and at most hi.
+        """
+        n = self.n
+        pm0, dp0 = self.pm0, self.dp0
+        pp0 = pm0 + dp0  # prefix weights of the all-upper scenario
+        d1 = dp0[t1]
+        d_lane = dp0[t2] - d1
+        total = pm0[n + 1] + d_lane
+
+        def weight(z):  # the lane's weight of the vertices below z
+            return pm0[z] + dp0[np.minimum(np.maximum(z, t1), t2)] - d1
+
+        def reach(w):  # the first vertex z whose weight(z + 1) >= w (w <= total)
+            return np.where(w <= pm0[t1], np.searchsorted(pm0[1:], w),
+                            np.where(w <= pp0[t2] - d1, np.searchsorted(pp0[1:], w + d1),
+                                     np.maximum(np.searchsorted(pm0[1:], w - d_lane), t2)))
+
+        share, rest = total // k, total % k
+        hi = np.zeros_like(total)
+        end = np.full_like(total, -1)
+        # One part at a time, so no temporary grows with k.
+        for q in range(1, k + 1):
+            start = end + 1
+            # floor(q W / k), with no product beyond W + k^2
+            end = reach(share * q + (rest * q) // k)
+            start = np.minimum(start, end)  # an empty part: one sink alone, time 0
+            below = weight(start)
+            sink = reach(below + (weight(end + 1) - below + 1) // 2)
+            hi = np.maximum(hi, np.maximum(self.theta_l(start, sink, t1, t2),
+                                           self.theta_r(sink, end, t1, t2)))
+        gap = int(np.max(np.diff(self.xt), initial=0))
+        distance = max(0, (int(self.xt[n] - self.xt[0]) - (k - 1) * gap) // (2 * k))
+        lo = np.maximum((share - max(self.inst.wplus)) // 2, distance)
+        return np.minimum(lo, hi), hi
 
     def _brackets(self, t1, t2, k, step, optima):
         """Per lane, a bracket [lo, hi] around its optimum with k parts.

@@ -15,8 +15,8 @@ Main pieces:
   case over all candidate scenarios (plan times from the batch engine's
   side times, optima from the cache).  The worst case solves only the
   candidates that can attain it, after bracketing every optimum with the
-  batch engine's ``_brackets`` from the optima of a few anchor windows,
-  and bisects each of them from its bracket.
+  batch engine's ``_plan_bounds`` (and its top level, where that narrows
+  the brackets), and bisects each of them from its bracket.
 * :class:`EvacLookupTables` / :func:`build_lookup_tables` — two O(n^2)
   tables into which the worst-case regret of every part and sink
   separates, built in O(n^2) time from running maxima over the cache's
@@ -75,10 +75,6 @@ __all__ = [
 
 # Cache cell not computed yet: below every optimum time, which is >= 0.
 _UNSET = -(1 << 62)
-
-# Grid step of the anchor windows from which ``max_regret_of_plan``
-# brackets its candidates' optima (``ScenarioBatchEngine._brackets``).
-_AUDIT_ANCHOR_STEP = 32
 
 
 # ---------------------------------------------------------------------------
@@ -224,23 +220,25 @@ def max_regret_of_plan(
     must be built for ``inst`` and ``plan.k`` (else ValueError).
 
     Only the candidates that can attain the maximum are solved.  The
-    engine's ``_brackets`` brackets each optimum in [lo, hi]: from
-    ``_batch._ANCHOR_MIN_LANES`` candidates on from the cache's optima of
-    the anchor windows on the grid of step ``_AUDIT_ANCHOR_STEP``, below
-    that from the all-lower and all-upper optima (its top level, which
-    writes nothing to the cache).  A candidate is solved only when its regret
-    upper bound, time - lo, reaches the largest regret lower bound,
-    L = max(time - hi), and its bracket is open.  Every candidate attaining
-    the maximum V >= L is then exact, and every other one counts at
-    time - lo < L <= V (or at lo = hi), so the value and the witness equal
-    those of solving every candidate.  ``cache.ensure`` passes each
-    survivor's bracket on to the batch engine, which bisects it from
-    there rather than from [0, ``_upper``] (the reference engine ignores
-    it).  The cache then holds the anchors and those survivors only (plus
-    what it held before; values already present are used as they are).
-    With at most n + 1 candidates there are no anchors: every bracket is
-    [0, hi] with hi at least the plan's time, so every candidate is
-    solved.
+    engine's ``_plan_bounds`` brackets each optimum in [lo, hi], from the
+    time of a k-part plan balanced for the candidate's weights and from
+    weight and distance bounds that every plan meets; a candidate the
+    cache already holds takes lo = hi = its value.  The top level's
+    bracket [max(v-, v+ - d_out), min(v+, v- + d_in)], from the all-lower
+    and all-upper optima v- and v+ (``_extreme_optima``, two DP solves
+    once per engine and k) with d_in the candidate's delta sum and d_out
+    the rest of the path's, is at most min(d_in, d_out) wide; the brackets
+    are intersected with it only when at least half the candidates have
+    min(d_in, d_out) < hi - lo, so a narrow set of plan brackets costs no
+    DP solve.  A candidate is solved only when its regret upper bound,
+    time - lo, reaches the largest regret lower bound, L = max(time - hi),
+    and its bracket is open.  Every candidate attaining the maximum V >= L
+    is then exact, and every other one counts at time - lo < L <= V (or at
+    lo = hi), so the value and the witness equal those of solving every
+    candidate.  ``cache.ensure`` passes each survivor's bracket on to the
+    batch engine, which bisects it from there rather than from
+    [0, ``_upper``] (the reference engine ignores it).  The cache then
+    holds those survivors only (plus what it held before).
     """
     import numpy as np
 
@@ -263,12 +261,17 @@ def max_regret_of_plan(
         time = np.maximum(time, eng.theta_l(l, y, t1, t2))
         time = np.maximum(time, eng.theta_r(y, r, t1, t2))
     v = cache.values
-
-    def optima(a1, a2):
-        cache.ensure(a1, a2)
-        return v[a1, a2]
-
-    lo, hi = eng._brackets(t1, t2, cache.k, _AUDIT_ANCHOR_STEP, optima)
+    lo, hi = eng._plan_bounds(cache.k, t1, t2)
+    held = v[t1, t2]
+    lo, hi = (np.where(held == _UNSET, b, held) for b in (lo, hi))
+    # The top level's bracket is at most min(d_in, d_out) wide: take it only
+    # where that narrows the typical plan bracket.
+    d_in = eng.dp0[t2] - eng.dp0[t1]
+    d_out = eng.dp0[-1] - d_in
+    if 2 * np.count_nonzero(np.minimum(d_in, d_out) < hi - lo) >= t1.shape[0]:
+        lower, upper = eng._extreme_optima(cache.k)
+        lo = np.maximum(lo, np.maximum(lower, upper - d_out))
+        hi = np.minimum(hi, np.minimum(upper, lower + d_in))
     open_ = (time - lo >= np.max(time - hi)) & (lo < hi)
     cache.ensure(t1[open_], t2[open_], (lo[open_], hi[open_]))
     opt = v[t1, t2]

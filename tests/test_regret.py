@@ -22,7 +22,6 @@ from pathevac.model import (
 from pathevac.optk import solve_optimal_k_sink
 from pathevac.oracle import brute_rji_matrix
 from pathevac.regret import (
-    _AUDIT_ANCHOR_STEP,
     _UNSET,
     ScenarioOptCache,
     build_lookup_tables,
@@ -230,7 +229,7 @@ def test_optimum_monotone_and_delta_bounded(data):
                 assert v[t1, t2] <= v[t1 - 1, t2] <= v[t1, t2] + delta[t1 - 1]
 
 
-@pytest.mark.parametrize("step", [_batch._ANCHOR_STEP, _AUDIT_ANCHOR_STEP], ids=("fill", "audit"))
+@pytest.mark.parametrize("step", [_batch._ANCHOR_STEP], ids=("fill",))
 def test_brackets_hold_every_lane(monkeypatch, step):
     """Every lane's optimum lies in its anchor bracket [lo, hi], with anchor
     optima from the per-scenario DP, on every lane: lanes inside one grid
@@ -300,17 +299,134 @@ def test_top_level_brackets_hold_every_lane(monkeypatch):
         assert np.array_equal(eng.solve(k, t1, t2), v), (inst, k)
 
 
+SHAPES = ("weight", "distance", "point", "ties")
+
+
+def _shaped_instance(rng, n, shape):
+    """Random instance of one shape: weight-dominated (unit gaps, weights and
+    deltas in the hundreds), distance-dominated (gaps far above weights),
+    all point intervals, or tie-heavy (weights 1-2, deltas 0-1)."""
+    gap, w, dw = {"weight": ((1, 1), (100, 200), (100, 200)),
+                  "distance": ((200, 400), (1, 3), (0, 3)),
+                  "point": ((1, 9), (1, 30), (0, 0)),
+                  "ties": ((1, 3), (1, 2), (0, 1))}[shape]
+    coords = [0]
+    for _ in range(n):
+        coords.append(coords[-1] + rng.randint(*gap))
+    wminus = [rng.randint(*w) for _ in range(n + 1)]
+    wplus = [lo + rng.randint(*dw) for lo in wminus]
+    return PathInstance(tuple(coords), tuple(wminus), tuple(wplus),
+                        capacity=rng.randint(1, 3), tau=rng.randint(1, 3))
+
+
+def _headroom_instance(rng, n, weight_share):
+    """Instance with max|x| * tau + sum(w+) just below 2^60, about
+    ``weight_share`` of it in the weights, on either side of 0."""
+    tau = rng.randint(1, 3)
+    share = weight_share // (n + 1)
+    wminus = [rng.randint(1, share // 2) for _ in range(n + 1)]
+    wplus = [lo if rng.random() < 0.2 else lo + rng.randint(1, share // 2) for lo in wminus]
+    far = (_batch.INT64_HEADROOM - 1 - rng.randint(0, 1000) - sum(wplus)) // tau
+    xs = sorted(rng.sample(range(1, far), n))
+    xs = [-far] + [x - far for x in xs] if rng.random() < 0.5 else xs + [far]
+    inst = PathInstance(tuple(xs), tuple(wminus), tuple(wplus),
+                        capacity=rng.randint(1, 3), tau=tau)
+    reach = max(abs(xs[0]), abs(xs[-1])) * tau + sum(wplus)
+    assert _batch.INT64_HEADROOM - 2000 - tau < reach < _batch.INT64_HEADROOM
+    return inst
+
+
+def _assert_plan_bounds_hold(inst, k):
+    n = inst.n
+    t1, t2 = (a.astype(np.int64) for a in np.triu_indices(n + 2))
+    lo, hi = ScenarioBatchEngine(inst)._plan_bounds(k, t1, t2)
+    v = build_scenario_opt_cache(inst, k, engine="reference").values[t1, t2]
+    assert np.all(0 <= lo) and np.all(lo <= v) and np.all(v <= hi), (inst, k)
+
+
+def test_plan_bounds_hold_every_lane():
+    """Every lane's optimum lies in its plan bracket [lo, hi], with 0 <= lo,
+    on weight-dominated, distance-dominated, point-interval and tie-heavy
+    instances, with k = 1, 2, n + 1 and random, on the one-vertex path and
+    at the int64 headroom."""
+    rng = random.Random(72)
+    for it in range(48):
+        n = rng.randint(0, 30)
+        k = min((1, 2, n + 1, rng.randint(1, n + 1))[it % 4], n + 1)
+        _assert_plan_bounds_hold(_shaped_instance(rng, n, SHAPES[it // 4 % 4]), k)
+    for shape in SHAPES:
+        _assert_plan_bounds_hold(_shaped_instance(rng, 0, shape), 1)
+    for it in range(12):
+        n = rng.randint(1, 8)
+        inst = _headroom_instance(rng, n, (3 << 58, 1 << 50, 1 << 59)[it % 3])
+        _assert_plan_bounds_hold(inst, (1, 2, n + 1, rng.randint(1, n + 1))[it % 4])
+
+
+@settings(deadline=None, max_examples=40)
+@given(data=st.data())
+def test_plan_bounds_hold_every_lane_on_drawn_instances(data):
+    """The plan brackets of ``test_plan_bounds_hold_every_lane`` on drawn
+    shapes, sizes and k."""
+    n = data.draw(st.integers(0, 12))
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    inst = _shaped_instance(rng, n, data.draw(st.sampled_from(SHAPES)))
+    k = data.draw(st.sampled_from((1, min(2, n + 1), n + 1)) | st.integers(1, n + 1))
+    _assert_plan_bounds_hold(inst, k)
+
+
+def test_audit_takes_top_level_only_where_it_narrows(monkeypatch):
+    """The audit's rule: a weight-dominated audit, whose plan brackets are
+    narrower than most candidates' delta sums, never calls the
+    fixed-scenario DP; a point-interval audit takes the top level, so every
+    bracket closes and nothing is bisected.  Value and witness equal those
+    of every candidate realized and evaluated."""
+    from pathevac import optk
+
+    solve = optk.solve_optimal_k_sink
+    dp_calls = []
+
+    def counted(*args):
+        dp_calls.append(args)
+        return solve(*args)
+
+    def no_bisect(*args):
+        raise AssertionError("bisection in a point-interval audit")
+
+    monkeypatch.setattr(optk, "solve_optimal_k_sink", counted)
+    rng = random.Random(73)
+    for shape in ("weight", "point"):
+        for it in range(12):
+            n = rng.randint(16, 60)
+            inst = _shaped_instance(rng, n, shape)
+            k = rng.randint(1, n // 8) if it % 2 else (1, 2, n + 1)[it // 2 % 3]
+            if shape == "weight":  # parts of at least 8 vertices: narrow plan brackets
+                k = min(k, n // 8)
+            plan = rand_plan(rng, inst, k)
+            want = _max_regret_per_candidate(
+                inst, plan, build_scenario_opt_cache(inst, k, engine="reference", fill="lazy"))
+            dp_calls.clear()
+            with monkeypatch.context() as m:
+                if shape == "point":
+                    m.setattr(ScenarioBatchEngine, "_bisect", no_bisect)
+                assert max_regret_of_plan(inst, plan) == want, (inst, plan)
+            assert len(dp_calls) == (2 if shape == "point" else 0), (inst, plan)
+
+
 @pytest.mark.parametrize("extreme", [0, 1], ids=("all_lower", "all_upper"))
 @pytest.mark.parametrize("error", [1, -1])
 def test_wrong_extreme_optimum_raises(monkeypatch, extreme, error):
     """An all-lower or all-upper optimum off by one from the DP that the
     batch engine calls raises RuntimeError in a fill (top level and anchor
-    stage) and in an audit, and leaves no value in the cache."""
+    stage) and in an audit that takes the top level (point intervals), and
+    leaves no value in the cache; an audit from its plan brackets alone
+    (weight-dominated) never calls the DP and stays exact."""
     from pathevac import optk
 
     solve = optk.solve_optimal_k_sink
+    dp_calls = []
 
     def off_by_one(inst, s, k, cm=CostModel.DISCRETE):
+        dp_calls.append(k)
         res = solve(inst, s, k, cm)
         if s.weights == (inst.wminus, inst.wplus)[extreme]:
             res.value += error
@@ -324,10 +440,19 @@ def test_wrong_extreme_optimum_raises(monkeypatch, extreme, error):
         cache = ScenarioOptCache(inst, k)
         with pytest.raises(RuntimeError, match="does not certify"):
             cache.complete()
-        plan = rand_plan(rng, inst, k)
-        with pytest.raises(RuntimeError, match="does not certify"):
-            max_regret_of_plan(inst, plan, cache)
         assert np.all(cache.values == _UNSET)
+        point = _shaped_instance(rng, n, "point")
+        cache = ScenarioOptCache(point, k)
+        with pytest.raises(RuntimeError, match="does not certify"):
+            max_regret_of_plan(point, rand_plan(rng, point, k), cache)
+        assert np.all(cache.values == _UNSET)
+        heavy = _shaped_instance(rng, n + 16, "weight")
+        plan = rand_plan(rng, heavy, min(k, heavy.n // 8))
+        dp_calls.clear()
+        got = max_regret_of_plan(heavy, plan)
+        assert dp_calls == [], (heavy, plan)
+        assert got == _max_regret_per_candidate(heavy, plan, build_scenario_opt_cache(
+            heavy, plan.k, engine="reference", fill="lazy"))
 
 
 def test_all_sinks_and_one_vertex_optima_are_zero():
@@ -819,28 +944,32 @@ def test_pruned_max_regret_on_reference_cache_bisects_nothing(monkeypatch):
 
 
 def test_pruned_max_regret_bisects_survivors_from_their_brackets(monkeypatch):
-    """Above the candidate threshold, every candidate the audit still solves
-    is bisected from the [lo, hi] that ``_brackets`` gave it, never from
-    [0, ``_upper``]; value and witness equal those of every candidate
-    realized and evaluated."""
-    monkeypatch.setattr(_batch, "_ANCHOR_MIN_LANES", 1)
-    brackets = ScenarioBatchEngine._brackets
+    """Every candidate the audit still solves is bisected from its plan
+    bracket of ``_plan_bounds``, intersected with the top level's bracket
+    where the audit takes it, never from [0, ``_upper``]; value and witness
+    equal those of every candidate realized and evaluated."""
+    plan_bounds = ScenarioBatchEngine._plan_bounds
+    extreme_optima = ScenarioBatchEngine._extreme_optima
     bisect = ScenarioBatchEngine._bisect
     audit = {}
+    top = []
     calls = []
 
-    def recorded_brackets(self, t1, t2, k, step, optima):
-        lo, hi = brackets(self, t1, t2, k, step, optima)
-        if step == _AUDIT_ANCHOR_STEP:
-            audit.update(zip(zip(t1.tolist(), t2.tolist()), zip(lo.tolist(), hi.tolist())))
-            calls.clear()  # the anchors' own solves are done
+    def recorded_plan_bounds(self, k, t1, t2):
+        lo, hi = plan_bounds(self, k, t1, t2)
+        audit.update(zip(zip(t1.tolist(), t2.tolist()), zip(lo.tolist(), hi.tolist())))
         return lo, hi
+
+    def recorded_extreme_optima(self, k):
+        top.append(extreme_optima(self, k))
+        return top[-1]
 
     def recorded_bisect(self, k, t1, t2, lo, hi):
         calls.append((self, t1.tolist(), t2.tolist(), lo.tolist(), hi.tolist()))
         return bisect(self, k, t1, t2, lo, hi)
 
-    monkeypatch.setattr(ScenarioBatchEngine, "_brackets", recorded_brackets)
+    monkeypatch.setattr(ScenarioBatchEngine, "_plan_bounds", recorded_plan_bounds)
+    monkeypatch.setattr(ScenarioBatchEngine, "_extreme_optima", recorded_extreme_optima)
     monkeypatch.setattr(ScenarioBatchEngine, "_bisect", recorded_bisect)
     rng = random.Random(67)
     survivors = 0
@@ -850,12 +979,21 @@ def test_pruned_max_regret_bisects_survivors_from_their_brackets(monkeypatch):
         k = rng.randint(1, min(6, n + 1))
         plan = rand_plan(rng, inst, k)
         audit.clear()
+        top.clear()
+        calls.clear()
         cache = build_scenario_opt_cache(inst, k, fill="lazy")
         got = max_regret_of_plan(inst, plan, cache)
         for eng, t1, t2, lo, hi in calls:
             upper = eng._upper(np.asarray(t1), np.asarray(t2)).tolist()
+            d = eng.dp0.tolist()
             for lane in zip(t1, t2, lo, hi, upper):
-                assert audit[lane[:2]] == lane[2:4], (inst, plan, lane)
+                want = audit[lane[:2]]
+                if top:
+                    (lower, whole), = top
+                    d_in = d[lane[1]] - d[lane[0]]
+                    d_out = d[-1] - d_in
+                    want = (max(want[0], lower, whole - d_out), min(want[1], whole, lower + d_in))
+                assert lane[2:4] == want, (inst, plan, lane)
                 assert lane[2:4] != (0, lane[4]), (inst, plan, lane)
                 survivors += 1
         want = _max_regret_per_candidate(
