@@ -36,7 +36,7 @@ static arrays.
   as its widest bracket has bits.  Terms fixed for a lane or for a part are
   computed once per probe, not once per round.
 * **Anchor brackets (fills).**  ``_brackets`` brackets the lanes of every
-  ``solve`` call without a given bracket.  From ``_ANCHOR_MIN_LANES``
+  ``solve`` call.  From ``_ANCHOR_MIN_LANES``
   lanes on it asks for the optima of the windows between grid points
   ``0, s, 2s, ..`` and ``n+1`` that the lanes need and brackets each lane
   between them, from below by the inner window and by the outer one less
@@ -54,9 +54,19 @@ static arrays.
   its own weights alone: above by the time of the k-part plan balanced
   for them, below by a weight bound and a distance bound that every plan
   of k parts meets.  ``regret.max_regret_of_plan`` brackets every
-  candidate so, narrows the brackets by the top level's where that can
-  help, and solves only the candidates whose bracket lets them attain the
-  maximum, each bisected from that bracket (``solve``'s ``bracket``).
+  candidate so and narrows the brackets by the top level's where that
+  can help; it calls no ``solve``.
+* **Threshold search (audits).**  An audit needs only the largest regret
+  time - OPT over its candidates and the first candidate attaining it,
+  not every optimum.  ``_max_regret`` keeps each candidate's bracket and
+  position records as ``_bisect`` does, and each round probes every
+  candidate that could still beat the best regret lower bound L at its
+  threshold time - L - 1 and at ``_PROBES`` - 1 points evenly below it, all
+  in one ``_feasible`` call.  Each probe at a threshold either raises L
+  or drops its candidate from the search.  ``_probe`` folds the least
+  feasible and the greatest infeasible point of each lane into its
+  bracket and records; ``_bisect`` uses it with one point, so the
+  critical-value and record logic has one copy.
 
 All arithmetic is int64-exact; :func:`check_int64_headroom` rejects the
 instances for which it could not be.
@@ -100,9 +110,13 @@ NEG = -(1 << 62)
 # prefix sum of w+ minus x_t*tau) lies in [-H, H], and each table value
 # (side time - OPT) in [-2H, 2H].  ``_plan_bounds`` evaluates its plans
 # with ``theta_l`` / ``theta_r``, its weight targets are at most S + k^2,
-# and its distance bound is exact in Python integers.  So H < 2^60 keeps
-# every intermediate within 2^62 + 2^61 < 2^63 and keeps every shifted
-# sentinel (at most NEG + S < -2H) below every real segment maximum.
+# and its distance bound is exact in Python integers.  ``_max_regret``'s
+# brackets and plan times lie in [0, 2H], so time - L lies in [-2H, 4H];
+# each threshold theta lies in [lo, hi - 1], so the points below it take
+# (theta - lo) * j < 2 * 2H < 2^62 for j < ``_PROBES`` = 3.  So H < 2^60
+# keeps every intermediate within 2^62 + 2^61 < 2^63 and keeps every
+# shifted sentinel (at most NEG + S < -2H) below every real segment
+# maximum.
 INT64_HEADROOM = 1 << 60
 
 # Lane count from which ``_brackets`` brackets the lanes of a ``solve`` call
@@ -110,6 +124,10 @@ INT64_HEADROOM = 1 << 60
 # grid {0, n + 1}, and the grid step of those windows.
 _ANCHOR_MIN_LANES = 1500
 _ANCHOR_STEP = 4
+
+# Points per lane and round of the audit's threshold search (``_max_regret``):
+# its threshold and ``_PROBES`` - 1 points evenly below it.
+_PROBES = 3
 
 
 def check_int64_headroom(inst: PathInstance) -> None:
@@ -377,6 +395,32 @@ class ScenarioBatchEngine:
         kind = np.min_scalar_type(-self.n - 1)  # narrowest signed int for 0..n
         return np.zeros(shape, dtype=kind), np.full(shape, self.n, dtype=kind)
 
+    def _probe(self, v, t1, t2, a, b, low, high):
+        """Probe every lane at the points of its column of ``v``, shaped
+        (points, lanes) and ascending down each column, in one ``_feasible``
+        call, and fold the answers into the lanes' brackets [a, b] and
+        position records, which must hold for every point (a <= v < b where
+        the bracket is open).  The least feasible point sets b to its
+        ``got`` and gives ``high`` its positions; the greatest infeasible one
+        sets a to its ``nxt`` and gives ``low`` its positions.  Feasibility
+        is monotone in the bound, so the points below OPT come first.
+        Returns the new (a, b, low, high)."""
+        p, m = v.shape
+        lanes = (t1, t2, low, high)
+        up = down = slice(None)  # one point (bisection): no copy, no gather
+        if p > 1:  # the p points of a lane share its records: they lie between them
+            lanes = (np.tile(x, p) for x in lanes)
+        ok, at, got, nxt = self._feasible(v.ravel(), *lanes)
+        ok = ok.reshape(p, m)
+        covers, fails = ok[-1], ~ok[0]
+        if p > 1:  # the columns of each lane's least feasible, greatest infeasible point
+            below = np.count_nonzero(~ok, axis=0)
+            lane = np.arange(m)
+            up = np.minimum(below, p - 1) * m + lane
+            down = np.maximum(below - 1, 0) * m + lane
+        return (np.where(fails, nxt[down], a), np.where(covers, got[up], b),
+                np.where(fails, at[:, :, down], low), np.where(covers, at[:, :, up], high))
+
     def _bisect(self, k, t1, t2, lo, hi):
         """Per lane, the least feasible time in [lo, hi] (hi must be feasible).
 
@@ -386,29 +430,78 @@ class ScenarioBatchEngine:
         infeasible probe (``low``) and last feasible one (``high``).  A
         larger bound never moves either position left, so the next probe,
         which lies between those two probes' bounds, searches between them.
-        Each round probes every lane of the state at its midpoint v and
-        moves the bracket to the greedy's critical values (``_feasible``):
-        a feasible probe sets b to ``got``, the time of the plan it built,
-        and an infeasible one sets a to ``nxt``, below which the greedy
-        builds the same plan and still fails.  The lanes whose bracket has
-        closed get their optimum written into ``lo``, and one mask compacts
-        every array of the state to the lanes still open.  Works on ``lo``
-        in place and returns it.
+        Each round probes every lane of the state at its midpoint v
+        (``_probe`` with one point) and moves the bracket to the greedy's
+        critical values (``_feasible``): a feasible probe sets b to
+        ``got``, the time of the plan it built, and an infeasible one sets
+        a to ``nxt``, below which the greedy builds the same plan and still
+        fails.  The lanes whose bracket has closed get their optimum
+        written into ``lo``, and one mask compacts every array of the state
+        to the lanes still open.  Works on ``lo`` in place and returns it.
         """
         lane = np.flatnonzero(lo < hi)
         t1, t2, a, b = t1[lane], t2[lane], lo[lane], hi[lane]
         low, high = self._records(k, lane.size)
         while lane.size:
-            ok, at, got, nxt = self._feasible((a + b) >> 1, t1, t2, low, high)
-            high = np.where(ok, at, high)
-            low = np.where(ok, low, at)
-            a = np.where(ok, a, nxt)
-            b = np.where(ok, got, b)
+            a, b, low, high = self._probe(((a + b) >> 1)[None], t1, t2, a, b, low, high)
             keep = a < b
             lo[lane[~keep]] = a[~keep]
             lane, t1, t2, a, b = lane[keep], t1[keep], t2[keep], a[keep], b[keep]
             low, high = low[:, :, keep], high[:, :, keep]
         return lo
+
+    def _max_regret(self, k, t1, t2, time, lo, hi):
+        """The largest regret time - OPT over the lanes and the first lane
+        attaining it, from brackets lo <= OPT <= hi, by threshold probes
+        that fix only the optima the maximum needs.
+
+        L = max(time - hi) bounds the maximum V from below.  Each round
+        probes every lane that could still beat L (time - lo > L) at
+        ``_PROBES`` points in one ``_probe`` call: its threshold
+        theta = time - L - 1, the bound below which its regret would
+        exceed L, and lo + floor((theta - lo) j / ``_PROBES``) for
+        j = 1, .., ``_PROBES`` - 1.  Since time - hi <= L < time - lo,
+        theta lies in [lo, hi - 1], so the probe at theta either covers
+        (hi drops to at most theta and L rises) or fails (lo rises past
+        theta and the lane leaves the search); the lower points raise lo
+        further where they fail.  L then rises to max(time - hi), and a
+        lane leaves once time - lo <= L, which includes every lane whose
+        bracket has closed.  At the end every lane has
+        time - lo <= L <= V, so V = L.
+
+        Lanes with time - hi = V attain V, and the first of them is the
+        witness unless an earlier lane with time - lo = V attains it too,
+        exactly when lo is its optimum; such lanes get one probe at lo
+        (``_probe`` with one point, fresh records), and the first that
+        covers is the witness.  Like ``_bisect``, the search keeps one
+        compacted state of the lanes still in it, with their position
+        records.  Works on ``lo`` and ``hi`` in place, so where they meet
+        they hold the optimum; returns (V, witness index).
+        """
+        best = int(np.max(time - hi))
+        lane = np.flatnonzero(time - lo > best)
+        t1s, t2s, tm, a, b = t1[lane], t2[lane], time[lane], lo[lane], hi[lane]
+        low, high = self._records(k, lane.size)
+        j = np.arange(1, _PROBES, dtype=np.int64)[:, None]
+        while lane.size:
+            theta = tm - best - 1
+            v = np.vstack((a + (theta - a) * j // _PROBES, theta))
+            a, b, low, high = self._probe(v, t1s, t2s, a, b, low, high)
+            best = max(best, int(np.max(tm - b)))
+            keep = tm - a > best
+            lo[lane], hi[lane] = a, b
+            lane, t1s, t2s, tm, a, b = (x[keep] for x in (lane, t1s, t2s, tm, a, b))
+            low, high = low[:, :, keep], high[:, :, keep]
+        first = int(np.argmax(time - hi == best))
+        tie = np.flatnonzero(time[:first] - lo[:first] == best)
+        if tie.size:
+            at = lo[tie]
+            lo[tie], hi[tie] = self._probe(at[None], t1[tie], t2[tie], at, hi[tie],
+                                           *self._records(k, tie.size))[:2]
+            covers = np.flatnonzero(hi[tie] == at)
+            if covers.size:
+                first = int(tie[covers[0]])
+        return best, first
 
     def _extreme_optima(self, k):
         """The optima of the all-lower window (0, 0) and the all-upper window
@@ -560,22 +653,13 @@ class ScenarioBatchEngine:
         lo = np.maximum(v_in, v_out - ((dp0[up2] - dp0[down1]) - d_lane))
         return lo, np.minimum(v_out, v_in + (d_lane - (dp0[in2] - dp0[in1])))
 
-    def solve(self, k: int, t1s, t2s, bracket=None) -> np.ndarray:
+    def solve(self, k: int, t1s, t2s) -> np.ndarray:
         """Optimal k-sink time (simplified model) for every lane (t1, t2).
 
-        ``bracket``, if given, is a pair of int64 arrays (lo, hi) with
-        0 <= lo <= OPT <= hi per lane, from which the bisection starts in
-        place of ``_brackets``; it is not modified.  ValueError unless it
-        has one (lo, hi) per lane with 0 <= lo <= hi, or unless
-        1 <= k <= n + 1.
+        ValueError unless 1 <= k <= n + 1.
         """
         k = require_k(self.inst, k)
         t1, t2 = descriptor_arrays(t1s, t2s, self.n)
-        if bracket is None:
-            lo, hi = self._brackets(t1, t2, k, _ANCHOR_STEP, lambda a1, a2: self._bisect(
-                k, a1, a2, *self._brackets(a1, a2, k, None, None)))
-        else:
-            lo, hi = (np.array(b, dtype=np.int64) for b in bracket)
-            if lo.shape != t1.shape or hi.shape != t1.shape or np.any((lo < 0) | (lo > hi)):
-                raise ValueError("bracket must give every lane one (lo, hi) with 0 <= lo <= hi")
+        lo, hi = self._brackets(t1, t2, k, _ANCHOR_STEP, lambda a1, a2: self._bisect(
+            k, a1, a2, *self._brackets(a1, a2, k, None, None)))
         return self._bisect(k, t1, t2, lo, hi)

@@ -13,10 +13,12 @@ Main pieces:
 * :func:`regret_of_plan` / :func:`max_regret_of_plan` — regret of a plan
   under one scenario (optimum from the fixed-scenario DP), and its worst
   case over all candidate scenarios (plan times from the batch engine's
-  side times, optima from the cache).  The worst case solves only the
-  candidates that can attain it, after bracketing every optimum with the
-  batch engine's ``_plan_bounds`` (and its top level, where that narrows
-  the brackets), and bisects each of them from its bracket.
+  side times, optima from the cache).  The worst case brackets every
+  optimum with the batch engine's ``_plan_bounds`` (and its top level,
+  where that narrows the brackets) and finds the maximum by the engine's
+  threshold search (``_max_regret``), which probes each candidate that
+  could still beat the best regret so far at the bound that would beat it
+  and fixes only the optima the maximum needs.
 * :class:`EvacLookupTables` / :func:`build_lookup_tables` — two O(n^2)
   tables into which the worst-case regret of every part and sink
   separates, built in O(n^2) time from running maxima over the cache's
@@ -120,11 +122,11 @@ class ScenarioOptCache:
             self._batch = ScenarioBatchEngine(self.inst)
         return self._batch
 
-    def _compute(self, t1a: np.ndarray, t2a: np.ndarray, bracket=None) -> np.ndarray:
+    def _compute(self, t1a: np.ndarray, t2a: np.ndarray) -> np.ndarray:
         import numpy as np
 
         if self.engine == "batch":
-            return self._batch_engine().solve(self.k, t1a, t2a, bracket)
+            return self._batch_engine().solve(self.k, t1a, t2a)
         out = np.empty(t1a.shape[0], dtype=np.int64)
         for idx in range(t1a.shape[0]):
             d = ScenarioDescriptor(int(t1a[idx]), int(t2a[idx]))
@@ -135,15 +137,10 @@ class ScenarioOptCache:
 
     # -- public API -----------------------------------------------------------
 
-    def ensure(self, t1s, t2s, bracket=None) -> None:
+    def ensure(self, t1s, t2s) -> None:
         """Compute any still-missing entries among the descriptors
         (t1s[i], t2s[i]); ``t1s`` and ``t2s`` must be integer arrays of
-        equal shapes (see ``_batch.descriptor_arrays``).
-
-        ``bracket``, if given, is a pair of int64 arrays (lo, hi) of the
-        descriptors' shape with lo <= optimum <= hi for each, from which
-        the batch engine starts its bisection; the reference engine
-        ignores it."""
+        equal shapes (see ``_batch.descriptor_arrays``)."""
         import numpy as np
 
         from ._batch import descriptor_arrays
@@ -153,14 +150,12 @@ class ScenarioOptCache:
         missing = self.values[t1a, t2a] == _UNSET
         if not np.any(missing):
             return
-        m1 = t1a[missing]
-        m2 = t2a[missing]
-        # Deduplicate so each lane is solved once.
-        flat, first = np.unique(m1 * np.int64(n + 2) + m2, return_index=True)
+        # Deduplicate so each lane is solved once (sorted distinct keys, all
+        # >= 0; np.unique would load numpy.ma).
+        flat = np.sort(t1a[missing] * np.int64(n + 2) + t2a[missing])
+        flat = flat[np.diff(flat, prepend=-1) > 0]
         u1, u2 = flat // (n + 2), flat % (n + 2)
-        if bracket is not None:
-            bracket = [np.asarray(b)[missing][first] for b in bracket]
-        self.values[u1, u2] = self._compute(u1, u2, bracket)
+        self.values[u1, u2] = self._compute(u1, u2)
 
     def complete(self) -> None:
         """Fill every valid descriptor (all t1 <= t2)."""
@@ -219,26 +214,28 @@ def max_regret_of_plan(
     cache's batch engine, its optimum from the cache.  A given ``cache``
     must be built for ``inst`` and ``plan.k`` (else ValueError).
 
-    Only the candidates that can attain the maximum are solved.  The
-    engine's ``_plan_bounds`` brackets each optimum in [lo, hi], from the
-    time of a k-part plan balanced for the candidate's weights and from
-    weight and distance bounds that every plan meets; a candidate the
-    cache already holds takes lo = hi = its value.  The top level's
-    bracket [max(v-, v+ - d_out), min(v+, v- + d_in)], from the all-lower
-    and all-upper optima v- and v+ (``_extreme_optima``, two DP solves
-    once per engine and k) with d_in the candidate's delta sum and d_out
-    the rest of the path's, is at most min(d_in, d_out) wide; the brackets
-    are intersected with it only when at least half the candidates have
+    The optima are bracketed rather than solved.  The engine's
+    ``_plan_bounds`` brackets each optimum in [lo, hi], from the time of a
+    k-part plan balanced for the candidate's weights and from weight and
+    distance bounds that every plan meets; a candidate the cache already
+    holds takes lo = hi = its value.  The top level's bracket
+    [max(v-, v+ - d_out), min(v+, v- + d_in)], from the all-lower and
+    all-upper optima v- and v+ (``_extreme_optima``, two DP solves once
+    per engine and k) with d_in the candidate's delta sum and d_out the
+    rest of the path's, is at most min(d_in, d_out) wide; the brackets are
+    intersected with it only when at least half the candidates have
     min(d_in, d_out) < hi - lo, so a narrow set of plan brackets costs no
-    DP solve.  A candidate is solved only when its regret upper bound,
-    time - lo, reaches the largest regret lower bound, L = max(time - hi),
-    and its bracket is open.  Every candidate attaining the maximum V >= L
-    is then exact, and every other one counts at time - lo < L <= V (or at
-    lo = hi), so the value and the witness equal those of solving every
-    candidate.  ``cache.ensure`` passes each survivor's bracket on to the
-    batch engine, which bisects it from there rather than from
-    [0, ``_upper``] (the reference engine ignores it).  The cache then
-    holds those survivors only (plus what it held before).
+    DP solve.  The engine's threshold search (``_max_regret``) then finds
+    the maximum and its first witness from these brackets, probing only
+    the candidates whose regret upper bound, time - lo, beats the largest
+    regret lower bound, L = max(time - hi), each at the bound below which
+    it would beat L; so value and witness equal those of solving every
+    candidate.  The cache afterwards holds only the optima the search
+    fixed exactly, the candidates whose bracket closed (plus what it held
+    before).  An ``engine="reference"`` cache keeps its optima independent
+    of the greedy search: there the candidates with time - lo >= L and an
+    open bracket are solved through ``cache.ensure`` instead, by the
+    per-scenario DP.
     """
     import numpy as np
 
@@ -272,12 +269,17 @@ def max_regret_of_plan(
         lower, upper = eng._extreme_optima(cache.k)
         lo = np.maximum(lo, np.maximum(lower, upper - d_out))
         hi = np.minimum(hi, np.minimum(upper, lower + d_in))
-    open_ = (time - lo >= np.max(time - hi)) & (lo < hi)
-    cache.ensure(t1[open_], t2[open_], (lo[open_], hi[open_]))
-    opt = v[t1, t2]
-    regret = time - np.where(opt == _UNSET, lo, opt)
-    best = int(np.argmax(regret))
-    return int(regret[best]), cands[best][1]
+    if cache.engine == "reference":
+        open_ = (time - lo >= np.max(time - hi)) & (lo < hi)
+        cache.ensure(t1[open_], t2[open_])
+        opt = v[t1, t2]
+        regret = time - np.where(opt == _UNSET, lo, opt)
+        best = int(np.argmax(regret))
+        return int(regret[best]), cands[best][1]
+    value, best = eng._max_regret(cache.k, t1, t2, time, lo, hi)
+    exact = lo == hi
+    v[t1[exact], t2[exact]] = lo[exact]
+    return value, cands[best][1]
 
 
 # ---------------------------------------------------------------------------

@@ -471,15 +471,8 @@ def test_all_sinks_and_one_vertex_optima_are_zero():
 
 
 def test_solve_rejects_arguments_outside_contract():
-    """A given bracket needs one (lo, hi) per lane with 0 <= lo <= hi (a
-    negative lo once sent the one-vertex path's bisection into an endless
-    loop), and k must lie in 1..n+1 whatever the lane count (k = 0 once
-    read the int64 maximum)."""
-    eng = ScenarioBatchEngine(PathInstance((0,), (1,), (3,)))
-    for lo, hi in (([-5, -5], [10, 10]), ([0, 3], [10, 2]), ([0], [10])):
-        with pytest.raises(ValueError, match="bracket"):
-            eng.solve(1, [0, 0], [0, 1], bracket=(np.array(lo), np.array(hi)))
-    assert eng.solve(1, [0, 0], [0, 1], bracket=(np.array([0, 0]), np.array([10, 10]))).tolist() == [0, 0]
+    """k must lie in 1..n+1 whatever the lane count (k = 0 once read the
+    int64 maximum)."""
     eng = ScenarioBatchEngine(unit_interval_instance())
     for k in (0, 4):
         for t1, t2 in (([0], [1]), ([0, 0, 0, 0, 1], [0, 1, 2, 3, 3])):
@@ -943,14 +936,27 @@ def test_pruned_max_regret_on_reference_cache_bisects_nothing(monkeypatch):
         assert got == want, (inst, plan)
 
 
-def test_pruned_max_regret_bisects_survivors_from_their_brackets(monkeypatch):
-    """Every candidate the audit still solves is bisected from its plan
-    bracket of ``_plan_bounds``, intersected with the top level's bracket
-    where the audit takes it, never from [0, ``_upper``]; value and witness
-    equal those of every candidate realized and evaluated."""
+def _plan_times(eng, plan, t1, t2):
+    """The plan's time under every lane, from the engine's side times."""
+    time = np.zeros(t1.shape[0], dtype=np.int64)
+    for (l, r), y in zip(plan.parts(), plan.sinks):
+        time = np.maximum(time, eng.theta_l(l, y, t1, t2))
+        time = np.maximum(time, eng.theta_r(y, r, t1, t2))
+    return time
+
+
+def test_pruned_max_regret_probes_survivors_inside_their_brackets(monkeypatch):
+    """An audit on a batch cache never bisects: its threshold search probes
+    every candidate only at points inside its bracket, the plan bracket of
+    ``_plan_bounds`` intersected with the top level's where the audit takes
+    it; the first probe holds exactly the candidates whose regret upper
+    bound beats the largest lower bound L, each including its threshold
+    time - L - 1.  Value and witness equal those of every candidate
+    realized and evaluated, and the cache holds only exact optima.  An
+    audit on an ``engine="reference"`` cache never runs the search."""
     plan_bounds = ScenarioBatchEngine._plan_bounds
     extreme_optima = ScenarioBatchEngine._extreme_optima
-    bisect = ScenarioBatchEngine._bisect
+    probe = ScenarioBatchEngine._probe
     audit = {}
     top = []
     calls = []
@@ -964,13 +970,17 @@ def test_pruned_max_regret_bisects_survivors_from_their_brackets(monkeypatch):
         top.append(extreme_optima(self, k))
         return top[-1]
 
-    def recorded_bisect(self, k, t1, t2, lo, hi):
-        calls.append((self, t1.tolist(), t2.tolist(), lo.tolist(), hi.tolist()))
-        return bisect(self, k, t1, t2, lo, hi)
+    def recorded_probe(self, v, t1, t2, *state):
+        calls.append((self, v.copy(), t1.copy(), t2.copy()))
+        return probe(self, v, t1, t2, *state)
+
+    def no_bisect(*args):
+        raise AssertionError("bisection in an audit on a batch cache")
 
     monkeypatch.setattr(ScenarioBatchEngine, "_plan_bounds", recorded_plan_bounds)
     monkeypatch.setattr(ScenarioBatchEngine, "_extreme_optima", recorded_extreme_optima)
-    monkeypatch.setattr(ScenarioBatchEngine, "_bisect", recorded_bisect)
+    monkeypatch.setattr(ScenarioBatchEngine, "_probe", recorded_probe)
+    monkeypatch.setattr(ScenarioBatchEngine, "_bisect", no_bisect)
     rng = random.Random(67)
     survivors = 0
     for trial in range(40):
@@ -983,23 +993,118 @@ def test_pruned_max_regret_bisects_survivors_from_their_brackets(monkeypatch):
         calls.clear()
         cache = build_scenario_opt_cache(inst, k, fill="lazy")
         got = max_regret_of_plan(inst, plan, cache)
-        for eng, t1, t2, lo, hi in calls:
-            upper = eng._upper(np.asarray(t1), np.asarray(t2)).tolist()
-            d = eng.dp0.tolist()
-            for lane in zip(t1, t2, lo, hi, upper):
-                want = audit[lane[:2]]
-                if top:
-                    (lower, whole), = top
-                    d_in = d[lane[1]] - d[lane[0]]
-                    d_out = d[-1] - d_in
-                    want = (max(want[0], lower, whole - d_out), min(want[1], whole, lower + d_in))
-                assert lane[2:4] == want, (inst, plan, lane)
-                assert lane[2:4] != (0, lane[4]), (inst, plan, lane)
-                survivors += 1
-        want = _max_regret_per_candidate(
-            inst, plan, build_scenario_opt_cache(inst, k, fill="lazy"))
-        assert got == want, (inst, plan)
+        eng = cache._batch_engine()
+        d = eng.dp0.tolist()
+
+        def bracket(lane):
+            want = audit[lane]
+            if top:
+                (lower, whole), = top
+                d_in = d[lane[1]] - d[lane[0]]
+                d_out = d[-1] - d_in
+                want = (max(want[0], lower, whole - d_out), min(want[1], whole, lower + d_in))
+            return want
+
+        cands = [c for _part, c in enumerate_partition_candidates(inst, plan.boundaries)]
+        t1 = np.array([c.t1 for c in cands], dtype=np.int64)
+        t2 = np.array([c.t2 for c in cands], dtype=np.int64)
+        lo, hi = (np.array(b) for b in zip(*map(bracket, zip(t1.tolist(), t2.tolist()))))
+        time = _plan_times(eng, plan, t1, t2)
+        bound = np.max(time - hi)
+        first = np.flatnonzero(time - lo > bound)
+        if first.size:
+            _eng, v, c1, c2 = calls[0]
+            assert np.array_equal(c1, t1[first]) and np.array_equal(c2, t2[first]), (inst, plan)
+            assert np.array_equal(v.max(axis=0), time[first] - bound - 1), (inst, plan)
+            survivors += first.size
+        for _eng, v, c1, c2 in calls:
+            assert _eng is eng
+            lanes = np.array([bracket(lane) for lane in zip(c1.tolist(), c2.tolist())])
+            assert np.all((lanes[:, 0] <= v) & (v < lanes[:, 1])), (inst, plan)
+        calls.clear()
+        ref = build_scenario_opt_cache(inst, k, engine="reference", fill="lazy")
+        assert max_regret_of_plan(inst, plan, ref) == got, (inst, plan)
+        assert calls == [], (inst, plan)
+        assert got == _max_regret_per_candidate(inst, plan, ref), (inst, plan)
+        held = cache.values != _UNSET
+        assert np.array_equal(cache.values[held], ref.values[held]), (inst, plan)
     assert survivors > 0
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_max_regret_search_from_any_bracket(data):
+    """``_max_regret``'s contract: from any brackets 0 <= lo <= OPT <= hi
+    (closed, narrow, wide or [0, ``_upper``]) its value and first witness
+    equal those of every candidate realized and evaluated, and it leaves
+    every bracket around its optimum.  Cases cover k = 1, 2 and n + 1,
+    n = 0, point intervals, tie-heavy weights and instances at the int64
+    headroom; a partly filled cache then audits to the same answer and
+    holds only exact optima."""
+    n = data.draw(st.integers(0, 12))
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    shape = data.draw(st.sampled_from(("interval", "headroom") + SHAPES))
+    if shape == "interval":
+        inst = mk_interval(rng, n)
+    elif shape == "headroom":
+        inst = _headroom_instance(rng, n, rng.choice((3 << 58, 1 << 50, 1 << 59)))
+    else:
+        inst = _shaped_instance(rng, n, shape)
+    k = data.draw(st.sampled_from((1, min(2, n + 1), n + 1)) | st.integers(1, n + 1))
+    plan = rand_plan(rng, inst, k)
+    ref = build_scenario_opt_cache(inst, k, engine="reference")
+    want = _max_regret_per_candidate(inst, plan, ref)
+    cands = [c for _part, c in enumerate_partition_candidates(inst, plan.boundaries)]
+    t1 = np.array([c.t1 for c in cands], dtype=np.int64)
+    t2 = np.array([c.t2 for c in cands], dtype=np.int64)
+    eng = ScenarioBatchEngine(inst)
+    time = _plan_times(eng, plan, t1, t2)
+    opt = ref.values[t1, t2]
+    gen = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    slack = gen.integers(0, 1 << gen.integers(0, 16), size=(2, t1.size))
+    slack[:, gen.random(t1.size) < 0.25] = 0
+    lo, hi = np.maximum(opt - slack[0], 0), opt + slack[1]
+    loose = gen.random(t1.size) < 0.25
+    lo[loose], hi[loose] = 0, eng._upper(t1[loose], t2[loose])
+    value, first = eng._max_regret(k, t1, t2, time, lo, hi)
+    assert (value, cands[first]) == want
+    assert type(value) is int
+    assert np.all((lo <= opt) & (opt <= hi))
+    cache = build_scenario_opt_cache(inst, k, fill="lazy")
+    lanes = np.flatnonzero(gen.random(t1.size) < 0.5)
+    cache.ensure(t1[lanes], t2[lanes])
+    assert max_regret_of_plan(inst, plan, cache) == want
+    held = cache.values != _UNSET
+    assert np.array_equal(cache.values[held], ref.values[held])
+
+
+def test_max_regret_witness_probe_at_lower_end(monkeypatch):
+    """An earlier candidate can attain the maximum V only at the lower end
+    of its bracket (time - lo = V > time - hi); the search then probes such
+    candidates at lo, and the first that covers is the witness.  On this
+    seeded set of tie-heavy and weight-dominated audits that branch runs,
+    covers and fails, and value and witness equal those of every candidate
+    realized and evaluated."""
+    probe = ScenarioBatchEngine._probe
+    at_lo = []
+
+    def recorded_probe(self, v, t1, t2, a, b, low, high):
+        out = probe(self, v, t1, t2, a, b, low, high)
+        if v.shape[0] == 1:  # audits never bisect: the one-point probe is at lo
+            assert np.array_equal(v[0], a)
+            at_lo.extend((out[1] == v[0]).tolist())
+        return out
+
+    monkeypatch.setattr(ScenarioBatchEngine, "_probe", recorded_probe)
+    rng = random.Random(74)
+    for it in range(60):
+        n = rng.randint(4, 24)
+        inst = _shaped_instance(rng, n, ("ties", "weight")[it % 2])
+        k = rng.randint(1, min(4, n + 1))
+        plan = rand_plan(rng, inst, k)
+        ref = build_scenario_opt_cache(inst, k, engine="reference", fill="lazy")
+        assert max_regret_of_plan(inst, plan) == _max_regret_per_candidate(inst, plan, ref)
+    assert True in at_lo and False in at_lo, at_lo
 
 
 def test_pruned_max_regret_above_threshold_equals_full_fill():
