@@ -35,27 +35,24 @@ static arrays.
   each inner search of the next probe runs between them, for as many rounds
   as its widest bracket has bits.  Terms fixed for a lane or for a part are
   computed once per probe, not once per round.
-* **Anchor brackets (fills).**  ``_brackets`` brackets the lanes of every
-  ``solve`` call.  From ``_ANCHOR_MIN_LANES``
-  lanes on it asks for the optima of the windows between grid points
-  ``0, s, 2s, ..`` and ``n+1`` that the lanes need and brackets each lane
-  between them, from below by the inner window and by the outer one less
-  the weight growth outside the lane, from above by the outer window and
-  by the inner one plus the weight growth inside the lane.  Below that
-  count, with more lanes than the path has vertices, its top level does
-  the same on the grid {0, n+1}, from the optima of the all-lower and the
-  all-upper window, which the fixed-scenario DP gives once per k and one
-  probe of the greedy certifies.  With at most n + 1 lanes every bracket
-  is [0, ``_upper``]: there the two DP solves cost more than the probes
-  they save.  ``solve`` bisects the anchors on the grid of step
-  ``_ANCHOR_STEP`` from the top level and then each lane inside its
-  bracket.
+* **Brackets (fills).**  ``solve`` bisects each lane from one of three
+  brackets, chosen by the lane count: [0, ``_upper``] for at most n + 1
+  lanes, where the top level's two DP solves cost more than the probes
+  they save; below ``_ANCHOR_MIN_LANES`` lanes ``_top_level``'s, from the
+  optima of the all-lower and the all-upper window, which the
+  fixed-scenario DP gives once per k and one probe of the greedy
+  certifies; from there on ``_brackets``', from the optima of the windows
+  between grid points ``0, s, 2s, ..`` and ``n+1`` that the lanes need,
+  themselves bisected from one of the other two: each lane lies above the
+  inner window and the outer one less the weight growth outside the lane,
+  and below the outer window and the inner one plus the weight growth
+  inside the lane.
 * **Plan brackets (audits).**  ``_plan_bounds`` brackets each lane from
   its own weights alone: above by the time of the k-part plan balanced
   for them, below by a weight bound and a distance bound that every plan
   of k parts meets.  ``regret.max_regret_of_plan`` brackets every
-  candidate so and narrows the brackets by the top level's where that
-  can help; it calls no ``solve``.
+  candidate so, intersects the brackets with ``_top_level``'s where that
+  can help, and calls no ``solve``.
 * **Threshold search (audits).**  An audit needs only the largest regret
   time - OPT over its candidates and the first candidate attaining it,
   not every optimum.  ``_max_regret`` keeps each candidate's bracket and
@@ -119,9 +116,9 @@ NEG = -(1 << 62)
 # maximum.
 INT64_HEADROOM = 1 << 60
 
-# Lane count from which ``_brackets`` brackets the lanes of a ``solve`` call
-# by the anchor windows of a grid of step s rather than of the top level's
-# grid {0, n + 1}, and the grid step of those windows.
+# Lane count from which ``solve`` brackets its lanes by the anchor windows of
+# ``_brackets`` rather than by the top level, and the grid step of those
+# windows.
 _ANCHOR_MIN_LANES = 1500
 _ANCHOR_STEP = 4
 
@@ -154,6 +151,13 @@ def descriptor_arrays(t1s, t2s, n: int) -> tuple[np.ndarray, np.ndarray]:
     if np.any((t1 < 0) | (t1 > t2) | (t2 > n + 1)):
         raise ValueError("descriptor out of range")
     return t1, t2
+
+
+def distinct_keys(t1, t2, n: int) -> np.ndarray:
+    """The distinct descriptors among (t1[i], t2[i]) as sorted keys
+    t1 (n + 2) + t2, all >= 0 (np.unique would load numpy.ma)."""
+    keys = np.sort(t1 * np.int64(n + 2) + t2)
+    return keys[np.diff(keys, prepend=-1) > 0]
 
 
 class _SparseMax:
@@ -586,8 +590,22 @@ class ScenarioBatchEngine:
         lo = np.maximum((share - max(self.inst.wplus)) // 2, distance)
         return np.minimum(lo, hi), hi
 
-    def _brackets(self, t1, t2, k, step, optima):
-        """Per lane, a bracket [lo, hi] around its optimum with k parts.
+    def _top_level(self, k, t1, t2):
+        """Per lane, the top level's bracket around its optimum with k parts,
+        [max(v-, v+ - d_out), min(v+, v- + d_in)]: v- and v+ are the optima
+        of the all-lower and all-upper windows (``_extreme_optima``), d_in is
+        the lane's delta sum and d_out the rest of the path's.  It is the
+        bracket of ``_brackets`` on the grid {0, n + 1}."""
+        lower, upper = self._extreme_optima(k)
+        d_in = self.dp0[t2] - self.dp0[t1]
+        d_out = self.dp0[self.n + 1] - d_in
+        return np.maximum(lower, upper - d_out), np.minimum(upper, lower + d_in)
+
+    def _brackets(self, t1, t2, optima):
+        """Per lane, a bracket [lo, hi] around its optimum, from the optima
+        of anchor windows on the grid 0, s, 2 s, .. and n + 1 with
+        s = ``_ANCHOR_STEP``, which ``optima(a1, a2)`` returns for the
+        distinct windows (a1, a2) the lanes need.
 
         Two facts of the simplified model make every bracket sound.  Every
         plan's time is a maximum of terms x*tau + (a sum of weights), so (i)
@@ -597,42 +615,14 @@ class ScenarioBatchEngine:
         vertex i from w-_i to w+_i raises OPT by at most
         delta_i = w+_i - w-_i.
 
-        With grid points 0, step, 2 step, .. and n+1, lane (t1, t2) has the
-        outer window (floor(t1), ceil(t2)) around it and the inner window
-        (ceil(t1), floor(t2)) inside it, or the empty window (0, 0) when
-        no grid window fits inside the lane.  Write d(w) for the sum of
-        delta over window w.  Then
+        Lane (t1, t2) has the outer window (floor(t1), ceil(t2)) around it
+        and the inner window (ceil(t1), floor(t2)) inside it, or the empty
+        window (0, 0) when no grid window fits inside the lane.  Write d(w)
+        for the sum of delta over window w.  Then
         max(OPT(inner), OPT(outer) - (d(outer) - d(t1, t2))) <= OPT(t1, t2)
         <= min(OPT(outer), OPT(inner) + (d(t1, t2) - d(inner))).
-
-        The grid depends on the lane count:
-
-        * from ``_ANCHOR_MIN_LANES`` lanes on, where ``step`` is given, the
-          grid of ``step``, whose windows' optima ``optima(a1, a2)``
-          returns for the unique windows (a1, a2);
-        * below that, with more lanes than the path has vertices, the top
-          level: the grid {0, n+1}, whose windows are (0, 0) and
-          (n+1, n+1), both all-lower, and (0, n+1), all-upper, with the
-          optima of ``_extreme_optima`` (``optima`` is not called).  Lane
-          (t1, t2) then lies in [max(v-, v+ - d_out), min(v+, v- + d_in)],
-          with d_in its own delta sum and d_out the rest of the path's;
-        * with at most n + 1 lanes, [0, ``_upper``]: there the two DP
-          solves of the top level cost more than the probes they save.
-
-        ``step`` is None in ``solve``'s call for its anchor windows, which
-        lie on the grid and would be their own anchors.
         """
-        lanes = t1.shape[0]
-        last = self.n + 1
-        if step is None or lanes < _ANCHOR_MIN_LANES:
-            if lanes <= last:
-                return np.zeros_like(t1), self._upper(t1, t2)
-            lower, upper = self._extreme_optima(k)
-            step = last
-
-            def optima(a1, a2):
-                return np.where(a1 == a2, np.int64(lower), np.int64(upper))
-
+        step, last = _ANCHOR_STEP, self.n + 1
         down1 = np.where(t1 == last, last, t1 - t1 % step)
         down2 = np.where(t2 == last, last, t2 - t2 % step)
         up1 = np.minimum(t1 + (-t1) % step, last)
@@ -640,14 +630,10 @@ class ScenarioBatchEngine:
         fits = up1 <= down2
         in1, in2 = np.where(fits, up1, 0), np.where(fits, down2, 0)
         span = last + 1
-        outer = down1 * span + up2
-        inner = in1 * span + in2
-        # The sorted distinct keys (all >= 0); np.unique would load numpy.ma.
-        keys = np.sort(np.concatenate((outer, inner)))
-        keys = keys[np.diff(keys, prepend=-1) > 0]
+        keys = distinct_keys(np.concatenate((down1, in1)), np.concatenate((up2, in2)), self.n)
         vals = optima(*np.divmod(keys, span))
-        v_in = vals[np.searchsorted(keys, inner)]
-        v_out = vals[np.searchsorted(keys, outer)]
+        v_in = vals[np.searchsorted(keys, in1 * span + in2)]
+        v_out = vals[np.searchsorted(keys, down1 * span + up2)]
         dp0 = self.dp0
         d_lane = dp0[t2] - dp0[t1]
         lo = np.maximum(v_in, v_out - ((dp0[up2] - dp0[down1]) - d_lane))
@@ -656,10 +642,21 @@ class ScenarioBatchEngine:
     def solve(self, k: int, t1s, t2s) -> np.ndarray:
         """Optimal k-sink time (simplified model) for every lane (t1, t2).
 
+        A call of at most n + 1 lanes bisects them from [0, ``_upper``],
+        where the top level's two DP solves cost more than the probes they
+        save; below ``_ANCHOR_MIN_LANES`` lanes from ``_top_level``; from
+        there on from ``_brackets``, whose anchors are solved the same way.
+
         ValueError unless 1 <= k <= n + 1.
         """
         k = require_k(self.inst, k)
         t1, t2 = descriptor_arrays(t1s, t2s, self.n)
-        lo, hi = self._brackets(t1, t2, k, _ANCHOR_STEP, lambda a1, a2: self._bisect(
-            k, a1, a2, *self._brackets(a1, a2, k, None, None)))
-        return self._bisect(k, t1, t2, lo, hi)
+
+        def unanchored(a1, a2):
+            if a1.shape[0] <= self.n + 1:
+                return self._bisect(k, a1, a2, np.zeros_like(a1), self._upper(a1, a2))
+            return self._bisect(k, a1, a2, *self._top_level(k, a1, a2))
+
+        if t1.shape[0] < _ANCHOR_MIN_LANES:
+            return unanchored(t1, t2)
+        return self._bisect(k, t1, t2, *self._brackets(t1, t2, unanchored))

@@ -70,12 +70,7 @@ def _load_instance_checked(path: str) -> Optional[PathInstance]:
 
 
 def _scenario_from_args(inst: PathInstance, args) -> Optional[Scenario]:
-    picked = [
-        bool(args.scenario),
-        bool(getattr(args, "all_minus", False)),
-        bool(getattr(args, "all_plus", False)),
-    ]
-    if sum(picked) > 1:
+    if bool(args.scenario) + args.all_minus + args.all_plus > 1:
         print("choose exactly one of --scenario/--all-minus/--all-plus", file=sys.stderr)
         return None
     if args.scenario:
@@ -97,7 +92,7 @@ def _scenario_from_args(inst: PathInstance, args) -> Optional[Scenario]:
             print("scenario weights violate the instance's intervals", file=sys.stderr)
             return None
         return s
-    if getattr(args, "all_plus", False):
+    if args.all_plus:
         return Scenario(inst.wplus)
     return Scenario(inst.wminus)
 
@@ -210,7 +205,7 @@ def _cmd_verify(args) -> int:
             return 2
         if args.scenario:
             s_label = f"scenario from {args.scenario}"
-        elif getattr(args, "all_plus", False):
+        elif args.all_plus:
             s_label = "all-plus scenario"
         else:
             s_label = "all-minus scenario"

@@ -13,12 +13,13 @@ Main pieces:
 * :func:`regret_of_plan` / :func:`max_regret_of_plan` — regret of a plan
   under one scenario (optimum from the fixed-scenario DP), and its worst
   case over all candidate scenarios (plan times from the batch engine's
-  side times, optima from the cache).  The worst case brackets every
-  optimum with the batch engine's ``_plan_bounds`` (and its top level,
-  where that narrows the brackets) and finds the maximum by the engine's
-  threshold search (``_max_regret``), which probes each candidate that
-  could still beat the best regret so far at the bound that would beat it
-  and fixes only the optima the maximum needs.
+  side times, optima from the cache).  On a batch cache the worst case
+  brackets every optimum with the batch engine's ``_plan_bounds`` (and its
+  top level, ``_top_level``, where that narrows the brackets) and finds the
+  maximum by the engine's threshold search (``_max_regret``), which probes
+  each candidate that could still beat the best regret so far at the bound
+  that would beat it and fixes only the optima the maximum needs; on a
+  reference cache it solves every candidate by the per-scenario DP.
 * :class:`EvacLookupTables` / :func:`build_lookup_tables` — two O(n^2)
   tables into which the worst-case regret of every part and sink
   separates, built in O(n^2) time from running maxima over the cache's
@@ -143,18 +144,15 @@ class ScenarioOptCache:
         equal shapes (see ``_batch.descriptor_arrays``)."""
         import numpy as np
 
-        from ._batch import descriptor_arrays
+        from ._batch import descriptor_arrays, distinct_keys
 
         n = self.inst.n
         t1a, t2a = descriptor_arrays(t1s, t2s, n)
         missing = self.values[t1a, t2a] == _UNSET
         if not np.any(missing):
             return
-        # Deduplicate so each lane is solved once (sorted distinct keys, all
-        # >= 0; np.unique would load numpy.ma).
-        flat = np.sort(t1a[missing] * np.int64(n + 2) + t2a[missing])
-        flat = flat[np.diff(flat, prepend=-1) > 0]
-        u1, u2 = flat // (n + 2), flat % (n + 2)
+        # Deduplicate so each lane is solved once.
+        u1, u2 = np.divmod(distinct_keys(t1a[missing], t2a[missing], n), n + 2)
         self.values[u1, u2] = self._compute(u1, u2)
 
     def complete(self) -> None:
@@ -214,16 +212,15 @@ def max_regret_of_plan(
     cache's batch engine, its optimum from the cache.  A given ``cache``
     must be built for ``inst`` and ``plan.k`` (else ValueError).
 
-    The optima are bracketed rather than solved.  The engine's
-    ``_plan_bounds`` brackets each optimum in [lo, hi], from the time of a
-    k-part plan balanced for the candidate's weights and from weight and
-    distance bounds that every plan meets; a candidate the cache already
-    holds takes lo = hi = its value.  The top level's bracket
-    [max(v-, v+ - d_out), min(v+, v- + d_in)], from the all-lower and
-    all-upper optima v- and v+ (``_extreme_optima``, two DP solves once
-    per engine and k) with d_in the candidate's delta sum and d_out the
-    rest of the path's, is at most min(d_in, d_out) wide; the brackets are
-    intersected with it only when at least half the candidates have
+    On a batch cache the optima are bracketed rather than solved.  The
+    engine's ``_plan_bounds`` brackets each optimum in [lo, hi], from the
+    time of a k-part plan balanced for the candidate's weights and from
+    weight and distance bounds that every plan meets; a candidate the cache
+    already holds takes lo = hi = its value.  The top level's bracket
+    (``_top_level``, from the all-lower and all-upper optima, two DP solves
+    once per engine and k) is at most min(d_in, d_out) wide, with d_in the
+    candidate's delta sum and d_out the rest of the path's; the brackets
+    are intersected with it only when at least half the candidates have
     min(d_in, d_out) < hi - lo, so a narrow set of plan brackets costs no
     DP solve.  The engine's threshold search (``_max_regret``) then finds
     the maximum and its first witness from these brackets, probing only
@@ -232,10 +229,13 @@ def max_regret_of_plan(
     it would beat L; so value and witness equal those of solving every
     candidate.  The cache afterwards holds only the optima the search
     fixed exactly, the candidates whose bracket closed (plus what it held
-    before).  An ``engine="reference"`` cache keeps its optima independent
-    of the greedy search: there the candidates with time - lo >= L and an
-    open bracket are solved through ``cache.ensure`` instead, by the
-    per-scenario DP.
+    before).
+
+    An ``engine="reference"`` cache keeps its optima independent of the
+    greedy search: every candidate is solved through ``cache.ensure`` by
+    the per-scenario DP, one solve per candidate it does not hold yet, and
+    the first maximum of time - v is taken, so the cache afterwards holds
+    every candidate's optimum.
     """
     import numpy as np
 
@@ -258,24 +258,20 @@ def max_regret_of_plan(
         time = np.maximum(time, eng.theta_l(l, y, t1, t2))
         time = np.maximum(time, eng.theta_r(y, r, t1, t2))
     v = cache.values
+    if cache.engine == "reference":
+        cache.ensure(t1, t2)
+        regret = time - v[t1, t2]
+        best = int(np.argmax(regret))
+        return int(regret[best]), cands[best][1]
     lo, hi = eng._plan_bounds(cache.k, t1, t2)
     held = v[t1, t2]
     lo, hi = (np.where(held == _UNSET, b, held) for b in (lo, hi))
     # The top level's bracket is at most min(d_in, d_out) wide: take it only
     # where that narrows the typical plan bracket.
     d_in = eng.dp0[t2] - eng.dp0[t1]
-    d_out = eng.dp0[-1] - d_in
-    if 2 * np.count_nonzero(np.minimum(d_in, d_out) < hi - lo) >= t1.shape[0]:
-        lower, upper = eng._extreme_optima(cache.k)
-        lo = np.maximum(lo, np.maximum(lower, upper - d_out))
-        hi = np.minimum(hi, np.minimum(upper, lower + d_in))
-    if cache.engine == "reference":
-        open_ = (time - lo >= np.max(time - hi)) & (lo < hi)
-        cache.ensure(t1[open_], t2[open_])
-        opt = v[t1, t2]
-        regret = time - np.where(opt == _UNSET, lo, opt)
-        best = int(np.argmax(regret))
-        return int(regret[best]), cands[best][1]
+    if 2 * np.count_nonzero(np.minimum(d_in, eng.dp0[-1] - d_in) < hi - lo) >= t1.shape[0]:
+        top_lo, top_hi = eng._top_level(cache.k, t1, t2)
+        lo, hi = np.maximum(lo, top_lo), np.minimum(hi, top_hi)
     value, best = eng._max_regret(cache.k, t1, t2, time, lo, hi)
     exact = lo == hi
     v[t1[exact], t2[exact]] = lo[exact]

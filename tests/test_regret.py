@@ -71,12 +71,12 @@ def test_anchor_path_equals_plain_chunks(monkeypatch):
     calls = []
     brackets = ScenarioBatchEngine._brackets
 
-    def counted(self, t1, t2, k, step, optima):
+    def counted(self, t1, t2, optima):
         def anchors(a1, a2):
             calls.append(t1.shape[0])
             return optima(a1, a2)
 
-        return brackets(self, t1, t2, k, step, anchors)
+        return brackets(self, t1, t2, anchors)
 
     monkeypatch.setattr(ScenarioBatchEngine, "_brackets", counted)
     rng = random.Random(59)
@@ -229,13 +229,11 @@ def test_optimum_monotone_and_delta_bounded(data):
                 assert v[t1, t2] <= v[t1 - 1, t2] <= v[t1, t2] + delta[t1 - 1]
 
 
-@pytest.mark.parametrize("step", [_batch._ANCHOR_STEP], ids=("fill",))
-def test_brackets_hold_every_lane(monkeypatch, step):
+def test_brackets_hold_every_lane():
     """Every lane's optimum lies in its anchor bracket [lo, hi], with anchor
     optima from the per-scenario DP, on every lane: lanes inside one grid
     cell, lanes ending at n + 1 and the empty windows included.  With point
     intervals every bracket is closed."""
-    monkeypatch.setattr(_batch, "_ANCHOR_MIN_LANES", 1)
     rng = random.Random(65)
     for it, n in enumerate((0, 3, 4, 9, 17, 30, 31, 32, 33, 40)):
         inst = mk_interval(rng, n)
@@ -245,8 +243,7 @@ def test_brackets_hold_every_lane(monkeypatch, step):
         k = rng.randint(1, min(4, n + 1))
         ref = build_scenario_opt_cache(inst, k, engine="reference")
         t1, t2 = (a.astype(np.int64) for a in np.triu_indices(n + 2))
-        lo, hi = ScenarioBatchEngine(inst)._brackets(
-            t1, t2, k, step, lambda a1, a2: ref.values[a1, a2])
+        lo, hi = ScenarioBatchEngine(inst)._brackets(t1, t2, lambda a1, a2: ref.values[a1, a2])
         v = ref.values[t1, t2]
         assert np.all(lo <= v) and np.all(v <= hi), (inst, k)
         if it % 2:
@@ -290,7 +287,7 @@ def test_top_level_brackets_hold_every_lane(monkeypatch):
         t1, t2 = (a.astype(np.int64) for a in np.triu_indices(n + 2))
         assert n + 1 < t1.size < _batch._ANCHOR_MIN_LANES
         eng = ScenarioBatchEngine(inst)
-        lo, hi = eng._brackets(t1, t2, k, _batch._ANCHOR_STEP, None)
+        lo, hi = eng._top_level(k, t1, t2)
         assert eng._extreme_optima(k) == [ref.values[0, 0], ref.values[0, n + 1]]
         v = ref.values[t1, t2]
         assert np.all(lo <= v) and np.all(v <= hi), (inst, k)
@@ -378,21 +375,25 @@ def test_audit_takes_top_level_only_where_it_narrows(monkeypatch):
     """The audit's rule: a weight-dominated audit, whose plan brackets are
     narrower than most candidates' delta sums, never calls the
     fixed-scenario DP; a point-interval audit takes the top level, so every
-    bracket closes and nothing is bisected.  Value and witness equal those
-    of every candidate realized and evaluated."""
+    bracket closes and the threshold search makes no probe.  Value and
+    witness equal those of every candidate realized and evaluated."""
     from pathevac import optk
 
     solve = optk.solve_optimal_k_sink
+    probe = ScenarioBatchEngine._probe
     dp_calls = []
+    probes = {"weight": 0, "point": 0}
 
     def counted(*args):
         dp_calls.append(args)
         return solve(*args)
 
-    def no_bisect(*args):
-        raise AssertionError("bisection in a point-interval audit")
+    def recorded_probe(self, *args):
+        probes[shape] += 1
+        return probe(self, *args)
 
     monkeypatch.setattr(optk, "solve_optimal_k_sink", counted)
+    monkeypatch.setattr(ScenarioBatchEngine, "_probe", recorded_probe)
     rng = random.Random(73)
     for shape in ("weight", "point"):
         for it in range(12):
@@ -405,11 +406,10 @@ def test_audit_takes_top_level_only_where_it_narrows(monkeypatch):
             want = _max_regret_per_candidate(
                 inst, plan, build_scenario_opt_cache(inst, k, engine="reference", fill="lazy"))
             dp_calls.clear()
-            with monkeypatch.context() as m:
-                if shape == "point":
-                    m.setattr(ScenarioBatchEngine, "_bisect", no_bisect)
-                assert max_regret_of_plan(inst, plan) == want, (inst, plan)
+            assert max_regret_of_plan(inst, plan) == want, (inst, plan)
+            assert probes["point"] == 0, (inst, plan)
             assert len(dp_calls) == (2 if shape == "point" else 0), (inst, plan)
+    assert probes["weight"] > 0
 
 
 @pytest.mark.parametrize("extreme", [0, 1], ids=("all_lower", "all_upper"))
@@ -782,7 +782,7 @@ def test_cache_at_int64_headroom(monkeypatch, anchors):
     """With max|x| * tau + sum(w+) just below 2^60, carried by the weights,
     by the coordinates or by both, complete fills (every bisection bound,
     side time and critical value near its int64 limit) and plan audits
-    (survivors bisected from their brackets) equal the per-scenario DP's."""
+    (threshold probes inside their brackets) equal the per-scenario DP's."""
     if anchors:
         monkeypatch.setattr(_batch, "_ANCHOR_MIN_LANES", 1)
     rng = random.Random(68)
@@ -872,9 +872,11 @@ def test_max_regret_matches_per_candidate_loop():
 
 
 def test_pruned_max_regret_matches_per_candidate_loop(monkeypatch):
-    """With the candidate pruning of ``max_regret_of_plan`` forced on every
-    call, value and witness equal those of every candidate realized and
-    evaluated, on lazy, complete and partly filled caches of both engines."""
+    """Value and witness of ``max_regret_of_plan`` equal those of every
+    candidate realized and evaluated, on lazy, complete and partly filled
+    caches of both engines, on point-interval and tie-heavy instances too.
+    The patch puts anchor brackets on every fill of the test's own caches;
+    audits read no anchors."""
     monkeypatch.setattr(_batch, "_ANCHOR_MIN_LANES", 1)
     rng = random.Random(63)
     for trial in range(320):
@@ -913,16 +915,19 @@ def test_pruned_max_regret_matches_per_candidate_loop(monkeypatch):
 
 
 def test_pruned_max_regret_on_reference_cache_bisects_nothing(monkeypatch):
-    """With the candidate pruning forced on, an ``engine="reference"`` cache
-    takes every optimum it reads, anchors included, from the per-scenario
-    DP: value and witness equal those of every candidate realized and
-    evaluated, and the batch engine's bisection never runs."""
-    monkeypatch.setattr(_batch, "_ANCHOR_MIN_LANES", 1)
+    """An audit on an ``engine="reference"`` cache takes every optimum it
+    reads from the per-scenario DP: the batch engine brackets, probes and
+    bisects nothing, value and witness equal those of every candidate
+    realized and evaluated, and the cache then holds every candidate's DP
+    optimum."""
+    def no_call(name):
+        def fail(*args):
+            raise AssertionError(f"{name} in an audit on a reference cache")
 
-    def no_bisect(*args):
-        raise AssertionError("batch bisection on a reference cache")
+        return fail
 
-    monkeypatch.setattr(ScenarioBatchEngine, "_bisect", no_bisect)
+    for name in ("_probe", "_bisect", "_plan_bounds", "_extreme_optima"):
+        monkeypatch.setattr(ScenarioBatchEngine, name, no_call(name))
     rng = random.Random(66)
     for trial in range(40):
         n = rng.randint(0, 14)
@@ -934,6 +939,10 @@ def test_pruned_max_regret_on_reference_cache_bisects_nothing(monkeypatch):
         want = _max_regret_per_candidate(
             inst, plan, build_scenario_opt_cache(inst, k, engine="reference", fill="lazy"))
         assert got == want, (inst, plan)
+        for _part, d in enumerate_partition_candidates(inst, plan.boundaries):
+            opt = solve_optimal_k_sink(inst, realize_scenario(inst, d), k,
+                                       CostModel.SIMPLIFIED).value
+            assert cache.values[d.t1, d.t2] == opt, (inst, plan, d)
 
 
 def _plan_times(eng, plan, t1, t2):
