@@ -7,9 +7,10 @@ cut into k parts, to minimize the time until everyone is out?
 
 The solver runs a dynamic program over part right-ends whose inner minimizer
 only ever moves right (the objective is a max of one increasing and one
-decreasing sequence), with each candidate part maintained incrementally by a
-pair of shift-aware heaps.  Each row scans only the positions a plan within
-an upper bound can use; total work is O(k n log n) at worst.
+decreasing sequence), with each candidate part maintained incrementally by
+two sliding-window maxima of fixed per-vertex keys.  Each row scans only the
+positions a plan within an upper bound can use; total work is O(k n) at
+worst.
 """
 
 import argparse

@@ -2,11 +2,12 @@
 A max-heap for ceil(W/c) + L costs under uniform shifts
 =======================================================
 
-The k-sink dynamic program repeatedly asks: over all vertices currently in a
-part, what is the largest ceil(weight-ahead / capacity) + distance-cost?
-As the part slides, every weight-ahead and every distance shifts by the same
-amount — so the heap supports AddW / AddL bulk shifts in O(1) instead of
-rebuilding.
+The paper's k-sink dynamic program repeatedly asks: over all vertices
+currently in a part, what is the largest ceil(weight-ahead / capacity) +
+distance-cost?  As the part slides, every weight-ahead and every distance
+shifts by the same amount — so the heap supports AddW / AddL bulk shifts in
+O(1) instead of rebuilding.  (pathevac's own DP folds each cost into one
+fixed key and keeps sliding-window maxima instead; see ``pathevac.optk``.)
 
 Internally, pairs are grouped by weight residue modulo the capacity: within
 a residue class the order never changes under shifts.  A shift only moves

@@ -5,8 +5,8 @@ capacity, and integer per-vertex weights (evacuee counts) known only up to
 intervals.  This package computes:
 
 * exact evacuation times for sinks, parts, and whole plans (two cost models),
-* optimal k-sink plans for a fixed scenario in O((n + the sum of the DP's
-  band widths)(log n + log c)), O(k n (log n + log c)) at worst,
+* optimal k-sink plans for a fixed scenario in O(n + the sum of the DP's
+  band widths) amortized, O(k n) at worst,
 * minmax-regret k-sink plans over all interval scenarios (DP and
   nested-search solvers),
 

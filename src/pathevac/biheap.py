@@ -35,8 +35,11 @@ then to the smallest handle.  Costs, for m pairs under one label:
 popped by deletes).  The tree holds its root exactly while a pair is live.
 
 With c == 1 every pair has label 0 and the tree is a single leaf.  The k-sink
-DP does not build a BiHeap for unit capacity: ``optk._FastTracker`` keeps
-plain heaps there.
+DP builds no BiHeap: there the pairs' keys never change and the windows only
+slide right, so ``optk.SubpathTracker`` keeps sliding-window maxima instead.
+The structure stays as the paper's general pair heap, under arbitrary
+inserts, deletes and shifts; acceptance criterion 2 checks it against a
+naive mirror, and ``demos/pair_heap.py`` shows it.
 """
 
 from __future__ import annotations

@@ -5,8 +5,8 @@ one-sink evacuation time of the subpath [j, i].  Both w and T are monotone in
 their endpoints, so each DP row is filled with a single left-to-right scan in
 which the candidate split point j only moves right (at most n increments per
 row), and w(j, i) comes from one incremental subpath tracker per row, backed by
-Bi-Heaps, instead of being recomputed.  The tracker never has to probe
-w(j+1, i): a subpath finishes no later than a path containing it, so
+two sliding-window maxima, instead of being recomputed.  The tracker never has
+to probe w(j+1, i): a subpath finishes no later than a path containing it, so
 w(j+1, i) <= w(j, i) <= cur = max(T(q-1, j-1), w(j, i)), and the next split is
 no worse than the current one exactly when T(q-1, j) <= cur.  Advancing on
 ties lands on the rightmost optimal split.
@@ -41,25 +41,42 @@ w(j, i)) is a valley in j, so the scan reaches that split from any such
 start, and values, splits and plans inside the band are those of the full
 row, ties included.  The greedy feasibility test of Higashikawa, Golin &
 Katoh (TCS 2015) gives every lows[q] in one pass from the right end, run
-forwards on the mirrored path (``_band_lows``).  Work is O((n + the sum of
-the band widths)(log n + log c)); with a loose U the bands widen to the
-whole row and it stays O(k n (log n + log c)).
+forwards on the mirrored path (``_band_lows``).  Work is O(n + the sum of
+the band widths), amortized; with a loose U the bands widen to the whole
+row and it stays O(k n).
 
 A tracker maintains the rightmost optimal sink of its subpath: the one-sink
 time is max(theta_L, theta_R) with theta_L non-decreasing and theta_R
 non-increasing in the sink position, so advancing the sink while the next
 position is no worse (ties included) lands exactly on the rightmost minimizer,
-and appends/left-drops only ever push that minimizer further right.  Both
-trackers measure the next position from the side maxima without moving the
-sink, and commit only accepted moves.
+and appends/left-drops only ever push that minimizer further right.  The
+tracker measures the next position from the side maxima without moving the
+sink, and commits only accepted moves.
+
+Each side maximum is a sliding-window maximum of one fixed per-vertex key.
+All distances are integers, and for an integer L,
+ceil(W/c) + L = ceil((W + cL)/c), where ceil(./c) never falls as its
+argument grows.  So with P the prefix weights and X[z] = c tau x_z, the
+left side time at sink y of [j, i] is
+
+  ceil((max over z in [j, y-1] of KL[z], + X[y] - P[j]) / c) - 1,
+  KL[z] = P[z+1] - X[z],
+
+and the right side time is
+
+  ceil((max over z in [y+1, i] of KR[z], - X[y] + P[i+1]) / c) - 1,
+  KR[z] = X[z] - P[z];
+
+the simplified model is the same with c = 1 and no -1.  j, the sink and i
+only move right, so two monotone deques answer both maxima in O(1)
+amortized time, and a sink probe reads the right window without its front.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from heapq import heappop, heappush
 
-from .biheap import BiHeap
 from .evac import eval_all_sinks, require_scenario_length
 from .model import (
     CostModel,
@@ -102,35 +119,55 @@ def optimal_one_sink(
     return best, lo + times.index(best)
 
 
-class SubpathTracker:
-    """w(j, i) under append-right / drop-left updates, discrete cost model.
+def _tracker_keys(path, pw, cm):
+    """The fixed per-vertex lists and constants of a ``SubpathTracker`` of
+    ``path`` under prefix weights P = ``pw``: (x, c tau, KL, KR, c, d) with
+    X[z] = c tau x_z, KL[z] = P[z+1] - X[z] and KR[z] = X[z] - P[z], and the
+    capacity c and wave correction d of model ``cm`` (c = 1, d = 0 for the
+    simplified model)."""
+    discrete = cm == CostModel.DISCRETE
+    c = path.capacity if discrete else 1
+    ct = c * path.tau
+    kl = [p - ct * x for p, x in zip(pw[1:], path.coords)]
+    kr = [ct * x - p for x, p in zip(path.coords, pw)]
+    return path.coords, ct, kl, kr, c, 1 if discrete else 0
 
-    Keeps two Bi-Heaps over the instance's capacity: the left heap holds
-    (prefix weight W(j..t), distance) pairs for vertices t < sink, the right
-    heap (suffix weight W(t..i), distance) pairs for t > sink, so each side's
-    evacuation time is that side's max cost minus 1 (0 when empty).  ``pw``
-    is the scenario's prefix weights (``_prefix_weights``).  ``append`` and
-    ``drop_left`` return the new w(j, i).  A sink probe reads the side maxima
-    as they would be after the move, removing the next vertex's pair from
-    the right heap only when it is that heap's top; ``sink_moves`` counts
-    committed moves.  The DP uses it for capacity >= 2; ``_FastTracker``
-    covers unit capacity and the simplified model.  A tracker starts empty
-    at j = ``j0``.
+
+class SubpathTracker:
+    """w(j, i) under append-right / drop-left updates, in either cost model.
+
+    With P = ``pw`` (the scenario's prefix weights, ``_prefix_weights``) and
+    the keys of ``_tracker_keys``, the left and right side times at sink y
+    are
+
+      ceil((max KL[j..y-1] + X[y] - P[j]) / c) - d,
+      ceil((max KR[y+1..i] - X[y] + P[i+1]) / c) - d,
+
+    0 for an empty side (see the module docstring).  j, y and i only move
+    right, so both maxima are sliding-window maxima: ``left`` and ``right``
+    are monotone deques of the vertices of [j, y-1] and [y+1, i] whose keys
+    fall strictly from the front, the window's maximum.  ``append`` and
+    ``drop_left`` return the new w(j, i), in O(1) amortized time.  A sink
+    probe reads the right window without y+1, that is without its front
+    when the front is y+1, and commits only accepted moves; ``sink_moves``
+    counts them.  ``keys`` shares one ``_tracker_keys(inst, pw, cm)`` among
+    trackers of one path and scenario, and is computed when None; ``s`` is
+    the scenario that ``pw`` sums.  A tracker starts empty at j = ``j0``.
     """
 
-    def __init__(self, inst: PathInstance, s: Scenario, pw: list[int], j0: int = 0):
-        self.x = inst.coords
-        self.tau = inst.tau
-        self.c = inst.capacity
-        self.w = s.weights
+    __slots__ = ("pw", "x", "ct", "kl", "kr", "c", "d", "left", "right",
+                 "j", "i", "y", "sink_moves", "drops")
+
+    def __init__(self, inst: PathInstance, s: Scenario, pw: list[int],
+                 j0: int = 0, cm: str = CostModel.DISCRETE, keys=None):
         self.pw = pw
+        self.x, self.ct, self.kl, self.kr, self.c, self.d = (
+            keys or _tracker_keys(inst, pw, cm))
+        self.left: deque[int] = deque()
+        self.right: deque[int] = deque()
         self.j = j0
         self.i = j0 - 1
         self.y = j0
-        self.hl = BiHeap(self.c)
-        self.hr = BiHeap(self.c)
-        self.hl_handle: dict[int, int] = {}
-        self.hr_handle: dict[int, int] = {}
         self.sink_moves = 0
         self.drops = 0
 
@@ -138,10 +175,10 @@ class SubpathTracker:
         """Current w(j, i): best one-sink time of the tracked subpath."""
         if self.j > self.i:
             return 0
-        ml = self.hl.max_entry()
-        mr = self.hr.max_entry()
-        tl = ml[0] - 1 if ml is not None else 0
-        tr = mr[0] - 1 if mr is not None else 0
+        pw, c, d, cy = self.pw, self.c, self.d, self.ct * self.x[self.y]
+        left, right = self.left, self.right
+        tl = -((pw[self.j] - self.kl[left[0]] - cy) // c) - d if left else 0
+        tr = -((cy - self.kr[right[0]] - pw[self.i + 1]) // c) - d if right else 0
         return tl if tl >= tr else tr
 
     def append(self, v: int) -> int:
@@ -151,214 +188,84 @@ class SubpathTracker:
             self.y = v
             return 0
         self.i = v
-        self.hr.add_w(self.w[v])
-        self.hr_handle[v] = self.hr.insert(
-            self.w[v], (self.x[v] - self.x[self.y]) * self.tau
-        )
+        kr, right = self.kr, self.right
+        key = kr[v]
+        while right and kr[right[-1]] <= key:
+            right.pop()
+        right.append(v)
         return self._settle()
 
     def drop_left(self) -> int:
         """Shrink the subpath to [j+1, i]."""
         self.drops += 1
-        if self.j > self.i:
+        j = self.j
+        if j > self.i:
             raise RuntimeError("drop_left on an empty tracker")
-        if self.j == self.i:
-            self.j += 1
+        self.j = j + 1
+        if j == self.i:
             return 0
-        if self.y == self.j:
-            self._move_right()
-        self.hl.delete(self.hl_handle.pop(self.j))
-        self.hl.add_w(-self.w[self.j])
-        self.j += 1
+        if self.y == j:
+            # The sink leaves with j: it moves to j+1 and the left window
+            # stays empty.
+            self.y = j + 1
+            self.sink_moves += 1
+            if self.right[0] == j + 1:
+                self.right.popleft()
+        elif self.left[0] == j:
+            self.left.popleft()
         return self._settle()
-
-    def _move_right(self) -> None:
-        y = self.y
-        ell = (self.x[y + 1] - self.x[y]) * self.tau
-        self.hl.add_l(ell)
-        self.hl_handle[y] = self.hl.insert(self.pw[y + 1] - self.pw[self.j], ell)
-        # An accepted probe has already taken y+1's pair out if it was the top.
-        handle = self.hr_handle.pop(y + 1, None)
-        if handle is not None:
-            self.hr.delete(handle)
-        self.hr.add_l(-ell)
-        self.y = y + 1
-        self.sink_moves += 1
 
     def _settle(self) -> int:
-        cur = self.theta()
-        x, tau, c, pw = self.x, self.tau, self.c, self.pw
-        hl, hr, hr_handle = self.hl, self.hr, self.hr_handle
-        while self.y < self.i:
-            y = self.y
-            ell = (x[y + 1] - x[y]) * tau
-            # Left side if the sink moved to y+1: every pair's L grows by
-            # ell and vertex y joins with W(j..y) at distance ell.
-            tl = -(-(pw[y + 1] - pw[self.j]) // c) + ell
-            ml = hl.max_entry()
-            if ml is not None and ml[0] + ell > tl:
-                tl = ml[0] + ell
-            tl -= 1
-            # Right side if the sink moved: y+1's pair leaves, the rest's L
-            # shrinks by ell.  Only the top pair can change the maximum.
-            removed = None
-            mr = hr.max_entry()
-            if mr[1] == hr_handle[y + 1]:
-                hr.delete(hr_handle.pop(y + 1))
-                removed = mr
-                mr = hr.max_entry()
-            tr = mr[0] - ell - 1 if mr is not None else 0
-            nxt = tl if tl >= tr else tr
-            if nxt <= cur:
-                self._move_right()
-                cur = nxt
+        """Move the sink right while the next position is no worse and
+        return the new w(j, i)."""
+        pw, x, ct, kl, kr = self.pw, self.x, self.ct, self.kl, self.kr
+        c, d = self.c, self.d
+        left, right = self.left, self.right
+        y, i = self.y, self.i
+        pj, pi = pw[self.j], pw[i + 1]
+        # theta(), inlined: one call fewer per update
+        cy = ct * x[y]
+        tl = -((pj - kl[left[0]] - cy) // c) - d if left else 0
+        tr = -((cy - kr[right[0]] - pi) // c) - d if right else 0
+        cur = tl if tl >= tr else tr
+        moves = 0
+        while y < i:
+            # Left side if the sink moved to y+1: the window gains y.
+            key = kl[y]
+            ml = kl[left[0]] if left and kl[left[0]] > key else key
+            cy = ct * x[y + 1]
+            tl = -((pj - ml - cy) // c) - d
+            # Right side if the sink moved: the window loses y+1, which is
+            # its front exactly when its key is above every later key.
+            front = right[0]
+            if front != y + 1:
+                tr = -((cy - kr[front] - pi) // c) - d
+            elif len(right) > 1:
+                tr = -((cy - kr[right[1]] - pi) // c) - d
             else:
-                if removed is not None:
-                    hr_handle[y + 1] = hr.insert(pw[self.i + 1] - pw[y + 1], ell)
-                break
-        return cur
-
-
-class _FastTracker:
-    """Unit-capacity specialization: one lazy max-heap per side, O(1) probes.
-
-    With c == 1 a pair's cost is W + L, so AddW/AddL collapse into a single
-    side offset and a sink-move probe needs only the side maxima, computable
-    without committing the move.
-    """
-
-    __slots__ = (
-        "x", "tau", "w", "pw", "dadj", "j", "i", "y",
-        "sL", "sR", "hl", "hr", "aliveL", "aliveR",
-        "sink_moves", "drops",
-    )
-
-    def __init__(self, inst, s, discrete: bool, pw: list[int], j0: int = 0):
-        self.x = inst.coords
-        self.tau = inst.tau
-        self.w = s.weights
-        self.pw = pw
-        self.dadj = 1 if discrete else 0
-        self.j = j0
-        self.i = j0 - 1
-        self.y = j0
-        self.sL = 0
-        self.sR = 0
-        self.hl: list[tuple[int, int]] = []  # (sideoffset - cost, vertex)
-        self.hr: list[tuple[int, int]] = []
-        n1 = len(self.x)
-        self.aliveL = bytearray(n1)
-        self.aliveR = bytearray(n1)
-        self.sink_moves = 0
-        self.drops = 0
-
-    def theta(self) -> int:
-        if self.j > self.i:
-            return 0
-        hl = self.hl
-        al = self.aliveL
-        while hl and not al[hl[0][1]]:
-            heappop(hl)
-        hr = self.hr
-        ar = self.aliveR
-        while hr and not ar[hr[0][1]]:
-            heappop(hr)
-        tl = (self.sL - hl[0][0] - self.dadj) if hl else 0
-        tr = (self.sR - hr[0][0] - self.dadj) if hr else 0
-        return tl if tl >= tr else tr
-
-    def append(self, v: int) -> int:
-        if self.j > self.i:
-            self.i = v
-            self.y = v
-            return 0
-        self.i = v
-        self.sR += self.w[v]
-        cost = self.w[v] + (self.x[v] - self.x[self.y]) * self.tau
-        heappush(self.hr, (self.sR - cost, v))
-        self.aliveR[v] = 1
-        return self._settle()
-
-    def drop_left(self) -> int:
-        self.drops += 1
-        if self.j > self.i:
-            raise RuntimeError("drop_left on an empty tracker")
-        if self.j == self.i:
-            self.j += 1
-            return 0
-        if self.y == self.j:
-            self._move_right()
-        self.aliveL[self.j] = 0
-        self.sL -= self.w[self.j]
-        self.j += 1
-        return self._settle()
-
-    def _move_right(self) -> None:
-        x = self.x
-        y = self.y
-        ell = (x[y + 1] - x[y]) * self.tau
-        self.sL += ell
-        cost = self.pw[y + 1] - self.pw[self.j] + ell
-        heappush(self.hl, (self.sL - cost, y))
-        self.aliveL[y] = 1
-        self.aliveR[y + 1] = 0
-        self.sR -= ell
-        self.y = y + 1
-        self.sink_moves += 1
-
-    def _settle(self) -> int:
-        cur = self.theta()
-        x = self.x
-        tau = self.tau
-        pw = self.pw
-        dadj = self.dadj
-        while self.y < self.i:
-            y = self.y
-            ell = (x[y + 1] - x[y]) * tau
-            # Left side if the sink moved to y+1: all current items shift by
-            # +ell and vertex y joins at cost W(j..y) + ell.
-            hl = self.hl
-            al = self.aliveL
-            while hl and not al[hl[0][1]]:
-                heappop(hl)
-            lmax = pw[y + 1] - pw[self.j] + ell
-            if hl:
-                v = self.sL - hl[0][0] + ell
-                if v > lmax:
-                    lmax = v
-            tl = lmax - dadj
-            # Right side if the sink moved: vertex y+1 leaves, rest shift -ell.
-            hr = self.hr
-            ar = self.aliveR
-            while hr and not ar[hr[0][1]]:
-                heappop(hr)
-            popped = None
-            if hr and hr[0][1] == y + 1:
-                popped = heappop(hr)
-                while hr and not ar[hr[0][1]]:
-                    heappop(hr)
-            tr = (self.sR - hr[0][0] - ell - dadj) if hr else 0
+                tr = 0
             nxt = tl if tl >= tr else tr
-            if nxt <= cur:
-                # The move marks y+1 dead, so a popped entry stays out.
-                self._move_right()
-                cur = nxt
-            else:
-                if popped is not None:
-                    heappush(hr, popped)
+            if nxt > cur:
                 break
+            while left and kl[left[-1]] <= key:
+                left.pop()
+            left.append(y)
+            if front == y + 1:
+                right.popleft()
+            y += 1
+            moves += 1
+            cur = nxt
+        self.y = y
+        self.sink_moves += moves
         return cur
 
 
 def _trackers(path, scenario, cm):
-    """``new(j0)``: a fresh tracker of ``path`` under ``scenario`` that
-    starts empty at j = j0; the BiHeap tracker serves the discrete model
-    with capacity >= 2, ``_FastTracker`` the rest."""
+    """``new(j0)``: a fresh ``SubpathTracker`` of ``path`` under
+    ``scenario`` that starts empty at j = j0; all share one set of keys."""
     pw = _prefix_weights(scenario)
-    if cm == CostModel.SIMPLIFIED or path.capacity == 1:
-        discrete = cm == CostModel.DISCRETE
-        return lambda j0: _FastTracker(path, scenario, discrete, pw, j0)
-    return lambda j0: SubpathTracker(path, scenario, pw, j0)
+    keys = _tracker_keys(path, pw, cm)
+    return lambda j0: SubpathTracker(path, scenario, pw, j0, cm, keys)
 
 
 def _equal_parts_bound(inst, s, k, cm) -> int:
@@ -398,7 +305,7 @@ def _split_row(tprev, row, n, bound=float("inf"), lo=0):
 
     ``tprev[j]`` is T(q-1, j), non-decreasing in j and read for j < n.
     ``row`` tracks w(j, i) from its start j = ``row.j`` under ``append(i)``
-    and ``drop_left()``, which return the new w(j, i), like the trackers
+    and ``drop_left()``, which return the new w(j, i), like the tracker
     above.  The row takes vertices ``row.j`` .. ``lo`` - 1 without a value,
     so its values start at i = ``lo``; the start must be at or left of the
     rightmost optimal split of T(q, lo).  The row stops at its first value
@@ -537,9 +444,9 @@ def solve_optimal_k_sink(
     """Optimal k-sink plan for a fixed scenario.
 
     Each DP row scans only its band, the positions a plan within the
-    equal-parts bound can use (see the module docstring): O((n + the sum of
-    the band widths)(log n + log c)) plus one greedy pass over the mirrored
-    path, and O(k n (log n + log c)) at worst.  ``counters`` holds each
+    equal-parts bound can use (see the module docstring): O(n + the sum of
+    the band widths) amortized, plus one greedy pass over the mirrored path,
+    and O(k n) at worst.  ``counters`` holds each
     row's start j0 (``row_starts``), its committed split advances from
     there (``j_increments_per_row``) and the DP trackers' committed sink
     moves (``sink_moves``; the greedy pass's are not counted).

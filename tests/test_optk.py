@@ -7,7 +7,7 @@ import random
 import numpy as np
 import pytest
 
-from pathevac.evac import eval_all_sinks, eval_one_sink
+from pathevac.evac import eval_all_sinks, eval_one_sink, eval_plan
 from pathevac.model import (
     CostModel,
     InvalidInstanceError,
@@ -19,7 +19,6 @@ from pathevac.optk import (
     SubpathTracker,
     _band_lows,
     _equal_parts_bound,
-    _FastTracker,
     _MatrixRow,
     _MirrorPath,
     _plan_from_splits,
@@ -81,7 +80,8 @@ def test_k_accepts_numpy_integers():
     assert solve_optimal_k_sink(UNIT, UNIT_S, np.int64(2)) == want
 
 
-# Large capacities spread BiHeap labels over deeper label trees.
+# Capacities from unit to far above a part's weight, where the side times'
+# ceilings round whole runs of vertices alike.
 CAPACITY_SETS = (((1, 2, 3), 0), ((7, 16, 1000), 100))
 
 
@@ -130,49 +130,113 @@ def test_value_non_increasing_in_k():
             assert values[-1] == 0  # one sink per vertex
 
 
-def _biheap_tracker(inst, s, cm):
-    return SubpathTracker(inst, s, _prefix_weights(s))
-
-
-def _fast_tracker(inst, s, cm):
-    return _FastTracker(inst, s, cm == CostModel.DISCRETE, _prefix_weights(s))
-
-
-@pytest.mark.parametrize("make", [_biheap_tracker, _fast_tracker],
-                         ids=["SubpathTracker", "_FastTracker"])
-def test_tracker_window_matches_direct_eval(make):
-    # The BiHeap tracker serves the discrete model at any capacity; the fast
-    # tracker ignores capacity, so it needs no capacity spread.
-    biheap = make is _biheap_tracker
-    sets = CAPACITY_SETS if biheap else CAPACITY_SETS[:1]
-    for capacities, seed_shift in sets:
-        rng = random.Random(24 + seed_shift)
-        for _ in range(40):
-            inst = rand_instance(rng, rng.randint(1, 10), capacities=capacities)
+# One tracker serves both cost models.  The ids keep the names of the two
+# trackers it replaced: the BiHeap-based ``SubpathTracker`` served the discrete
+# model, ``_FastTracker`` the simplified one.
+@pytest.mark.parametrize(
+    "cm",
+    [pytest.param(CostModel.DISCRETE, id="SubpathTracker"),
+     pytest.param(CostModel.SIMPLIFIED, id="_FastTracker")],
+)
+def test_tracker_window_matches_direct_eval(cm):
+    """The tracker serves every capacity under the cost model cm.  After every
+    append and drop_left, in random interleavings that empty and refill the
+    subpath, theta() is its best one-sink time and y its rightmost optimal
+    sink."""
+    for capacities, seed_shift in CAPACITY_SETS:
+        rng = random.Random(24 + seed_shift + (cm == CostModel.SIMPLIFIED))
+        for trial in range(120):
+            n = rng.randint(1, 12)
+            if trial % 3 == 0:
+                # few distinct weights and gaps, so that ties are common
+                inst = rand_instance(rng, n, w_max=2, gap_max=1,
+                                     capacities=capacities, taus=(1, 2, 3))
+            else:
+                inst = rand_instance(rng, n, capacities=capacities, taus=(1, 2, 3))
+            if trial % 4 == 1:
+                # negative coordinates make negative keys
+                shift = rng.randint(1, 10**6)
+                inst = PathInstance(tuple(x - shift for x in inst.coords),
+                                    inst.wminus, inst.wplus,
+                                    capacity=inst.capacity, tau=inst.tau)
             s = rand_scenario(rng, inst)
-            cm = CostModel.DISCRETE
-            if not biheap:
-                cm = rng.choice([CostModel.DISCRETE, CostModel.SIMPLIFIED])
-                if cm == CostModel.DISCRETE:
-                    # the fast tracker's discrete model is the unit-capacity one
-                    inst = PathInstance(inst.coords, inst.wminus, inst.wplus,
-                                        tau=inst.tau)
-            tr = make(inst, s, cm)
-            n = inst.n
-
-            def check(got, lo, hi, what):
-                want, _ = optimal_one_sink(inst, s, lo, hi, cm)
-                assert got == tr.theta() == want, (what, inst, s, cm, lo, hi)
+            # grow-then-shrink on every fifth trial, random mixes otherwise
+            p_append = 1.0 if trial % 5 == 0 else rng.choice((0.4, 0.6, 0.8))
+            start = j = rng.randint(0, n) if trial % 5 else 0
+            i = j - 1
+            tr = SubpathTracker(inst, s, _prefix_weights(s), j, cm)
+            while i < n or j <= i:
+                if i < n and (j > i or rng.random() < p_append):
+                    i += 1
+                    got, what = tr.append(i), "append"
+                else:
+                    j += 1
+                    got, what = tr.drop_left(), "drop_left"
+                if j > i:
+                    assert got == tr.theta() == 0, (what, inst, s, cm, j, i)
+                    continue
+                times = eval_all_sinks(inst, s, j, i, cm)
+                want = min(times)
+                assert got == tr.theta() == want, (what, inst, s, cm, j, i)
                 # the sink probes advance on ties: rightmost optimal sink
-                times = eval_all_sinks(inst, s, lo, hi, cm)
-                rightmost = hi - times[::-1].index(want)
-                assert tr.y == rightmost, (what, inst, s, cm, lo, hi)
+                rightmost = i - times[::-1].index(want)
+                assert tr.y == rightmost, (what, inst, s, cm, j, i)
+            assert tr.drops == n + 1 - start
 
-            # grow to the full path, then shrink from the left
-            for i in range(n + 1):
-                check(tr.append(i), 0, i, "grow")
-            for j in range(n):
-                check(tr.drop_left(), j + 1, n, "shrink")
+
+def _greedy_covers(inst, s, k, cm, limit):
+    """Do k parts, each of one-sink time at most ``limit``, cover the path?
+    Each part grows as far right as ``optimal_one_sink`` allows, found by
+    galloping and then bisection: no tracker is involved."""
+    if limit < 0:
+        return False
+    n = inst.n
+
+    def fits(lo, hi):
+        return optimal_one_sink(inst, s, lo, hi, cm)[0] <= limit
+
+    lo = 0
+    for _ in range(k):
+        good, bad, step = lo, n + 1, 1
+        while good < n:
+            probe = min(n, good + step)
+            if not fits(lo, probe):
+                bad = probe
+                break
+            good, step = probe, 2 * step
+        while bad - good > 1:
+            mid = (good + bad) // 2
+            if fits(lo, mid):
+                good = mid
+            else:
+                bad = mid
+        lo = good + 1
+        if lo > n:
+            return True
+    return False
+
+
+@pytest.mark.parametrize("cm", [CostModel.DISCRETE, CostModel.SIMPLIFIED])
+def test_value_is_the_greedy_threshold_above_brute_force_sizes(cm):
+    """At n = 200..2000 the DP's value T is the least time at which k greedy
+    parts cover the path, and its plan evaluates to T."""
+    rng = random.Random(32)
+    sizes = ((200, 2), (2000, 3), (500, 16), (1000, 1000),
+             (300, 1000), (800, 2), (1500, 16), (400, 3))
+    for trial, (n, c) in enumerate(sizes):
+        if trial % 2 == 0:
+            # few distinct weights and gaps, so that ties are common
+            inst = rand_instance(rng, n, w_max=2, gap_max=1, capacities=(c,),
+                                 taus=(1, 2, 3))
+        else:
+            inst = rand_instance(rng, n, w_max=100, capacities=(c,),
+                                 taus=(1, 2, 3))
+        s = rand_scenario(rng, inst)
+        k = rng.randint(2, 12)
+        res = solve_optimal_k_sink(inst, s, k, cm)
+        assert eval_plan(inst, s, res.plan, cm)[0] == res.value, (n, c, k)
+        assert _greedy_covers(inst, s, k, cm, res.value), (n, c, k)
+        assert not _greedy_covers(inst, s, k, cm, res.value - 1), (n, c, k)
 
 
 def _two_tracker_reference(inst, s, k, cm):
@@ -181,12 +245,9 @@ def _two_tracker_reference(inst, s, k, cm):
     sink moves)."""
     n = inst.n
     pw = _prefix_weights(s)
-    fast = cm == CostModel.SIMPLIFIED or inst.capacity == 1
 
     def new_tracker():
-        if fast:
-            return _FastTracker(inst, s, cm == CostModel.DISCRETE, pw)
-        return SubpathTracker(inst, s, pw)
+        return SubpathTracker(inst, s, pw, cm=cm)
 
     ta = new_tracker()
     tprev = []

@@ -43,7 +43,7 @@ def test_tracer_installs_and_harvests_biheap_counters(monkeypatch):
 def test_tracer_counts_equal_solver_counters(monkeypatch):
     """The counters the tracer harvests from a traced minmax DP and a traced
     c=3 discrete k-sink DP equal the counters those results carry, so a
-    renamed counter key fails here."""
+    renamed counter key fails here; the k-sink DP makes no BiHeap work."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     layers = importlib.import_module("layers")
     minmax = importlib.import_module("pathevac.minmax")
@@ -66,6 +66,8 @@ def test_tracer_counts_equal_solver_counters(monkeypatch):
         assert tracer.stats["optk"][0] == 1
         assert tracer.counts["optk.j_increments"] == sum(res.counters["j_increments_per_row"]) > 0
         assert tracer.counts["optk.sink_moves"] == res.counters["sink_moves"] > 0
-        assert tracer.counts["biheap.tree_nodes_touched"] > 0
+        # the k-sink DP keeps sliding-window maxima and builds no BiHeap
+        assert tracer.stats["biheap"][0] == 0
+        assert tracer.counts["biheap.tree_nodes_touched"] == 0
     finally:
         tracer.uninstall()
