@@ -61,8 +61,11 @@ print(f"candidate {tuple(d)} realizes to weights {s.weights}")
 
 k = 3
 cache = build_scenario_opt_cache(inst, k)  # batch engine over all candidates
-# values[t1, t2] holds the optimum of candidate (t1, t2), for t1 <= t2
-v = cache.values[t1s, t2s]
+# The cache keeps its optima in a keyed store; ``values`` builds a dense
+# read-only matrix from it on each read, holding the optimum of candidate
+# (t1, t2) at [t1, t2] for t1 <= t2.  Read it once.
+opt = cache.values
+v = opt[t1s, t2s]
 print(f"\noptimal {k}-sink time per candidate: min {int(v.min())}, max {int(v.max())}")
 
 # --- regret of one concrete plan -----------------------------------------------------
@@ -71,7 +74,7 @@ plan = Plan(boundaries=(4, 9, n), sinks=(2, 7, 11))
 r = regret_of_plan(inst, plan, s)  # the plan's time minus a fresh k-sink optimum
 print(f"\nplan parts {plan.parts()}, sinks {plan.sinks}")
 print(f"regret under candidate {tuple(d)}: {r}")
-assert r == eval_plan(inst, s, plan, CostModel.SIMPLIFIED)[0] - cache.values[d.t1, d.t2]
+assert r == eval_plan(inst, s, plan, CostModel.SIMPLIFIED)[0] - opt[d.t1, d.t2]
 
 value, witness = max_regret_of_plan(inst, plan, cache)
 print(f"worst-case regret {value}, attained by candidate {tuple(witness)}")
@@ -90,7 +93,7 @@ tables = build_lookup_tables(inst, cache)
 t_sink = 6
 worst_left = max(
     eval_side(inst, realize_scenario(inst, ScenarioDescriptor(0, m)), 0, t_sink,
-              t_sink, Side.LEFT, CostModel.SIMPLIFIED).time - cache.values[0, m]
+              t_sink, Side.LEFT, CostModel.SIMPLIFIED).time - opt[0, m]
     for m in range(t_sink + 1)
 )
 print(f"\nA[0, {t_sink}] = {int(tables.A[0, t_sink])}")
@@ -103,7 +106,7 @@ r_end = 9
 worst_right = max(
     eval_side(inst, realize_scenario(inst, ScenarioDescriptor(m, r_end + 1)), t_sink,
               r_end, t_sink, Side.RIGHT, CostModel.SIMPLIFIED).time
-    - cache.values[m, r_end + 1]
+    - opt[m, r_end + 1]
     for m in range(t_sink + 1, r_end + 2)
 )
 print(f"C[{t_sink}, {r_end}] = {int(tables.C[t_sink, r_end])}")

@@ -9,7 +9,11 @@ Main pieces:
 
 * :class:`ScenarioOptCache` / :func:`build_scenario_opt_cache` — optimal
   k-sink times for candidate scenarios, backed either by the vectorized
-  batch engine or by the per-scenario dynamic program.
+  batch engine or by the per-scenario dynamic program.  The optima are
+  kept in a keyed store, sorted descriptor keys with their values, so a
+  cache holds only the lanes it was asked for or an audit fixed; its
+  ``values`` is a dense O(n^2) read-only view, built on each read for the
+  readers of a complete fill.
 * :func:`regret_of_plan` / :func:`max_regret_of_plan` — regret of a plan
   under one scenario (optimum from the fixed-scenario DP), and its worst
   case over all candidate scenarios (plan times from the batch engine's
@@ -89,8 +93,14 @@ class ScenarioOptCache:
     """Optimal k-sink times (simplified model), indexed by scenario descriptor.
 
     :meth:`ensure` computes the still-missing values of a batch of
-    descriptors and :meth:`complete` those of all of them; ``values`` is the
-    dense ``(n+2) x (n+2)`` int64 matrix that holds each at ``[t1, t2]``.
+    descriptors and :meth:`complete` those of all of them.  The optima are
+    held in a keyed store: the sorted int64 keys t1 (n + 2) + t2 of the
+    descriptors held and their optima, one array each, so a cache costs
+    memory for the lanes it holds and no more.  ``values`` is the dense
+    ``(n+2) x (n+2)`` int64 matrix holding each optimum at ``[t1, t2]`` and
+    ``_UNSET`` elsewhere, built from the store on every read: O(n^2) time and
+    memory, for complete-fill readers.  It is read-only, as a write to it
+    would not reach the store.
 
     ``engine="batch"`` uses the vectorized all-scenario solver;
     ``engine="reference"`` runs the per-scenario dynamic program instead,
@@ -110,8 +120,8 @@ class ScenarioOptCache:
         self.inst = inst
         self.k = k
         self.engine = engine
-        n = inst.n
-        self.values = np.full((n + 2, n + 2), _UNSET, dtype=np.int64)
+        self._keys = np.empty(0, dtype=np.int64)
+        self._opts = np.empty(0, dtype=np.int64)
         self._batch: Optional[ScenarioBatchEngine] = None
 
     # -- internals ----------------------------------------------------------
@@ -136,7 +146,41 @@ class ScenarioOptCache:
             out[idx] = res.value
         return out
 
+    def _get(self, keys: np.ndarray) -> np.ndarray:
+        """The optima held at the descriptor keys, ``_UNSET`` where none is."""
+        import numpy as np
+
+        held = self._keys
+        if not held.size:
+            return np.full(keys.shape, _UNSET, dtype=np.int64)
+        at = np.minimum(np.searchsorted(held, keys), held.size - 1)
+        return np.where(held[at] == keys, self._opts[at], _UNSET)
+
+    def _put(self, keys: np.ndarray, opts: np.ndarray) -> None:
+        """Hold ``opts`` at ``keys``: sorted, distinct and not held yet."""
+        import numpy as np
+
+        if not self._keys.size:
+            self._keys, self._opts = keys, opts
+        elif keys.size:
+            at = np.searchsorted(self._keys, keys)
+            self._keys = np.insert(self._keys, at, keys)
+            self._opts = np.insert(self._opts, at, opts)
+
     # -- public API -----------------------------------------------------------
+
+    @property
+    def values(self) -> np.ndarray:
+        """The held optima as a read-only dense ``(n+2) x (n+2)`` matrix,
+        ``_UNSET`` where none is held (a new O(n^2) array per read)."""
+        import numpy as np
+
+        size = self.inst.n + 2
+        dense = np.full(size * size, _UNSET, dtype=np.int64)
+        dense[self._keys] = self._opts
+        dense = dense.reshape(size, size)
+        dense.flags.writeable = False
+        return dense
 
     def ensure(self, t1s, t2s) -> None:
         """Compute any still-missing entries among the descriptors
@@ -148,12 +192,13 @@ class ScenarioOptCache:
 
         n = self.inst.n
         t1a, t2a = descriptor_arrays(t1s, t2s, n)
-        missing = self.values[t1a, t2a] == _UNSET
-        if not np.any(missing):
-            return
         # Deduplicate so each lane is solved once.
-        u1, u2 = np.divmod(distinct_keys(t1a[missing], t2a[missing], n), n + 2)
-        self.values[u1, u2] = self._compute(u1, u2)
+        keys = distinct_keys(t1a, t2a, n)
+        keys = keys[self._get(keys) == _UNSET]
+        if not keys.size:
+            return
+        u1, u2 = np.divmod(keys, n + 2)
+        self._put(keys, self._compute(u1, u2))
 
     def complete(self) -> None:
         """Fill every valid descriptor (all t1 <= t2)."""
@@ -229,7 +274,8 @@ def max_regret_of_plan(
     it would beat L; so value and witness equal those of solving every
     candidate.  The cache afterwards holds only the optima the search
     fixed exactly, the candidates whose bracket closed (plus what it held
-    before).
+    before), merged into its keyed store: an audit allocates nothing of
+    size (n+2)^2.
 
     An ``engine="reference"`` cache keeps its optima independent of the
     greedy search: every candidate is solved through ``cache.ensure`` by
@@ -257,14 +303,14 @@ def max_regret_of_plan(
     for (l, r), y in zip(plan.parts(), plan.sinks):
         time = np.maximum(time, eng.theta_l(l, y, t1, t2))
         time = np.maximum(time, eng.theta_r(y, r, t1, t2))
-    v = cache.values
+    keys = t1 * np.int64(inst.n + 2) + t2
     if cache.engine == "reference":
         cache.ensure(t1, t2)
-        regret = time - v[t1, t2]
+        regret = time - cache._get(keys)
         best = int(np.argmax(regret))
         return int(regret[best]), cands[best][1]
     lo, hi = eng._plan_bounds(cache.k, t1, t2)
-    held = v[t1, t2]
+    held = cache._get(keys)
     lo, hi = (np.where(held == _UNSET, b, held) for b in (lo, hi))
     # The top level's bracket is at most min(d_in, d_out) wide: take it only
     # where that narrows the typical plan bracket.
@@ -273,8 +319,13 @@ def max_regret_of_plan(
         top_lo, top_hi = eng._top_level(cache.k, t1, t2)
         lo, hi = np.maximum(lo, top_lo), np.minimum(hi, top_hi)
     value, best = eng._max_regret(cache.k, t1, t2, time, lo, hi)
-    exact = lo == hi
-    v[t1[exact], t2[exact]] = lo[exact]
+    # Store the optima fixed here, once per lane (parts share their end
+    # lanes): sorted by key, first of each run of equal keys.
+    fixed = (lo == hi) & (held == _UNSET)
+    order = np.argsort(keys[fixed], kind="stable")
+    new, opts = keys[fixed][order], lo[fixed][order]
+    first = np.diff(new, prepend=-1) > 0
+    cache._put(new[first], opts[first])
     return value, cands[best][1]
 
 
@@ -321,10 +372,11 @@ class EvacLookupTables:
 def build_lookup_tables(inst: PathInstance, cache: ScenarioOptCache) -> EvacLookupTables:
     """Build :class:`EvacLookupTables` from a scenario-optimum cache.
 
-    Completes the cache, then fills each row of ``A`` and each column of
-    ``C`` with two running maxima (``np.maximum.accumulate``) over the
-    static profile arrays behind the batch engine's range maxima: O(n^2)
-    work in O(n) numpy calls, with O(n) extra memory.
+    Completes the cache and reads its dense ``values`` once, then fills
+    each row of ``A`` and each column of ``C`` with two running maxima
+    (``np.maximum.accumulate``) over the static profile arrays behind the
+    batch engine's range maxima: O(n^2) work in O(n) numpy calls, with
+    O(n) extra memory besides ``values`` and the tables.
 
     Write v for the cache values, xt = x*tau, pm0 and dp0 for the prefix
     sums of w- and of w+ - w- (pm0[z] and dp0[z] sum vertices below z), and

@@ -172,6 +172,48 @@ def test_verify_max_regret_above_candidate_threshold(tmp_path, capsys):
     assert capsys.readouterr().out == "FAIL: plan has max regret 3757, file claims 3758\n"
 
 
+def test_verify_max_regret_at_ten_thousand(tmp_path, capsys):
+    """``verify`` of a k = 5 ``max_regret`` plan at n = 10^4 passes on the
+    audit's value and fails on that value plus 1, with no (n+2)^2 array:
+    its traced peak stays far below the dense int64 matrix's 763 MiB."""
+    import random
+    import tracemalloc
+
+    from pathevac.model import Plan, load_instance, save_plan
+    from pathevac.regret import max_regret_of_plan
+
+    n = 10_000
+    inst_path = str(tmp_path / "big.json")
+    assert run_cli("gen", "--n", str(n), "--coord-max", str(10 * n),
+                   "--seed", "3", "-o", inst_path) == 0
+    rng = random.Random(26)
+    ends = sorted(rng.sample(range(n), 4)) + [n]
+    sinks, lo = [], 0
+    for e in ends:
+        sinks.append(rng.randint(lo, e))
+        lo = e + 1
+    plan = Plan(tuple(ends), tuple(sinks))
+    value, witness = max_regret_of_plan(load_instance(inst_path), plan)
+    for objective, rc in ((value, 0), (value + 1, 1)):
+        plan_path = str(tmp_path / f"plan{rc}.json")
+        save_plan(plan, objective, "max_regret", plan_path)
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            assert run_cli("verify", inst_path, plan_path) == rc
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20, peak / 2**20
+        out = capsys.readouterr().out
+        if rc == 0:
+            assert out == (
+                f"PASS: max regret {value} matches (witness scenario "
+                f"({witness.t1}, {witness.t2}); instance too large for brute-force check)\n")
+        else:
+            assert out == f"FAIL: plan has max regret {value}, file claims {value + 1}\n"
+
+
 def test_invalid_instance_reports_violations(tmp_path):
     bad_path = str(tmp_path / "bad.json")
     obj = {

@@ -243,8 +243,9 @@ def test_brackets_hold_every_lane():
         k = rng.randint(1, min(4, n + 1))
         ref = build_scenario_opt_cache(inst, k, engine="reference")
         t1, t2 = (a.astype(np.int64) for a in np.triu_indices(n + 2))
-        lo, hi = ScenarioBatchEngine(inst)._brackets(t1, t2, lambda a1, a2: ref.values[a1, a2])
-        v = ref.values[t1, t2]
+        opt = ref.values
+        lo, hi = ScenarioBatchEngine(inst)._brackets(t1, t2, lambda a1, a2: opt[a1, a2])
+        v = opt[t1, t2]
         assert np.all(lo <= v) and np.all(v <= hi), (inst, k)
         if it % 2:
             assert np.array_equal(lo, hi), (inst, k)
@@ -496,6 +497,67 @@ def test_cache_lazy_fill_and_ensure():
         cache.ensure([0], [5])
     with pytest.raises(ValueError):
         build_scenario_opt_cache(inst, 9)
+
+
+def _count_computes(monkeypatch):
+    """Record the lanes of every ``ScenarioOptCache._compute`` call."""
+    calls = []
+    compute = ScenarioOptCache._compute
+
+    def recording(cache, t1a, t2a):
+        calls.append(list(zip(t1a.tolist(), t2a.tolist())))
+        return compute(cache, t1a, t2a)
+
+    monkeypatch.setattr(ScenarioOptCache, "_compute", recording)
+    return calls
+
+
+def test_cache_ensure_solves_each_missing_lane_once(monkeypatch):
+    """``ensure`` solves the distinct lanes it does not hold, in one
+    ``_compute`` call in key order; a repeated ``ensure`` of held lanes
+    solves nothing, and every held optimum equals the reference engine's."""
+    calls = _count_computes(monkeypatch)
+    rng = random.Random(71)
+    for engine in ("batch", "reference"):
+        for _ in range(6):
+            n = rng.randint(0, 12)
+            inst = mk_interval(rng, n)
+            k = rng.randint(1, n + 1)
+            want = build_scenario_opt_cache(inst, k, engine="reference").values
+            cache = ScenarioOptCache(inst, k, engine=engine)
+            t1, t2 = np.triu_indices(n + 2)
+            lanes = [(int(a), int(b)) for a, b in zip(t1, t2) if rng.random() < 0.5]
+            first = rng.sample(lanes, len(lanes) // 2)
+            for batch in (first, lanes, lanes[::-1] + first):
+                calls.clear()
+                # duplicated and unsorted descriptors
+                asked = batch + batch[: len(batch) // 3]
+                rng.shuffle(asked)
+                held = cache.values != _UNSET
+                cache.ensure([a for a, _ in asked], [b for _, b in asked])
+                missing = sorted({(a, b) for a, b in asked if not held[a, b]})
+                assert calls == ([missing] if missing else []), (engine, inst, k)
+            v = cache.values
+            assert np.count_nonzero(v != _UNSET) == len(set(lanes))
+            for a, b in lanes:
+                assert v[a, b] == want[a, b], (engine, inst, k, a, b)
+
+
+def test_cache_values_is_a_read_only_view():
+    """A write into ``values`` raises instead of being lost, and a complete
+    cache's ``values`` is its whole triangle."""
+    rng = random.Random(72)
+    inst = mk_interval(rng, 6)
+    cache = build_scenario_opt_cache(inst, 2)
+    v = cache.values
+    with pytest.raises(ValueError):
+        v[0, 1] = 5
+    with pytest.raises(ValueError):
+        cache.values[:] = 0
+    assert np.array_equal(cache.values, v)
+    t1, t2 = np.triu_indices(inst.n + 2)
+    assert np.all(v[t1, t2] != _UNSET)
+    assert np.count_nonzero(v != _UNSET) == t1.size
 
 
 @pytest.mark.parametrize("k", [True, 2.0, "2", None], ids=repr)
@@ -846,10 +908,11 @@ def _max_regret_per_candidate(inst, plan, cache):
     best = witness = None
     cands = [d for _part, d in enumerate_partition_candidates(inst, plan.boundaries)]
     cache.ensure([d.t1 for d in cands], [d.t2 for d in cands])
+    v = cache.values
     for d in cands:
         s = realize_scenario(inst, d)
         time, _ = eval_plan(inst, s, plan, CostModel.SIMPLIFIED)
-        reg = time - int(cache.values[d.t1, d.t2])
+        reg = time - int(v[d.t1, d.t2])
         if best is None or reg > best:
             best, witness = reg, d
     return best, witness
@@ -939,10 +1002,85 @@ def test_pruned_max_regret_on_reference_cache_bisects_nothing(monkeypatch):
         want = _max_regret_per_candidate(
             inst, plan, build_scenario_opt_cache(inst, k, engine="reference", fill="lazy"))
         assert got == want, (inst, plan)
+        v = cache.values
         for _part, d in enumerate_partition_candidates(inst, plan.boundaries):
             opt = solve_optimal_k_sink(inst, realize_scenario(inst, d), k,
                                        CostModel.SIMPLIFIED).value
-            assert cache.values[d.t1, d.t2] == opt, (inst, plan, d)
+            assert v[d.t1, d.t2] == opt, (inst, plan, d)
+
+
+def test_audit_stores_exactly_the_closed_brackets(monkeypatch):
+    """After a batch audit the cache holds exactly the candidates whose
+    bracket closed, each at its optimum, besides what it held before; a
+    second audit on the same cache returns the identical (value, witness).
+    A reference audit leaves every candidate, and nothing else, held."""
+    closed = []
+    search = ScenarioBatchEngine._max_regret
+
+    def recording(eng, k, t1, t2, time, lo, hi):
+        out = search(eng, k, t1, t2, time, lo, hi)
+        closed.append({(int(a), int(b)) for a, b in zip(t1[lo == hi], t2[lo == hi])})
+        return out
+
+    monkeypatch.setattr(ScenarioBatchEngine, "_max_regret", recording)
+    rng = random.Random(73)
+    for trial in range(60):
+        n = rng.randint(0, 40)
+        inst = mk_interval(rng, n)
+        k = (1, 2, n + 1, rng.randint(1, n + 1))[trial % 4]
+        plan = rand_plan(rng, inst, k)
+        cands = {(d.t1, d.t2) for _part, d in enumerate_partition_candidates(inst, plan.boundaries)}
+        t1, t2 = np.triu_indices(n + 2)
+        before = {(int(a), int(b)) for a, b in zip(t1, t2) if rng.random() < 0.1}
+        ref = build_scenario_opt_cache(inst, k, engine="reference", fill="lazy")
+        want = max_regret_of_plan(inst, plan, ref)
+        assert _held(ref) == cands, (inst, plan)
+        ref.ensure([a for a, _ in before], [b for _, b in before])
+        opt = ref.values
+
+        cache = build_scenario_opt_cache(inst, k, fill="lazy")
+        cache.ensure([a for a, _ in before], [b for _, b in before])
+        closed.clear()
+        got = max_regret_of_plan(inst, plan, cache)
+        assert got == want, (inst, plan)
+        held = _held(cache)
+        assert held == before | closed[0], (inst, plan)
+        assert closed[0] <= cands
+        v = cache.values
+        for a, b in held:
+            assert v[a, b] == opt[a, b], (inst, plan, a, b)
+        assert max_regret_of_plan(inst, plan, cache) == got, (inst, plan)
+
+
+def _held(cache):
+    """The descriptors whose optimum the cache holds."""
+    return set(zip(*(x.tolist() for x in np.nonzero(cache.values != _UNSET))))
+
+
+def test_audit_at_scale_allocates_no_dense_matrix():
+    """One audit at n = 5000, k = 5 on criterion 7's interval shape peaks
+    under 32 MiB of traced allocations (numpy's included); the dense
+    (n+2)^2 int64 matrix alone would be 191 MiB.  The witness's regret,
+    from the fixed-scenario DP, is the value."""
+    import tracemalloc
+
+    rng = random.Random(74)
+    n = 5000
+    coords = [0]
+    for _ in range(n):
+        coords.append(coords[-1] + rng.randint(1, 10))
+    wminus = [rng.randint(1, 50) for _ in range(n + 1)]
+    wplus = [lo + rng.randint(0, 50) for lo in wminus]
+    inst = PathInstance(tuple(coords), tuple(wminus), tuple(wplus), capacity=1, tau=2)
+    plan = rand_plan(rng, inst, 5)
+    tracemalloc.start()
+    try:
+        value, witness = max_regret_of_plan(inst, plan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20, peak / 2**20
+    assert regret_of_plan(inst, plan, realize_scenario(inst, witness)) == value
 
 
 def _plan_times(eng, plan, t1, t2):
