@@ -35,18 +35,16 @@ static arrays.
   each inner search of the next probe runs between them, for as many rounds
   as its widest bracket has bits.  Terms fixed for a lane or for a part are
   computed once per probe, not once per round.
-* **Brackets (fills).**  ``solve`` bisects each lane from one of three
-  brackets, chosen by the lane count: [0, ``_upper``] for at most n + 1
-  lanes, where the top level's two DP solves cost more than the probes
-  they save; below ``_ANCHOR_MIN_LANES`` lanes ``_top_level``'s, from the
-  optima of the all-lower and the all-upper window, which the
-  fixed-scenario DP gives once per k and one probe of the greedy
-  certifies; from there on ``_brackets``', from the optima of the windows
-  between grid points ``0, s, 2s, ..`` and ``n+1`` that the lanes need,
-  themselves bisected from one of the other two: each lane lies above the
-  inner window and the outer one less the weight growth outside the lane,
-  and below the outer window and the inner one plus the weight growth
-  inside the lane.
+* **Brackets (fills).**  ``solve`` bisects each lane from one of two
+  brackets, chosen by the lane count: below ``_ANCHOR_MIN_LANES`` lanes
+  ``_top_level``'s, from the optima of the all-lower and the all-upper
+  window, which the fixed-scenario DP gives once per k and one probe of
+  the greedy certifies; from there on ``_brackets``', from the optima of
+  the windows between grid points ``0, s, 2s, ..`` and ``n+1`` that the
+  lanes need, themselves bisected from the top level: each lane lies
+  above the inner window and the outer one less the weight growth
+  outside the lane, and below the outer window and the inner one plus
+  the weight growth inside the lane.
 * **Plan brackets (audits).**  ``_plan_bounds`` brackets each lane from
   its own weights alone: above by the time of the k-part plan balanced
   for them, below by a weight bound and a distance bound that every plan
@@ -138,16 +136,17 @@ def check_int64_headroom(inst: PathInstance) -> None:
 
 
 def descriptor_arrays(t1s, t2s, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Descriptors (t1s[i], t2s[i]) as contiguous int64 arrays.  ValueError
-    for entries that are not integers (never truncated or parsed), unequal
-    shapes, or a descriptor outside 0 <= t1 <= t2 <= n + 1."""
+    """Descriptors (t1s[i], t2s[i]) as flat contiguous int64 arrays: arrays
+    of any equal shape are read flat, in C order.  ValueError for entries
+    that are not integers (never truncated or parsed), unequal shapes, or a
+    descriptor outside 0 <= t1 <= t2 <= n + 1."""
     t1, t2 = np.asarray(t1s), np.asarray(t2s)
     if any(a.size and a.dtype.kind not in "iu" for a in (t1, t2)):
         raise ValueError(f"descriptors must be integers, got {t1.dtype} and {t2.dtype}")
     if t1.shape != t2.shape:
         raise ValueError("t1s and t2s must have equal shapes")
-    t1 = np.ascontiguousarray(t1, dtype=np.int64)
-    t2 = np.ascontiguousarray(t2, dtype=np.int64)
+    t1 = np.ascontiguousarray(t1, dtype=np.int64).ravel()
+    t2 = np.ascontiguousarray(t2, dtype=np.int64).ravel()
     if np.any((t1 < 0) | (t1 > t2) | (t2 > n + 1)):
         raise ValueError("descriptor out of range")
     return t1, t2
@@ -388,7 +387,9 @@ class ScenarioBatchEngine:
         return lo
 
     def _upper(self, t1, t2):
-        """A feasible time for every lane: the span's travel time plus all weight."""
+        """A feasible time for every lane: the span's travel time plus all
+        weight.  No solve starts from it; tests use it as a known-feasible
+        bound."""
         n = self.n
         return (self.xt[n] - self.xt[0]) + self.pm0[n + 1] + (self.dp0[t2] - self.dp0[t1])
 
@@ -642,21 +643,18 @@ class ScenarioBatchEngine:
     def solve(self, k: int, t1s, t2s) -> np.ndarray:
         """Optimal k-sink time (simplified model) for every lane (t1, t2).
 
-        A call of at most n + 1 lanes bisects them from [0, ``_upper``],
-        where the top level's two DP solves cost more than the probes they
-        save; below ``_ANCHOR_MIN_LANES`` lanes from ``_top_level``; from
-        there on from ``_brackets``, whose anchors are solved the same way.
+        A call of fewer than ``_ANCHOR_MIN_LANES`` lanes bisects them from
+        ``_top_level``; a larger one from ``_brackets``, whose anchors are
+        bisected from ``_top_level``.  Descriptors are read flat (see
+        ``descriptor_arrays``).
 
         ValueError unless 1 <= k <= n + 1.
         """
         k = require_k(self.inst, k)
         t1, t2 = descriptor_arrays(t1s, t2s, self.n)
-
-        def unanchored(a1, a2):
-            if a1.shape[0] <= self.n + 1:
-                return self._bisect(k, a1, a2, np.zeros_like(a1), self._upper(a1, a2))
-            return self._bisect(k, a1, a2, *self._top_level(k, a1, a2))
-
         if t1.shape[0] < _ANCHOR_MIN_LANES:
-            return unanchored(t1, t2)
-        return self._bisect(k, t1, t2, *self._brackets(t1, t2, unanchored))
+            lo, hi = self._top_level(k, t1, t2)
+        else:
+            lo, hi = self._brackets(
+                t1, t2, lambda a1, a2: self._bisect(k, a1, a2, *self._top_level(k, a1, a2)))
+        return self._bisect(k, t1, t2, lo, hi)

@@ -9,7 +9,8 @@ Subcommands:
   instances, against brute-force optimality); prints PASS or FAIL.
 
 Instance and plan files are JSON; scenario files are JSON objects with a
-single ``"w"`` array.  Exit status: 0 success / PASS, 1 FAIL, 2 bad input.
+single ``"w"`` array.  Exit status: 0 success / PASS, 1 FAIL, 2 bad input;
+every bad-input check raises ``_BadInput``, which ``main`` prints on stderr.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .model import (
     CostModel,
     InvalidInstanceError,
     PathInstance,
-    Plan,
     Scenario,
     load_instance,
     load_plan,
@@ -49,52 +49,49 @@ __all__ = ["main"]
 _BAD_FILE = (OSError, ValueError, KeyError, TypeError, RecursionError)
 
 
-def _fail_bad_input(msg: str) -> int:
-    print(msg, file=sys.stderr)
-    return 2
+class _BadInput(Exception):
+    """Bad input: ``main`` prints the message on stderr and returns 2."""
 
 
-def _load_instance_checked(path: str) -> Optional[PathInstance]:
+def _read(kind: str, path: str, reader):
+    """``reader(path)``; _BadInput if the ``kind`` file cannot be read."""
     try:
-        inst = load_instance(path)
+        return reader(path)
     except _BAD_FILE as exc:
-        print(f"cannot read instance {path}: {exc}", file=sys.stderr)
-        return None
+        raise _BadInput(f"cannot read {kind} {path}: {exc}") from exc
+
+
+def _read_instance(path: str, k: Optional[int] = None) -> PathInstance:
+    """The valid instance at ``path``, with room for ``k`` sinks if given."""
+    inst = _read("instance", path, load_instance)
     problems = validate_instance(inst)
     if problems:
-        print(f"invalid instance {path}:", file=sys.stderr)
-        for p in problems:
-            print(f"  - {p}", file=sys.stderr)
-        return None
+        raise _BadInput("\n  - ".join([f"invalid instance {path}:", *problems]))
+    if k is not None and not 1 <= k <= inst.n + 1:
+        raise _BadInput(f"--k must be in 1..{inst.n + 1}")
     return inst
 
 
-def _scenario_from_args(inst: PathInstance, args) -> Optional[Scenario]:
+def _read_scenario(path: str) -> Scenario:
+    with open(path, "r", encoding="utf-8") as f:
+        return Scenario(json.load(f)["w"])
+
+
+def _scenario_from_args(inst: PathInstance, args) -> tuple[Scenario, str]:
+    """The scenario the flags choose, and its label in ``verify``'s verdict."""
     if bool(args.scenario) + args.all_minus + args.all_plus > 1:
-        print("choose exactly one of --scenario/--all-minus/--all-plus", file=sys.stderr)
-        return None
-    if args.scenario:
-        try:
-            with open(args.scenario, "r", encoding="utf-8") as f:
-                obj = json.load(f)
-            s = Scenario(obj["w"])
-        except _BAD_FILE as exc:
-            print(f"cannot read scenario {args.scenario}: {exc}", file=sys.stderr)
-            return None
-        if len(s.weights) != inst.num_vertices:
-            print(
-                f"scenario has {len(s.weights)} weights, instance has "
-                f"{inst.num_vertices} vertices",
-                file=sys.stderr,
-            )
-            return None
-        if not scenario_within_bounds(inst, s):
-            print("scenario weights violate the instance's intervals", file=sys.stderr)
-            return None
-        return s
+        raise _BadInput("choose exactly one of --scenario/--all-minus/--all-plus")
     if args.all_plus:
-        return Scenario(inst.wplus)
-    return Scenario(inst.wminus)
+        return Scenario(inst.wplus), "all-plus scenario"
+    if not args.scenario:
+        return Scenario(inst.wminus), "all-minus scenario"
+    s = _read("scenario", args.scenario, _read_scenario)
+    if len(s.weights) != inst.num_vertices:
+        raise _BadInput(
+            f"scenario has {len(s.weights)} weights, instance has {inst.num_vertices} vertices")
+    if not scenario_within_bounds(inst, s):
+        raise _BadInput("scenario weights violate the instance's intervals")
+    return s, f"scenario from {args.scenario}"
 
 
 # ---------------------------------------------------------------------------
@@ -121,16 +118,16 @@ def _random_instance(
 def _cmd_gen(args) -> int:
     n = args.n
     if n < 0:
-        return _fail_bad_input("--n must be >= 0")
+        raise _BadInput("--n must be >= 0")
     if args.coord_max < n:
-        return _fail_bad_input("--coord-max must be at least --n")
+        raise _BadInput("--coord-max must be at least --n")
     if args.w_max < 1:
-        return _fail_bad_input("--w-max must be >= 1")
+        raise _BadInput("--w-max must be >= 1")
     rng = random.Random(args.seed)
     inst = _random_instance(rng, n, args.coord_max, args.w_max, args.capacity, args.tau)
     problems = validate_instance(inst)
     if problems:
-        return _fail_bad_input("generated instance invalid: " + "; ".join(problems))
+        raise _BadInput("generated instance invalid: " + "; ".join(problems))
     save_instance(inst, args.output)
     print(f"wrote {args.output} (n={n}, capacity={args.capacity}, tau={args.tau})")
     return 0
@@ -141,41 +138,25 @@ def _cmd_gen(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _write_plan(path: Optional[str], plan: Plan, objective: int, kind: str) -> None:
-    if path:
-        save_plan(plan, objective, kind, path)
+def _report(args, res, kind: str) -> int:
+    """Write the plan file if ``-o`` asks for one, then print the answer."""
+    if args.output:
+        save_plan(res.plan, res.value, kind, args.output)
+    print(f"objective {res.value}")
+    print(f"plan boundaries={list(res.plan.boundaries)} sinks={list(res.plan.sinks)}")
+    return 0
 
 
 def _cmd_solve_opt(args) -> int:
-    inst = _load_instance_checked(args.instance)
-    if inst is None:
-        return 2
-    if not 1 <= args.k <= inst.n + 1:
-        return _fail_bad_input(f"--k must be in 1..{inst.n + 1}")
-    s = _scenario_from_args(inst, args)
-    if s is None:
-        return 2
-    res = solve_optimal_k_sink(inst, s, args.k, args.cost_model)
-    _write_plan(args.output, res.plan, res.value, "evac_time")
-    print(f"objective {res.value}")
-    print(f"plan boundaries={list(res.plan.boundaries)} sinks={list(res.plan.sinks)}")
-    return 0
+    inst = _read_instance(args.instance, args.k)
+    s, _ = _scenario_from_args(inst, args)
+    return _report(args, solve_optimal_k_sink(inst, s, args.k, args.cost_model), "evac_time")
 
 
 def _cmd_solve_mmr(args) -> int:
-    inst = _load_instance_checked(args.instance)
-    if inst is None:
-        return 2
-    if not 1 <= args.k <= inst.n + 1:
-        return _fail_bad_input(f"--k must be in 1..{inst.n + 1}")
-    if args.algo == "dp":
-        res = solve_minmax_regret_dp(inst, args.k)
-    else:
-        res = solve_minmax_regret_bs(inst, args.k)
-    _write_plan(args.output, res.plan, res.value, "max_regret")
-    print(f"objective {res.value}")
-    print(f"plan boundaries={list(res.plan.boundaries)} sinks={list(res.plan.sinks)}")
-    return 0
+    inst = _read_instance(args.instance, args.k)
+    solve = solve_minmax_regret_dp if args.algo == "dp" else solve_minmax_regret_bs
+    return _report(args, solve(inst, args.k), "max_regret")
 
 
 # ---------------------------------------------------------------------------
@@ -184,14 +165,8 @@ def _cmd_solve_mmr(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    inst = _load_instance_checked(args.instance)
-    if inst is None:
-        return 2
-    try:
-        plan, objective, kind = load_plan(args.plan)
-    except _BAD_FILE as exc:
-        print(f"cannot read plan {args.plan}: {exc}", file=sys.stderr)
-        return 2
+    inst = _read_instance(args.instance)
+    plan, objective, kind = _read("plan", args.plan, load_plan)
     problems = validate_plan(inst, plan)
     if problems:
         print("FAIL: plan invalid for instance:")
@@ -200,15 +175,7 @@ def _cmd_verify(args) -> int:
         return 1
 
     if kind == "evac_time":
-        s = _scenario_from_args(inst, args)
-        if s is None:
-            return 2
-        if args.scenario:
-            s_label = f"scenario from {args.scenario}"
-        elif args.all_plus:
-            s_label = "all-plus scenario"
-        else:
-            s_label = "all-minus scenario"
+        s, s_label = _scenario_from_args(inst, args)
         got, _ = eval_plan(inst, s, plan, args.cost_model)
         if got != objective:
             print(
@@ -315,6 +282,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except _BadInput as exc:
+        print(exc, file=sys.stderr)
+        return 2
     except InvalidInstanceError as exc:
         print(f"invalid instance: {exc}", file=sys.stderr)
         return 2

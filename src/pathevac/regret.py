@@ -185,7 +185,7 @@ class ScenarioOptCache:
     def ensure(self, t1s, t2s) -> None:
         """Compute any still-missing entries among the descriptors
         (t1s[i], t2s[i]); ``t1s`` and ``t2s`` must be integer arrays of
-        equal shapes (see ``_batch.descriptor_arrays``)."""
+        equal shapes, read flat (see ``_batch.descriptor_arrays``)."""
         import numpy as np
 
         from ._batch import descriptor_arrays, distinct_keys

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import copy
 import json
 import os
@@ -288,6 +289,101 @@ def test_reused_parser_keeps_no_state_between_calls(tmp_path, capsys):
     assert [code for code, _, _ in fresh] == [0, 0, 0, 0, 0, 1, 0, 0, 2, 0]
     for _ in range(2):
         assert [run(args) for args in calls] == fresh
+
+
+def test_every_exit_2_path_prints_its_message(tmp_path, capsys):
+    """One table of calls pins the exit code, stdout and stderr of every
+    bad-input path of the CLI and of the runs around them; no call that
+    exits 2 writes its output file."""
+    def p(name):
+        return str(tmp_path / name)
+
+    inst, opt, mmr, unwritten = p("inst.json"), p("opt.json"), p("mmr.json"), p("x.json")
+    with open(p("malformed.json"), "w") as fh:
+        fh.write("{not json")
+    json.dump({"vertices": [{"x": 0, "w_min": 1, "w_max": 2}, {"x": 0, "w_min": 2, "w_max": 1}],
+               "capacity": 0, "tau": 1}, open(p("invalid.json"), "w"))
+    json.dump({"vertices": [{"x": (1 << 62) - 3, "w_min": 1, "w_max": 5},
+                            {"x": (1 << 62) - 1, "w_min": 2, "w_max": 4}],
+               "capacity": 1, "tau": 4}, open(p("far.json"), "w"))
+    missing = p("missing.json")
+    no_file = f"[Errno 2] No such file or directory: '{missing}'"
+    choose = "choose exactly one of --scenario/--all-minus/--all-plus\n"
+    table = [
+        (["gen", "--n", "6", "--coord-max", "40", "--w-max", "9", "--seed", "5", "-o", inst],
+         0, f"wrote {inst} (n=6, capacity=1, tau=1)\n", ""),
+        (["gen", "--n", "-1", "-o", unwritten], 2, "", "--n must be >= 0\n"),
+        (["gen", "--n", "10", "--coord-max", "5", "-o", unwritten],
+         2, "", "--coord-max must be at least --n\n"),
+        (["gen", "--n", "2", "--w-max", "0", "-o", unwritten], 2, "", "--w-max must be >= 1\n"),
+        (["gen", "--n", "2", "--capacity", "0", "--tau", "0", "-o", unwritten],
+         2, "", "generated instance invalid: capacity not positive; tau not positive\n"),
+        (["solve-opt", missing, "--k", "1"], 2, "", f"cannot read instance {missing}: {no_file}\n"),
+        (["solve-mmr", p("malformed.json"), "--k", "1"], 2, "",
+         f"cannot read instance {p('malformed.json')}: Expecting property name enclosed "
+         "in double quotes: line 1 column 2 (char 1)\n"),
+        (["verify", p("invalid.json"), opt], 2, "",
+         f"invalid instance {p('invalid.json')}:\n  - coords not strictly increasing at "
+         "index 1\n  - weight interval empty at index 1\n  - capacity not positive\n"),
+        (["solve-opt", inst, "--k", "0", "-o", unwritten], 2, "", "--k must be in 1..7\n"),
+        (["solve-mmr", inst, "--k", "8", "-o", unwritten], 2, "", "--k must be in 1..7\n"),
+        (["solve-opt", inst, "--k", "2", "--all-minus", "--all-plus", "-o", unwritten],
+         2, "", choose),
+        (["solve-opt", inst, "--k", "2", "--scenario", missing],
+         2, "", f"cannot read scenario {missing}: {no_file}\n"),
+        (["solve-opt", inst, "--k", "2", "--scenario", p("long.json")],
+         2, "", "scenario has 8 weights, instance has 7 vertices\n"),
+        (["solve-opt", inst, "--k", "2", "--scenario", p("high.json")],
+         2, "", "scenario weights violate the instance's intervals\n"),
+        (["solve-mmr", p("far.json"), "--k", "1"], 2, "",
+         "invalid instance: max |x| * tau + sum of w_max is 18446744073709551621, beyond "
+         "the int64 headroom 2^60 of the scenario-optimum engine\n"),
+        (["solve-opt", inst, "--k", "2", "--all-plus", "-o", opt],
+         0, "objective 17\nplan boundaries=[3, 6] sinks=[1, 5]\n", ""),
+        (["solve-mmr", inst, "--k", "2", "-o", mmr],
+         0, "objective 1\nplan boundaries=[3, 6] sinks=[2, 5]\n", ""),
+        (["verify", inst, missing], 2, "", f"cannot read plan {missing}: {no_file}\n"),
+        (["verify", inst, opt, "--scenario", p("low.json"), "--all-plus"], 2, "", choose),
+        (["verify", inst, opt, "--all-plus"],
+         0, "PASS: objective 17 matches and is optimal (brute-force check)\n", ""),
+        (["verify", inst, opt], 1,
+         "FAIL: plan evaluates to 15 under the all-minus scenario (discrete model), file "
+         "claims 17 (pass the scenario/cost-model flags the plan was solved with)\n", ""),
+        (["verify", inst, opt, "--scenario", p("low.json")], 1,
+         f"FAIL: plan evaluates to 15 under the scenario from {p('low.json')} (discrete "
+         "model), file claims 17 (pass the scenario/cost-model flags the plan was solved "
+         "with)\n", ""),
+        (["verify", inst, mmr], 0, "PASS: max regret 1 matches and is optimal "
+         "(witness scenario (0, 1), brute-force check)\n", ""),
+    ]
+    for i, (argv, code, out, err) in enumerate(table):
+        if i == 1:
+            w = json.load(open(inst))["vertices"]
+            json.dump({"w": [v["w_min"] for v in w] + [1]}, open(p("long.json"), "w"))
+            json.dump({"w": [v["w_max"] + 1 for v in w]}, open(p("high.json"), "w"))
+            json.dump({"w": [v["w_min"] for v in w]}, open(p("low.json"), "w"))
+        got = main(argv)
+        assert (got, *capsys.readouterr()) == (code, out, err), argv
+    assert not os.path.exists(unwritten)
+
+
+def test_only_main_exits_2_or_writes_stderr():
+    """In ``cli.py`` bad input ends in one place: no function but ``main``
+    returns the literal 2 or prints to ``sys.stderr``."""
+    path = cli.__file__
+    tree = ast.parse(open(path, encoding="utf-8").read(), filename=path)
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef) or fn.name == "main":
+            continue
+        for node in ast.walk(fn):
+            if (isinstance(node, ast.Return) and isinstance(node.value, ast.Constant)
+                    and node.value.value == 2):
+                found.append(f"{fn.name}:{node.lineno} returns 2")
+            if (isinstance(node, ast.Attribute) and node.attr == "stderr"
+                    and isinstance(node.value, ast.Name) and node.value.id == "sys"):
+                found.append(f"{fn.name}:{node.lineno} uses sys.stderr")
+    assert not found, found
 
 
 # Runs the CLI in a process in which importing numpy fails.

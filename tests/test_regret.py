@@ -622,6 +622,27 @@ def test_descriptors_accept_integer_dtypes():
     assert cache.values[0, 3] == want[0]
 
 
+def test_two_dimensional_descriptors_read_flat():
+    """Descriptor arrays of any equal shape are read flat: a 2-D ``ensure``
+    leaves the keyed store exactly as the flat call does, sorted and
+    distinct, a complete fill after it holds every lane once, and a 2-D
+    ``solve`` equals the flat one."""
+    inst = PathInstance((0, 3, 7, 8, 12), (1, 2, 1, 3, 1), (4, 2, 5, 3, 2))
+    t1s, t2s = [[0, 1], [0, 1]], [[3, 2], [3, 2]]
+    grid, flat, ref = (build_scenario_opt_cache(inst, 2, engine=engine, fill="lazy")
+                       for engine in ("batch", "batch", "reference"))
+    grid.ensure(t1s, t2s)
+    flat.ensure(np.ravel(t1s), np.ravel(t2s))
+    assert np.array_equal(grid._keys, flat._keys) and np.array_equal(grid._opts, flat._opts)
+    assert np.all(np.diff(grid._keys) > 0)
+    grid.complete()
+    ref.complete()
+    assert grid._keys.size == (inst.n + 2) * (inst.n + 3) // 2
+    assert np.array_equal(grid.values, ref.values)
+    eng = ScenarioBatchEngine(inst)
+    assert np.array_equal(eng.solve(2, t1s, t2s), eng.solve(2, np.ravel(t1s), np.ravel(t2s)))
+
+
 # -- lookup tables -------------------------------------------------------------
 
 
